@@ -3,25 +3,28 @@
 Layout, all integers little-endian:
 
     offset 0   magic "ACRM"
-    offset 4   format version, u32
-    offset 8   reservoir snapshot offset from file start, u64
-    offset 16  blob count, u32
+    offset 4   format version, u32 (currently 2)
+    offset 8   blob count, u32
     ...        named blobs: name length u32, name bytes, dtype tag u8,
                rank u32, dims u32 each, raw payload (C order)
-    ...        codebook block: "CDBK", s u32, k u32, subdim u32,
-               float32 centroid payload
-    ...        reservoir snapshot: length u64, snapshot bytes
     tail       crc32 of everything before it, u32
 
-Everything needed to resume a run rides along: parameters, compressor,
-codebooks, reservoir, optimizer moments, rng state, and a JSON metadata
-blob with the config echo and the metrics emitted so far. load(save(x))
-is bit-identical; resuming must reproduce an unbroken run exactly.
+Every part of the state is a named blob: `model.*` and `acae.*`
+parameters, `optim.<param>.<slot>` moment buffers, `pq.centroids`
+(<f4, shape (s, k, d')), the live reservoir rows as `reservoir.codes`
+(u1, shape (n, s, H, W)) and `reservoir.labels` (<u2, shape (n,)), and
+`meta.json`, a UTF-8 JSON object holding the config text plus what the
+config cannot give: the rng state, the task and step counters, the
+seen classes, the optimizer step count, the frozen digests and the
+metrics emitted so far. Loading checks the blobs against the config.
+load(save(x)) is bit-identical; resuming must reproduce an unbroken
+run exactly. Files of any other version are refused.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -29,17 +32,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autoencoder import CompressorParams
-from .config import RunConfig, parse_config
-from .engine import EngineState, frozen_checksums
+from .config import parse_config, serialize_config
+from .engine import EngineState, frozen_checksums, online_optim
 from .errors import CheckpointError
 from .metrics import MetricRecord
 from .network import SplitModel
-from .nn import OptimState, Tensor
+from .nn import Tensor
 from .quantizer import Codebooks
-from .reservoir import snapshot_from_bytes, snapshot_to_bytes
+from .reservoir import Reservoir
 
 MAGIC = b"ACRM"
-VERSION = 1
+VERSION = 2
 
 _DTYPE_TAGS = {
     np.dtype("<f4"): 0,
@@ -47,6 +50,7 @@ _DTYPE_TAGS = {
     np.dtype("<i8"): 2,
     np.dtype("u1"): 3,
     np.dtype("<u4"): 4,
+    np.dtype("<u2"): 5,
 }
 _TAG_DTYPES = {v: k for k, v in _DTYPE_TAGS.items()}
 
@@ -56,7 +60,6 @@ class CheckpointBundle:
     """Everything a resumed run needs besides the dataset itself."""
 
     state: EngineState
-    config: RunConfig
     config_text: str
     records: list
 
@@ -88,9 +91,6 @@ class _Reader:
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
 
 
 def _read_blob(r: _Reader) -> tuple[str, np.ndarray]:
@@ -130,69 +130,64 @@ def _rng_from_json(d: dict) -> np.random.Generator:
 
 
 def save_checkpoint(
-    state: EngineState, path: str, *, config_text: str = "", records: list | None = None
+    state: EngineState, path: str, *, config_text: str | None = None, records: list | None = None
 ) -> None:
-    """Serialize the engine state; see the module docstring for layout."""
-    blobs: list[bytes] = []
-    for name, p in sorted(state.model.params.items()):
-        blobs.append(_pack_blob(f"model.{name}", p.data))
-    for name, p in sorted(state.compressor.params.items()):
-        blobs.append(_pack_blob(f"acae.{name}", p.data))
+    """Serialize the engine state; see the module docstring for layout.
+
+    `config_text` defaults to the serialized `state.config`. The file is
+    written beside `path`, synced, then renamed over it, so a failed
+    write leaves any earlier checkpoint at `path` intact.
+    """
+    if config_text is None:
+        config_text = serialize_config(state.config)
+    if state.config.dataset_classes > 1 << 16:
+        raise CheckpointError("labels above 65535 do not fit the u2 label blob")
+    res = state.reservoir
+    arrays = [(f"model.{name}", p.data) for name, p in sorted(state.model.params.items())]
+    arrays += [(f"acae.{name}", p.data) for name, p in sorted(state.compressor.params.items())]
     for pname, slots in sorted(state.optim.slots.items()):
-        for key, buf in sorted(slots.items()):
-            blobs.append(_pack_blob(f"optim.{pname}.{key}", buf))
+        arrays += [(f"optim.{pname}.{key}", buf) for key, buf in sorted(slots.items())]
+    arrays += [
+        ("pq.centroids", state.books.centroids),
+        ("reservoir.codes", res.codes[: res.size]),
+        ("reservoir.labels", res.labels[: res.size].astype("<u2")),
+    ]
 
     meta = {
         "config_text": config_text,
         "rng": _rng_state_json(state.rng),
         "current_task": state.current_task,
         "global_step": state.global_step,
-        "rehearsal_n": state.rehearsal_n,
-        "num_classes": state.num_classes,
-        "crop_range": list(state.crop_range),
-        "augment": state.augment,
-        "sample_with_replacement": state.sample_with_replacement,
         "seen_classes": sorted(state.seen_classes),
-        "optim": {
-            "kind": state.optim.kind,
-            "lr": state.optim.lr,
-            "momentum": state.optim.momentum,
-            "beta1": state.optim.beta1,
-            "beta2": state.optim.beta2,
-            "eps": state.optim.eps,
-            "weight_decay": state.optim.weight_decay,
-            "step_count": state.optim.step_count,
-        },
+        "optim_step_count": state.optim.step_count,
         "frozen_digest": state.frozen_digest,
         "records": [
             [r.step, r.task, r.seen_classes, r.top1, r.top5, r.boundary]
             for r in (records or [])
         ],
     }
-    blobs.append(_pack_blob("meta.json", np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)))
+    arrays.append(("meta.json", np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)))
 
-    body = struct.pack("<I", len(blobs)) + b"".join(blobs)
-    books = state.books
-    codebook_block = b"CDBK" + struct.pack(
-        "<III", books.s, books.k, books.subdim
-    ) + np.ascontiguousarray(books.centroids, dtype="<f4").tobytes()
-
-    hw = state.model.config.feature_hw
-    snap = snapshot_to_bytes(state.reservoir, state.books.s, hw[0], hw[1], books.k)
-
-    reservoir_offset = 16 + len(body) + len(codebook_block)
-    out = MAGIC + struct.pack("<IQ", VERSION, reservoir_offset) + body
-    out += codebook_block + struct.pack("<Q", len(snap)) + snap
+    out = MAGIC + struct.pack("<II", VERSION, len(arrays))
+    out += b"".join(_pack_blob(name, arr) for name, arr in arrays)
     out += struct.pack("<I", zlib.crc32(out))
-    with open(path, "wb") as fh:
-        fh.write(out)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(out)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path: str) -> CheckpointBundle:
     """Parse and validate a checkpoint; inverse of save_checkpoint."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 20:
+    if len(blob) < 16:
         raise CheckpointError(f"{path}: too short to be a checkpoint")
     if blob[:4] != MAGIC:
         raise CheckpointError(f"{path}: bad magic {blob[:4]!r}")
@@ -205,66 +200,77 @@ def load_checkpoint(path: str) -> CheckpointBundle:
     version = r.u32()
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
-    reservoir_offset = r.u64()
-
     arrays: dict[str, np.ndarray] = {}
     for _ in range(r.u32()):
         name, arr = _read_blob(r)
         arrays[name] = arr
+    if r.pos != len(r.blob):
+        raise CheckpointError(f"{path}: {len(r.blob) - r.pos} bytes after the last blob")
 
-    if r.take(4) != b"CDBK":
-        raise CheckpointError(f"{path}: missing codebook block")
-    s, k, subdim = struct.unpack("<III", r.take(12))
-    cents = np.frombuffer(r.take(s * k * subdim * 4), dtype="<f4").reshape(s, k, subdim)
-    books = Codebooks(s, k, subdim, cents.copy())
+    def take(name: str) -> np.ndarray:
+        if name not in arrays:
+            raise CheckpointError(f"{path}: missing blob {name!r}")
+        return arrays.pop(name)
 
-    if r.pos != reservoir_offset:
-        raise CheckpointError(f"{path}: reservoir offset {reservoir_offset} does not match layout")
-    snap_len = r.u64()
-    reservoir, _ = snapshot_from_bytes(r.take(snap_len))
-
-    if "meta.json" not in arrays:
-        raise CheckpointError(f"{path}: missing metadata blob")
-    meta = json.loads(arrays.pop("meta.json").tobytes().decode())
-
+    meta = json.loads(take("meta.json").tobytes().decode())
     cfg = parse_config(meta["config_text"])
     net = cfg.net_config()
+    s, k = cfg.pq_s, cfg.pq_k
+    code_shape = (s, *net.feature_hw)
+
+    cents = take("pq.centroids")
+    if cents.shape != (s, k, cfg.acae_latent_channels // s):
+        raise CheckpointError(f"{path}: centroid table {cents.shape} does not match the config")
+    books = Codebooks(s, k, cents.shape[2], cents.copy())
+
+    codes, labels = take("reservoir.codes"), take("reservoir.labels")
+    n = len(labels)
+    if (
+        codes.dtype != np.uint8
+        or labels.dtype != np.dtype("<u2")
+        or codes.shape != (n, *code_shape)
+        or labels.shape != (n,)
+    ):
+        raise CheckpointError(
+            f"{path}: reservoir blobs {codes.dtype}{codes.shape} / {labels.dtype}{labels.shape} "
+            f"do not match {n} rows of u1 codes {code_shape} and <u2 labels"
+        )
+    if n > cfg.reservoir_capacity:
+        raise CheckpointError(f"{path}: {n} reservoir rows exceed capacity {cfg.reservoir_capacity}")
+    if codes.max(initial=0) >= k:
+        raise CheckpointError(f"{path}: reservoir code {int(codes.max())} out of range for k={k}")
+    if labels.max(initial=0) >= cfg.dataset_classes:
+        raise CheckpointError(
+            f"{path}: reservoir label {int(labels.max())} outside {cfg.dataset_classes} classes"
+        )
+    reservoir = Reservoir(cfg.reservoir_capacity, code_shape, cfg.dataset_classes)
+    reservoir.fill(codes, labels)
+
     model_params = {}
     acae_params = {}
+    optim = online_optim(cfg)
+    optim.step_count = meta["optim_step_count"]
     for name, arr in arrays.items():
-        if name.startswith("model."):
-            model_params[name[6:]] = Tensor(arr.copy())
-        elif name.startswith("acae."):
-            acae_params[name[5:]] = Tensor(arr.copy())
+        group, _, rest = name.partition(".")
+        if group == "model":
+            model_params[rest] = Tensor(arr.copy())
+        elif group == "acae":
+            acae_params[rest] = Tensor(arr.copy())
+        elif group == "optim":
+            pname, key = rest.rsplit(".", 1)
+            optim.slots.setdefault(pname, {})[key] = arr.copy()
     model = SplitModel(net, model_params)
-    comp = CompressorParams(cfg.acae_latent_channels, acae_params)
-
     for name in model.head_names():
         model.params[name].requires_grad = True
 
-    o = meta["optim"]
-    optim = OptimState(
-        o["kind"], lr=o["lr"], momentum=o["momentum"], beta1=o["beta1"],
-        beta2=o["beta2"], eps=o["eps"], weight_decay=o["weight_decay"],
-    )
-    optim.step_count = o["step_count"]
-    for name, arr in arrays.items():
-        if name.startswith("optim."):
-            pname, key = name[6:].rsplit(".", 1)
-            optim.slots.setdefault(pname, {})[key] = arr.copy()
-
     state = EngineState(
+        config=cfg,
         model=model,
-        compressor=comp,
+        compressor=CompressorParams(cfg.acae_latent_channels, acae_params),
         books=books,
         reservoir=reservoir,
         optim=optim,
-        rehearsal_n=meta["rehearsal_n"],
-        num_classes=meta["num_classes"],
         rng=_rng_from_json(meta["rng"]),
-        crop_range=tuple(meta["crop_range"]),
-        augment=meta["augment"],
-        sample_with_replacement=meta["sample_with_replacement"],
         current_task=meta["current_task"],
         global_step=meta["global_step"],
         frozen_digest=dict(meta["frozen_digest"]),
@@ -274,4 +280,4 @@ def load_checkpoint(path: str) -> CheckpointBundle:
         raise CheckpointError(f"{path}: frozen parameter digests do not match stored values")
 
     records = [MetricRecord(*row) for row in meta["records"]]
-    return CheckpointBundle(state, cfg, meta["config_text"], records)
+    return CheckpointBundle(state, meta["config_text"], records)

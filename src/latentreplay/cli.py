@@ -13,16 +13,20 @@ import json
 import os
 import sys
 import time
-
-import numpy as np
+from functools import partial
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig, parse_config, serialize_config
+from .config import RunConfig, parse_config
 from .datasets import load_dataset
-from .engine import build_task_stream, evaluate, frozen_backbone_study, initialize, run_stream
+from .engine import (
+    build_task_stream,
+    frozen_backbone_study,
+    initialize,
+    run_stream,
+    seen_class_record,
+)
 from .errors import LatentReplayError
 from .gradsuite import run_suite
-from .metrics import MetricRecord
 from .reporting import budget_line, emit_metrics, membudget_lines
 
 _EXIT_CODES = {
@@ -51,23 +55,16 @@ def _load_config(path: str | None) -> RunConfig:
         return parse_config(fh.read())
 
 
-def _boundary_record(state, dataset, step: int, task_id: int) -> MetricRecord:
-    mask = np.isin(dataset.test_labels, sorted(state.seen_classes))
-    result = evaluate(state, dataset.test_images[mask], dataset.test_labels[mask])
-    return MetricRecord(step, task_id, len(state.seen_classes), result["top1"], result["top5"], True)
-
-
 def _cmd_init(args) -> int:
     cfg = _load_config(args.config)
-    text = serialize_config(cfg)
     dataset = load_dataset(cfg)
     stream = build_task_stream(dataset, cfg)
     print("class order:", " ".join(str(c) for t in stream.tasks for c in t.classes))
     t0 = time.time()
     state = initialize(stream.tasks[0], cfg)
     _note(f"initialize took {time.time() - t0:.1f}s")
-    records = [_boundary_record(state, dataset, 0, 1)]
-    save_checkpoint(state, args.out, config_text=text, records=records)
+    records = [seen_class_record(dataset, state, 1, 0)]
+    save_checkpoint(state, args.out, records=records)
     print(f"checkpoint written to {args.out}")
     print(f"task 1 top1 {records[0].top1:.4f}")
     return 0
@@ -75,19 +72,15 @@ def _cmd_init(args) -> int:
 
 def _cmd_stream(args) -> int:
     bundle = load_checkpoint(args.checkpoint)
-    state, cfg = bundle.state, bundle.config
+    state = bundle.state
+    cfg = state.config
     dataset = load_dataset(cfg)
     tasks = build_task_stream(dataset, cfg).tasks
     until = args.until_task if args.until_task else len(tasks)
     todo = [t for t in tasks if state.current_task < t.task_id <= until]
 
-    def hook(state, task_id, step, boundary):
-        mask = np.isin(dataset.test_labels, sorted(state.seen_classes))
-        result = evaluate(state, dataset.test_images[mask], dataset.test_labels[mask])
-        return MetricRecord(step, task_id, len(state.seen_classes),
-                            result["top1"], result["top5"], boundary)
-
     t0 = time.time()
+    hook = partial(seen_class_record, dataset)
     log = run_stream(state, todo, hook, eval_every=cfg.online_eval_every)
     _note(f"streamed {state.global_step} steps in {time.time() - t0:.1f}s")
     records = bundle.records + log.records
@@ -97,7 +90,7 @@ def _cmd_stream(args) -> int:
     code_shape = (state.books.s,) + state.model.config.feature_hw
     jsonl, csv = emit_metrics(
         records, args.out, capacity=state.reservoir.capacity,
-        code_shape=code_shape, exemplar_count=len(state.reservoir.entries),
+        code_shape=code_shape, exemplar_count=len(state.reservoir),
     )
     print(f"metrics written to {jsonl} and {csv}")
     boundary = [r.top1 for r in records if r.boundary]
@@ -107,16 +100,14 @@ def _cmd_stream(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    bundle = load_checkpoint(args.checkpoint)
-    state, cfg = bundle.state, bundle.config
-    dataset = load_dataset(cfg)
-    mask = np.isin(dataset.test_labels, sorted(state.seen_classes))
-    result = evaluate(state, dataset.test_images[mask], dataset.test_labels[mask])
+    state = load_checkpoint(args.checkpoint).state
+    dataset = load_dataset(state.config)
+    record = seen_class_record(dataset, state, state.current_task, state.global_step)
     print(json.dumps({
-        "task": state.current_task,
-        "seen_classes": len(state.seen_classes),
-        "top1": result["top1"],
-        "top5": result["top5"],
+        "task": record.task,
+        "seen_classes": record.seen_classes,
+        "top1": record.top1,
+        "top5": record.top5,
     }))
     return 0
 

@@ -22,7 +22,6 @@ class RunConfig:
     # dataset
     dataset_kind: str = "synthetic"  # synthetic | idx | cifar-bin
     dataset_path: str = ""
-    dataset_labels_path: str = ""  # idx only: separate labels file
     dataset_classes: int = 10
     dataset_per_class: int = 100
     dataset_test_per_class: int = 20

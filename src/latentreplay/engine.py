@@ -21,10 +21,10 @@ from .autoencoder import CompressorParams, build_compressor, compress, decompres
 from .config import RunConfig
 from .datasets import Dataset
 from .errors import ConfigError, DataError
-from .metrics import MetricsLog, top_k_accuracy
-from .network import NetConfig, SplitModel, build_model, train_offline
+from .metrics import MetricRecord, MetricsLog, top_k_accuracy
+from .network import NetConfig, SplitModel, _block_of, build_model, train_offline
 from .nn import OptimState, Tensor, grads_of, no_grad, sgd_step, softmax_cross_entropy, zero_grads
-from .quantizer import Codebooks, QuantizedExemplar, pq_decode_batch, pq_encode_batch, train_pq
+from .quantizer import Codebooks, pq_decode_batch, pq_encode_batch, train_pq
 from .reservoir import Reservoir, insert_with_eviction, sample_batch
 
 __all__ = [
@@ -34,11 +34,12 @@ __all__ = [
     "EngineState",
     "initialize",
     "encode_sample",
-    "decode_exemplar",
     "feature_random_resized_crop",
     "online_step",
     "run_stream",
     "evaluate",
+    "seen_class_record",
+    "online_optim",
     "frozen_checksums",
     "frozen_backbone_study",
 ]
@@ -104,17 +105,13 @@ def build_task_stream(dataset: Dataset, cfg: RunConfig) -> TaskStream:
 
 @dataclass
 class EngineState:
+    config: RunConfig
     model: SplitModel
     compressor: CompressorParams
     books: Codebooks
     reservoir: Reservoir
     optim: OptimState
-    rehearsal_n: int
-    num_classes: int
     rng: np.random.Generator
-    crop_range: tuple = (0.64, 1.0)
-    augment: bool = True
-    sample_with_replacement: bool = False
     current_task: int = 1
     global_step: int = 0
     frozen_digest: dict = field(default_factory=dict)
@@ -190,38 +187,37 @@ def initialize(task1: Task, cfg: RunConfig) -> EngineState:
         p.requires_grad = False
 
     state = EngineState(
+        config=cfg,
         model=model,
         compressor=comp,
         books=books,
-        reservoir=Reservoir(cfg.reservoir_capacity),
-        optim=OptimState("sgd-momentum", lr=cfg.online_lr, momentum=cfg.online_momentum),
-        rehearsal_n=cfg.online_rehearsal_n,
-        num_classes=net.num_classes,
+        reservoir=Reservoir(cfg.reservoir_capacity, (books.s, *net.feature_hw), net.num_classes),
+        optim=online_optim(cfg),
         rng=np.random.default_rng((cfg.seed, 103)),
-        crop_range=(cfg.online_crop_min_area, cfg.online_crop_max_area),
-        augment=cfg.online_augment,
-        sample_with_replacement=cfg.online_sample_with_replacement,
         seen_classes=set(task1.classes),
     )
 
     codes = pq_encode_batch(encoded, books)
     for i in range(len(task1.labels)):
-        ex = QuantizedExemplar(codes[i], int(task1.labels[i]), task1.task_id)
-        insert_with_eviction(state.reservoir, ex, state.rng)
+        insert_with_eviction(state.reservoir, codes[i], int(task1.labels[i]), state.rng)
 
     state.frozen_digest = frozen_checksums(state)
     return state
 
 
-def encode_sample(state: EngineState, x: np.ndarray, label: int = 0, task_id: int = 0) -> QuantizedExemplar:
-    """Image -> backbone feature -> compressed channels -> byte codes."""
+def online_optim(cfg: RunConfig) -> OptimState:
+    """Fresh head optimizer for the online phase."""
+    return OptimState("sgd-momentum", lr=cfg.online_lr, momentum=cfg.online_momentum)
+
+
+def encode_sample(state: EngineState, x: np.ndarray) -> np.ndarray:
+    """Image -> backbone feature -> compressed channels -> (s, H, W) byte codes."""
     if x.shape != tuple(state.model.config.in_shape):
         raise DataError(f"expected image shape {state.model.config.in_shape}, got {x.shape}")
     with no_grad():
         z = state.model.forward_backbone(Tensor(x[None].astype(np.float32)))
         u = compress(state.compressor, z).data
-    codes = pq_encode_batch(u, state.books)[0]
-    return QuantizedExemplar(codes, label, task_id)
+    return pq_encode_batch(u, state.books)[0]
 
 
 def _decode_codes(state: EngineState, codes: np.ndarray) -> np.ndarray:
@@ -229,10 +225,6 @@ def _decode_codes(state: EngineState, codes: np.ndarray) -> np.ndarray:
     u = pq_decode_batch(codes, state.books)
     with no_grad():
         return decompress(state.compressor, Tensor(u)).data
-
-
-def decode_exemplar(state: EngineState, exemplar: QuantizedExemplar) -> np.ndarray:
-    return _decode_codes(state, exemplar.codes[None])[0]
 
 
 def feature_random_resized_crop(z: np.ndarray, scale: tuple, rng: np.random.Generator) -> np.ndarray:
@@ -267,20 +259,21 @@ def feature_random_resized_crop(z: np.ndarray, scale: tuple, rng: np.random.Gene
 
 def online_step(state: EngineState, x: np.ndarray, y: int) -> EngineState:
     """One stream sample: encode, rehearse, single head update, store."""
-    if not (0 <= y < state.num_classes):
-        raise DataError(f"label {y} outside the class universe 0..{state.num_classes - 1}")
+    cfg, res = state.config, state.reservoir
+    if not (0 <= y < cfg.dataset_classes):
+        raise DataError(f"label {y} outside the class universe 0..{cfg.dataset_classes - 1}")
 
-    current = encode_sample(state, x, label=y, task_id=state.current_task)
-    batch = sample_batch(
-        state.reservoir, state.rehearsal_n, state.rng,
-        with_replacement=state.sample_with_replacement,
+    current = encode_sample(state, x)
+    idx = sample_batch(
+        res, cfg.online_rehearsal_n, state.rng,
+        with_replacement=cfg.online_sample_with_replacement,
     )
-    exemplars = batch + [current]
-    feats = _decode_codes(state, np.stack([e.codes for e in exemplars]))
-    labels = np.array([e.label for e in exemplars], dtype=np.int64)
-    if state.augment:
+    feats = _decode_codes(state, np.concatenate([res.codes[idx], current[None]]))
+    labels = np.append(res.labels[idx], y)
+    if cfg.online_augment:
+        crop_range = (cfg.online_crop_min_area, cfg.online_crop_max_area)
         feats = np.stack(
-            [feature_random_resized_crop(f, state.crop_range, state.rng) for f in feats]
+            [feature_random_resized_crop(f, crop_range, state.rng) for f in feats]
         )
 
     head = state.model.head_params()
@@ -290,7 +283,7 @@ def online_step(state: EngineState, x: np.ndarray, y: int) -> EngineState:
     loss.backward()
     sgd_step(head, grads_of(head), state.optim)
 
-    insert_with_eviction(state.reservoir, current, state.rng)
+    insert_with_eviction(res, current, y, state.rng)
     state.global_step += 1
     state.seen_classes.add(y)
     return state
@@ -336,11 +329,25 @@ def evaluate(state: EngineState, images: np.ndarray, labels: np.ndarray, batch: 
         for start in range(0, len(images), batch):
             logits.append(state.model.forward(Tensor(images[start : start + batch])).data)
     stacked = np.concatenate(logits, axis=0)
-    k5 = min(5, state.num_classes)
+    k5 = min(5, state.config.dataset_classes)
     return {
         "top1": top_k_accuracy(stacked, labels, k=1),
         "top5": top_k_accuracy(stacked, labels, k=k5),
     }
+
+
+def seen_class_record(
+    dataset: Dataset, state: EngineState, task_id: int, step: int, boundary: bool = True
+) -> MetricRecord:
+    """Evaluate on the test samples of every class seen so far.
+
+    With `dataset` bound by functools.partial, this is a `run_stream` eval hook.
+    """
+    mask = np.isin(dataset.test_labels, sorted(state.seen_classes))
+    result = evaluate(state, dataset.test_images[mask], dataset.test_labels[mask])
+    return MetricRecord(
+        step, task_id, len(state.seen_classes), result["top1"], result["top5"], boundary
+    )
 
 
 def frozen_backbone_study(
@@ -376,10 +383,7 @@ def frozen_backbone_study(
                 epochs=epochs, lr=lr, momentum=momentum,
                 batch_size=batch_size, augment=augment, rng=rng,
             )
-        trainable = [
-            k for k in model.params
-            if not (k.startswith("block") and int(k.split(".")[0][5:]) <= n)
-        ]
+        trainable = [k for k in model.params if _block_of(k) is None or _block_of(k) > n]
         train_offline(
             model,
             dataset.train_images,

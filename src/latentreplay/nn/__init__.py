@@ -10,11 +10,10 @@ from .ops import (
     softmax_cross_entropy,
 )
 from .optim import OptimState, adam_step, grads_of, sgd_step, zero_grads
-from .tensor import Tensor, as_tensor, no_grad, set_debug_checks
+from .tensor import Tensor, no_grad, set_debug_checks
 
 __all__ = [
     "Tensor",
-    "as_tensor",
     "no_grad",
     "set_debug_checks",
     "conv2d",

@@ -25,7 +25,6 @@ class OptimState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    weight_decay: float = 0.0
     step_count: int = 0
     slots: dict = field(default_factory=dict)
 
@@ -50,14 +49,12 @@ def _check(name: str, param: Tensor, grad: np.ndarray) -> np.ndarray:
 
 
 def sgd_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: OptimState) -> None:
-    """p <- p - lr * v with v <- momentum * v + (g + weight_decay * p)."""
+    """p <- p - lr * v with v <- momentum * v + g."""
     if state.kind != "sgd-momentum":
         raise ConfigError(f"sgd_step called with {state.kind!r} state")
     state.step_count += 1
     for name, p in params.items():
         g = _check(name, p, grads[name])
-        if state.weight_decay:
-            g = g + np.float32(state.weight_decay) * p.data
         v = state.slot(name, "velocity", p.data.shape)
         v *= np.float32(state.momentum)
         v += g
@@ -74,8 +71,6 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: Op
     bc2 = 1.0 - state.beta2**t
     for name, p in params.items():
         g = _check(name, p, grads[name])
-        if state.weight_decay:
-            g = g + np.float32(state.weight_decay) * p.data
         m = state.slot(name, "m", p.data.shape)
         v = state.slot(name, "v", p.data.shape)
         m *= np.float32(state.beta1)

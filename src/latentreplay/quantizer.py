@@ -44,18 +44,6 @@ class Codebooks:
         return self.s * self.subdim
 
 
-@dataclass(frozen=True)
-class QuantizedExemplar:
-    """One stored sample: byte codes plus its label and source task."""
-
-    codes: np.ndarray  # uint8 (s, H, W)
-    label: int
-    task_id: int
-
-    def byte_size(self) -> int:
-        return self.codes.size
-
-
 def _kmeans_plus_plus(vectors: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Seed k centroids: first uniform, the rest D^2-weighted."""
     n = vectors.shape[0]

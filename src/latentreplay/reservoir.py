@@ -1,80 +1,84 @@
 """Bounded class-balanced store of quantized exemplars.
 
+The memory is two preallocated arrays: `codes[capacity, s, H, W]` of
+uint8 PQ codes and `labels[capacity]`. Rows `0..size-1` are live, in
+insertion order; `counts[c]` is the number of live rows of class c.
+
 Eviction targets the most-populated class: among classes tied at the
-maximum count one is chosen uniformly, then a uniform member of that
-class is removed. Rehearsal sampling is uniform, without replacement by
-default. Memory accounting is exact integer byte arithmetic; megabytes
-are decimal (10^6 bytes), the convention the stored-size bookkeeping is
-built around.
+maximum count one is chosen uniformly (ties in ascending label order),
+then a uniform member of that class, in row order, is removed. Later
+rows shift down one and the new row goes last. Rehearsal sampling draws
+row indices uniformly, without replacement by default. Memory
+accounting is exact integer byte arithmetic; megabytes are decimal
+(10^6 bytes), the convention the stored-size bookkeeping is built
+around.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .quantizer import QuantizedExemplar
 
 
-@dataclass
 class Reservoir:
-    capacity: int
-    entries: list[QuantizedExemplar] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.capacity < 1:
+    def __init__(self, capacity: int, code_shape: tuple, num_classes: int):
+        if capacity < 1:
             raise ConfigError("reservoir capacity must be positive")
+        self.capacity = capacity
+        self.codes = np.zeros((capacity, *code_shape), dtype=np.uint8)
+        self.labels = np.zeros(capacity, dtype=np.int64)
+        self.counts = np.zeros(num_classes, dtype=np.int64)
+        self.size = 0
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.size
 
-    def class_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for e in self.entries:
-            counts[e.label] = counts.get(e.label, 0) + 1
-        return counts
-
-    def code_bytes(self) -> int:
-        return sum(e.byte_size() for e in self.entries)
+    def fill(self, codes: np.ndarray, labels: np.ndarray) -> None:
+        """Replace the live rows with `codes` and `labels`, at most capacity of them."""
+        n = len(labels)
+        self.codes[:n] = codes
+        self.labels[:n] = labels
+        self.counts = np.bincount(labels, minlength=len(self.counts))
+        self.size = n
 
 
 def insert_with_eviction(
-    res: Reservoir, exemplar: QuantizedExemplar, rng: np.random.Generator
-) -> QuantizedExemplar | None:
-    """Append the exemplar, evicting from a maximal class when full.
+    res: Reservoir, codes: np.ndarray, label: int, rng: np.random.Generator
+) -> int | None:
+    """Append one row, evicting from a maximal class when full.
 
-    Returns the evicted exemplar, or None when there was room.
+    Returns the evicted row's label, or None when there was room.
     """
-    if len(res.entries) < res.capacity:
-        res.entries.append(exemplar)
-        return None
-    counts = res.class_counts()
-    top = max(counts.values())
-    tied = sorted(label for label, c in counts.items() if c == top)
-    victim_class = tied[int(rng.integers(len(tied)))]
-    members = [i for i, e in enumerate(res.entries) if e.label == victim_class]
-    victim = members[int(rng.integers(len(members)))]
-    evicted = res.entries.pop(victim)
-    res.entries.append(exemplar)
+    evicted = None
+    if res.size == res.capacity:
+        tied = np.flatnonzero(res.counts == res.counts.max())
+        evicted = int(tied[int(rng.integers(len(tied)))])
+        members = np.flatnonzero(res.labels[: res.size] == evicted)
+        victim = int(members[int(rng.integers(len(members)))])
+        res.codes[victim:-1] = res.codes[victim + 1 :]
+        res.labels[victim:-1] = res.labels[victim + 1 :]
+        res.counts[evicted] -= 1
+        res.size -= 1
+    res.codes[res.size] = codes
+    res.labels[res.size] = label
+    res.counts[label] += 1
+    res.size += 1
     return evicted
 
 
 def sample_batch(
     res: Reservoir, n: int, rng: np.random.Generator, with_replacement: bool = False
-) -> list[QuantizedExemplar]:
-    """Up to n exemplars drawn uniformly; all of them if n >= size."""
-    size = len(res.entries)
+) -> np.ndarray:
+    """Up to n row indices drawn uniformly; every row if n >= size."""
+    size = res.size
     if n <= 0 or size == 0:
-        return []
+        return np.zeros(0, dtype=np.int64)
     if with_replacement:
-        idx = rng.integers(size, size=n)
-    elif n >= size:
-        return list(res.entries)
-    else:
-        idx = rng.choice(size, size=n, replace=False)
-    return [res.entries[int(i)] for i in idx]
+        return rng.integers(size, size=n)
+    if n >= size:
+        return np.arange(size)
+    return rng.choice(size, size=n, replace=False)
 
 
 def memory_bytes(count: int, shape: tuple, bytes_per_element: int = 1) -> int:
@@ -90,45 +94,3 @@ def memory_bytes(count: int, shape: tuple, bytes_per_element: int = 1) -> int:
 def as_mb(total_bytes: int) -> float:
     """Decimal megabytes: bytes / 10^6."""
     return total_bytes / 1_000_000
-
-
-def snapshot_to_bytes(res: Reservoir, s: int, h: int, w: int, k: int) -> bytes:
-    """Pack the reservoir into the little-endian snapshot layout.
-
-    Header: capacity, entry count, s, H, W, k as u32. Entries: task_id
-    u16, label u16, then s*H*W code bytes each.
-    """
-    header = np.array([res.capacity, len(res.entries), s, h, w, k], dtype="<u4").tobytes()
-    parts = [header]
-    for e in res.entries:
-        if e.codes.shape != (s, h, w):
-            raise DataError(f"entry codes {e.codes.shape} do not match snapshot shape {(s, h, w)}")
-        parts.append(np.array([e.task_id, e.label], dtype="<u2").tobytes())
-        parts.append(np.ascontiguousarray(e.codes, dtype=np.uint8).tobytes())
-    return b"".join(parts)
-
-
-def snapshot_from_bytes(blob: bytes) -> tuple[Reservoir, dict]:
-    """Inverse of snapshot_to_bytes; returns the reservoir and its header."""
-    if len(blob) < 24:
-        raise DataError("reservoir snapshot shorter than its header")
-    capacity, count, s, h, w, k = (int(v) for v in np.frombuffer(blob[:24], dtype="<u4"))
-    entry_size = 4 + s * h * w
-    want = 24 + count * entry_size
-    if len(blob) != want:
-        raise DataError(f"reservoir snapshot is {len(blob)} bytes, expected {want}")
-    res = Reservoir(capacity)
-    off = 24
-    for _ in range(count):
-        task_id, label = (int(v) for v in np.frombuffer(blob[off : off + 4], dtype="<u2"))
-        codes = (
-            np.frombuffer(blob[off + 4 : off + entry_size], dtype=np.uint8)
-            .reshape(s, h, w)
-            .copy()
-        )
-        if codes.max(initial=0) >= k:
-            raise DataError(f"snapshot code {int(codes.max())} out of range for k={k}")
-        res.entries.append(QuantizedExemplar(codes, label, task_id))
-        off += entry_size
-    header = {"capacity": capacity, "count": count, "s": s, "h": h, "w": w, "k": k}
-    return res, header

@@ -8,6 +8,7 @@ accounting all read from the same runs.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
 
 import numpy as np
@@ -19,14 +20,14 @@ from latentreplay.config import RunConfig
 from latentreplay.datasets import load_dataset
 from latentreplay.engine import (
     build_task_stream,
-    evaluate,
     frozen_backbone_study,
     frozen_checksums,
     initialize,
     run_stream,
+    seen_class_record,
 )
 from latentreplay.gradsuite import run_suite
-from latentreplay.metrics import MetricRecord, aoc, top_k_accuracy
+from latentreplay.metrics import aoc, top_k_accuracy
 from latentreplay.network import build_model, train_offline
 from latentreplay.nn import Tensor, no_grad
 from latentreplay.quantizer import pq_decode_batch, pq_encode_batch, reconstruction_mse, train_pq
@@ -50,26 +51,12 @@ class StreamRun:
     streamed: int
 
 
-def _boundary_hook(dataset):
-    """Evaluate on the test subset of the classes seen so far."""
-
-    def hook(state, task_id, step, boundary):
-        if not boundary:
-            return None
-        seen = sorted(state.seen_classes)
-        mask = np.isin(dataset.test_labels, seen)
-        result = evaluate(state, dataset.test_images[mask], dataset.test_labels[mask])
-        return MetricRecord(step, task_id, len(seen), result["top1"], result["top5"], True)
-
-    return hook
-
-
 def _stream_run(cfg) -> StreamRun:
     dataset = load_dataset(cfg)
     stream = build_task_stream(dataset, cfg)
     state = initialize(stream.tasks[0], cfg)
     init_sums = frozen_checksums(state)
-    log = run_stream(state, stream.tasks[1:], eval_hook=_boundary_hook(dataset))
+    log = run_stream(state, stream.tasks[1:], eval_hook=partial(seen_class_record, dataset))
     streamed = sum(len(t.labels) for t in stream.tasks[1:])
     return StreamRun(state, log, init_sums, streamed)
 

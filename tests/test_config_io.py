@@ -1,17 +1,21 @@
 """Config text format, binary loaders, checkpoints, metrics files, CLI."""
 
 import json
+import os
 import struct
 import zlib
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
+from latentreplay import checkpoint
 from latentreplay.checkpoint import load_checkpoint, save_checkpoint
 from latentreplay.cli import main
 from latentreplay.config import KEYS, RunConfig, parse_config, serialize_config
 from latentreplay.datasets import gen_synthetic, load_cifar_bin, load_dataset, load_idx
-from latentreplay.engine import build_task_stream, initialize, run_stream
+from latentreplay.engine import build_task_stream, initialize, run_stream, seen_class_record
 from latentreplay.errors import CheckpointError, ConfigError, DataError
 from latentreplay.metrics import MetricRecord, aoc
 from latentreplay.reporting import BUDGET_TABLE, emit_metrics, membudget_lines, read_metrics
@@ -229,11 +233,11 @@ class TestGenSynthetic:
         assert x.min() >= 0.0 and x.max() <= 1.0
 
 
-def tiny_run(tmp_path, seed=0):
+def tiny_run(tmp_path, seed=0, **overrides):
     cfg = RunConfig(
         seed=seed, dataset_per_class=20, dataset_test_per_class=5,
         offline_epochs=2, acae_epochs=4, pq_k=8, reservoir_capacity=40,
-        online_rehearsal_n=3,
+        online_rehearsal_n=3, **overrides,
     )
     ds = load_dataset(cfg)
     stream = build_task_stream(ds, cfg)
@@ -250,18 +254,77 @@ class TestCheckpoint:
         bundle = load_checkpoint(p1)
         save_checkpoint(bundle.state, p2, config_text=bundle.config_text)
         assert open(p1, "rb").read() == open(p2, "rb").read()
+        res, back = state.reservoir, bundle.state.reservoir
+        assert back.capacity == res.capacity and len(back) == len(res)
+        assert np.array_equal(back.codes, res.codes)
+        assert np.array_equal(back.labels, res.labels)
+        assert np.array_equal(back.counts, res.counts)
+        assert bundle.state.config == cfg
+
+    def test_reservoir_blob_layout(self, tmp_path):
+        _, _, _, state = tiny_run(tmp_path)
+        p = str(tmp_path / "l.ckpt")
+        save_checkpoint(state, p)
+        blob = open(p, "rb").read()
+        res = state.reservoir
+        n = len(res)
+        for name, tag, dims, payload in (
+            (b"reservoir.codes", 3, (n, 4, 4, 4), res.codes[:n].tobytes()),
+            (b"reservoir.labels", 5, (n,), res.labels[:n].astype("<u2").tobytes()),
+        ):
+            at = blob.index(name)
+            assert blob[at - 4 : at] == struct.pack("<I", len(name))
+            at += len(name)
+            assert blob[at] == tag
+            assert blob[at + 1 : at + 5] == struct.pack("<I", len(dims))
+            at += 5
+            assert blob[at : at + 4 * len(dims)] == struct.pack(f"<{len(dims)}I", *dims)
+            at += 4 * len(dims)
+            assert blob[at : at + len(payload)] == payload
+
+    def test_default_config_text_is_the_state_config(self, tmp_path):
+        cfg, _, _, state = tiny_run(tmp_path, net_replay_block=3)
+        p = str(tmp_path / "d.ckpt")
+        save_checkpoint(state, p)
+        bundle = load_checkpoint(p)
+        assert bundle.config_text == serialize_config(cfg)
+        assert bundle.state.config == cfg
+
+    def test_failed_write_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
+        cfg, _, _, state = tiny_run(tmp_path)
+        p = str(tmp_path / "w.ckpt")
+        save_checkpoint(state, p)
+        old = open(p, "rb").read()
+
+        class HalfWrite:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError("disk full")
+
+        monkeypatch.setattr(
+            checkpoint, "open", lambda path, mode: HalfWrite(open(path, mode)), raising=False
+        )
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(state, p, records=[MetricRecord(0, 1, 2, 0.5, 1.0, True)])
+        monkeypatch.undo()
+        assert open(p, "rb").read() == old
+        assert os.listdir(tmp_path) == ["w.ckpt"]
+        assert load_checkpoint(p).state.config == cfg
 
     def test_resumed_run_matches_unbroken(self, tmp_path):
         cfg, ds, stream, state = tiny_run(tmp_path)
         text = serialize_config(cfg)
 
-        def hook(state, task_id, step, boundary):
-            from latentreplay.engine import evaluate
-
-            mask = np.isin(ds.test_labels, sorted(state.seen_classes))
-            r = evaluate(state, ds.test_images[mask], ds.test_labels[mask])
-            return MetricRecord(step, task_id, len(state.seen_classes), r["top1"], r["top5"], boundary)
-
+        hook = partial(seen_class_record, ds)
         unbroken = run_stream(state, stream.tasks[1:], hook).records
 
         _, _, _, state2 = tiny_run(tmp_path)
@@ -309,11 +372,33 @@ class TestCheckpoint:
         p = str(tmp_path / "v.ckpt")
         save_checkpoint(state, p, config_text=serialize_config(cfg))
         blob = bytearray(open(p, "rb").read())
-        blob[4:8] = struct.pack("<I", 42)
-        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
-        open(p, "wb").write(bytes(blob))
-        with pytest.raises(CheckpointError, match="version"):
-            load_checkpoint(p)
+        for version in (1, 42):  # 1: the layout before the reservoir became blobs
+            blob[4:8] = struct.pack("<I", version)
+            blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
+            open(p, "wb").write(bytes(blob))
+            with pytest.raises(CheckpointError, match="version"):
+                load_checkpoint(p)
+
+    def test_reservoir_out_of_range_or_mismatched_rejected(self, tmp_path, capsys):
+        cfg, _, _, state = tiny_run(tmp_path)
+        p = str(tmp_path / "r.ckpt")
+
+        def rejected(message, config_text=None):
+            save_checkpoint(state, p, config_text=config_text)  # CRC-valid, content wrong
+            with pytest.raises(CheckpointError, match=message):
+                load_checkpoint(p)
+            assert main(["eval", "--checkpoint", p]) == 6
+            assert json.loads(capsys.readouterr().err)["error"] == "checkpoint"
+
+        res = state.reservoir
+        res.codes[0, 0, 0, 0] = cfg.pq_k
+        rejected("code")
+        res.codes[0, 0, 0, 0] = 0
+        res.labels[0] = cfg.dataset_classes
+        rejected("label")
+        res.labels[0] = 0
+        rejected("capacity", serialize_config(replace(cfg, reservoir_capacity=10)))
+        rejected("do not match", serialize_config(replace(cfg, net_replay_block=3)))
 
     def test_bad_magic_rejected(self, tmp_path):
         p = str(tmp_path / "m.ckpt")

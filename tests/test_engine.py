@@ -1,5 +1,7 @@
 """Engine contracts: stream shape, frozen parameters, online-step math."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from latentreplay.engine import (
     Task,
     TaskStream,
     build_task_stream,
-    decode_exemplar,
     encode_sample,
     evaluate,
     feature_random_resized_crop,
@@ -20,7 +21,9 @@ from latentreplay.engine import (
     initialize,
     online_step,
     run_stream,
+    seen_class_record,
     _backbone_latents,
+    _decode_codes,
 )
 from latentreplay.errors import DataError
 from latentreplay.metrics import MetricRecord, top_k_accuracy
@@ -100,16 +103,16 @@ class TestTaskStream:
 class TestInitialize:
     def test_reservoir_filled_to_task_size(self, micro_run):
         cfg, ds, stream, state = micro_run
-        assert len(state.reservoir.entries) == min(cfg.reservoir_capacity, 80)
-        labels = [e.label for e in state.reservoir.entries]
-        assert set(labels) == set(stream.tasks[0].classes)
+        assert len(state.reservoir) == min(cfg.reservoir_capacity, 80)
+        labels = state.reservoir.labels[: len(state.reservoir)]
+        assert set(labels.tolist()) == set(stream.tasks[0].classes)
 
     def test_small_capacity_caps_fill(self):
         cfg = micro_config(reservoir_capacity=30)
         ds = load_dataset(cfg)
         stream = build_task_stream(ds, cfg)
         state = initialize(stream.tasks[0], cfg)
-        assert len(state.reservoir.entries) == 30
+        assert len(state.reservoir) == 30
 
     def test_checksums_recorded(self, micro_run):
         _, _, _, state = micro_run
@@ -151,37 +154,36 @@ class TestEncodeDecode:
     def test_encode_matches_composed_modules(self, micro_run):
         cfg, ds, stream, state = micro_run
         x = ds.test_images[0]
-        ex = encode_sample(state, x, label=3, task_id=2)
+        codes = encode_sample(state, x)
         with no_grad():
             z = state.model.forward_backbone(Tensor(x[None]))
             u = compress(state.compressor, z).data
         expected = pq_encode_batch(u, state.books)[0]
-        assert np.array_equal(ex.codes, expected)
-        assert ex.label == 3 and ex.task_id == 2
+        assert np.array_equal(codes, expected)
 
     def test_decode_matches_composed_modules(self, micro_run):
         _, ds, _, state = micro_run
-        ex = encode_sample(state, ds.test_images[1])
-        zhat = decode_exemplar(state, ex)
-        u = pq_decode_batch(ex.codes[None], state.books)
+        codes = encode_sample(state, ds.test_images[1])
+        zhat = _decode_codes(state, codes[None])
+        u = pq_decode_batch(codes[None], state.books)
         with no_grad():
-            expected = decompress(state.compressor, Tensor(u)).data[0]
+            expected = decompress(state.compressor, Tensor(u)).data
         assert np.array_equal(zhat, expected)
 
     def test_encode_is_pure(self, micro_run):
         _, ds, _, state = micro_run
         x = ds.test_images[2]
-        a = encode_sample(state, x).codes
-        b = encode_sample(state, x).codes
+        a = encode_sample(state, x)
+        b = encode_sample(state, x)
         assert np.array_equal(a, b)
 
     def test_encode_decode_fixed_point(self, micro_run):
         # decoded exemplars re-encode to the same codes
         _, ds, _, state = micro_run
-        ex = encode_sample(state, ds.test_images[3])
-        u = pq_decode_batch(ex.codes[None], state.books)
+        codes = encode_sample(state, ds.test_images[3])
+        u = pq_decode_batch(codes[None], state.books)
         again = pq_encode_batch(u, state.books)[0]
-        assert np.array_equal(ex.codes, again)
+        assert np.array_equal(codes, again)
 
     def test_encode_shape_mismatch(self, micro_run):
         _, _, _, state = micro_run
@@ -231,10 +233,11 @@ class TestOnlineStep:
         ds = load_dataset(cfg)
         stream = build_task_stream(ds, cfg)
         state = initialize(stream.tasks[0], cfg)
-        before = len(state.reservoir.entries)
+        before = len(state.reservoir)
         task2 = stream.tasks[1]
         online_step(state, task2.images[0], int(task2.labels[0]))
-        assert len(state.reservoir.entries) == before + 1
+        assert len(state.reservoir) == before + 1
+        assert state.reservoir.labels[before] == task2.labels[0]
         assert state.optim.step_count == 1
 
     def test_frozen_checksums_survive_steps(self):
@@ -349,12 +352,7 @@ class TestRunStream:
             stream = build_task_stream(ds, cfg)
             state = initialize(stream.tasks[0], cfg)
 
-            def hook(state, task_id, step, boundary):
-                mask = np.isin(ds.test_labels, sorted(state.seen_classes))
-                r = evaluate(state, ds.test_images[mask], ds.test_labels[mask])
-                return MetricRecord(step, task_id, len(state.seen_classes), r["top1"], r["top5"], boundary)
-
-            return run_stream(state, stream.tasks[1:3], hook).records
+            return run_stream(state, stream.tasks[1:3], partial(seen_class_record, ds)).records
 
         a, b = one(), one()
         assert a == b
@@ -371,6 +369,13 @@ class TestEvaluate:
         _, _, _, state = micro_run
         with pytest.raises(DataError):
             evaluate(state, np.zeros((0, 3, 16, 16), np.float32), np.zeros(0, np.int64))
+
+    def test_seen_class_record_covers_seen_classes_only(self, micro_run):
+        _, ds, stream, state = micro_run
+        mask = np.isin(ds.test_labels, stream.tasks[0].classes)
+        expected = evaluate(state, ds.test_images[mask], ds.test_labels[mask])
+        record = seen_class_record(ds, state, 1, 0)
+        assert record == MetricRecord(0, 1, 2, expected["top1"], expected["top5"], True)
 
 
 class TestFrozenBackboneStudy:

@@ -1,43 +1,52 @@
-"""Reservoir eviction policy, sampling, accounting, and snapshots."""
+"""Reservoir eviction policy, sampling, accounting, and the array layout."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentreplay.errors import ConfigError, DataError
-from latentreplay.quantizer import QuantizedExemplar
 from latentreplay.reservoir import (
     Reservoir,
     as_mb,
     insert_with_eviction,
     memory_bytes,
     sample_batch,
-    snapshot_from_bytes,
-    snapshot_to_bytes,
 )
 
+SHAPE = (2, 2, 2)
 
-def ex(label, task_id=1, fill=0, shape=(2, 2, 2)):
-    codes = np.full(shape, fill, dtype=np.uint8)
-    return QuantizedExemplar(codes, label, task_id)
+
+def new_res(capacity, num_classes=4, shape=SHAPE):
+    return Reservoir(capacity, shape, num_classes)
+
+
+def put(res, label, rng, fill=0):
+    return insert_with_eviction(res, np.full(res.codes.shape[1:], fill, np.uint8), label, rng)
+
+
+def live_counts(res):
+    return Counter(int(label) for label in res.labels[: len(res)])
 
 
 class TestInsert:
     def test_fill_without_eviction(self):
-        res = Reservoir(capacity=4)
+        res = new_res(capacity=4)
         rng = np.random.default_rng(0)
         for i in range(4):
-            assert insert_with_eviction(res, ex(label=i), rng) is None
+            assert put(res, i, rng) is None
         assert len(res) == 4
 
     def test_new_class_is_never_the_victim(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            res = Reservoir(capacity=4)
+            res = new_res(capacity=4)
             for label in (0, 0, 1, 1):
-                insert_with_eviction(res, ex(label), rng)
-            evicted = insert_with_eviction(res, ex(2), rng)
-            assert evicted is not None
-            assert evicted.label in (0, 1)
+                put(res, label, rng)
+            evicted = put(res, 2, rng)
+            assert evicted in (0, 1)
             assert len(res) == 4
 
     def test_max_class_always_loses(self):
@@ -46,11 +55,10 @@ class TestInsert:
         hits = 0
         trials = 10_000
         for _ in range(trials):
-            res = Reservoir(capacity=4)
+            res = new_res(capacity=4)
             for label in (0, 0, 0, 1):
-                insert_with_eviction(res, ex(label), rng)
-            evicted = insert_with_eviction(res, ex(1), rng)
-            hits += evicted.label == 0
+                put(res, label, rng)
+            hits += put(res, 1, rng) == 0
         assert hits == trials
 
     def test_tied_classes_evicted_uniformly(self):
@@ -58,55 +66,55 @@ class TestInsert:
         from_zero = 0
         trials = 10_000
         for _ in range(trials):
-            res = Reservoir(capacity=4)
+            res = new_res(capacity=4)
             for label in (0, 0, 1, 1):
-                insert_with_eviction(res, ex(label), rng)
-            from_zero += insert_with_eviction(res, ex(2), rng).label == 0
+                put(res, label, rng)
+            from_zero += put(res, 2, rng) == 0
         assert abs(from_zero / trials - 0.5) < 0.02
 
     def test_victim_count_was_maximal(self):
         rng = np.random.default_rng(3)
-        res = Reservoir(capacity=6)
-        labels = [0, 0, 0, 1, 1, 2]
-        for label in labels:
-            insert_with_eviction(res, ex(label), rng)
+        res = new_res(capacity=6)
+        for label in [0, 0, 0, 1, 1, 2]:
+            put(res, label, rng)
         for step in range(50):
-            before = res.class_counts()
-            evicted = insert_with_eviction(res, ex(step % 3), rng)
-            assert before[evicted.label] == max(before.values())
+            before = live_counts(res)
+            evicted = put(res, step % 3, rng)
+            assert before[evicted] == max(before.values())
             assert len(res) == 6
 
     def test_counts_match_recount(self):
         rng = np.random.default_rng(4)
-        res = Reservoir(capacity=5)
+        res = new_res(capacity=5)
         for i in range(20):
-            insert_with_eviction(res, ex(i % 4), rng)
-            counts = res.class_counts()
-            assert sum(counts.values()) == len(res)
+            put(res, i % 4, rng)
+            recount = live_counts(res)
+            assert res.counts.tolist() == [recount[c] for c in range(4)]
+            assert res.counts.sum() == len(res)
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(ConfigError):
-            Reservoir(capacity=0)
+            new_res(capacity=0)
 
 
 class TestSample:
     def _filled(self, n=10):
-        res = Reservoir(capacity=n)
+        res = new_res(capacity=n)
         rng = np.random.default_rng(0)
         for i in range(n):
-            insert_with_eviction(res, ex(label=0, fill=i), rng)
+            put(res, 0, rng, fill=i)
         return res
 
     def test_n_at_least_size_returns_everything_once(self):
         res = self._filled(6)
-        batch = sample_batch(res, 10, np.random.default_rng(1))
-        assert sorted(int(e.codes[0, 0, 0]) for e in batch) == list(range(6))
+        idx = sample_batch(res, 10, np.random.default_rng(1))
+        assert sorted(int(m) for m in res.codes[idx, 0, 0, 0]) == list(range(6))
 
     def test_n_zero_returns_empty(self):
-        assert sample_batch(self._filled(), 0, np.random.default_rng(0)) == []
+        assert len(sample_batch(self._filled(), 0, np.random.default_rng(0))) == 0
 
     def test_empty_reservoir_returns_empty(self):
-        assert sample_batch(Reservoir(4), 3, np.random.default_rng(0)) == []
+        assert len(sample_batch(new_res(4), 3, np.random.default_rng(0))) == 0
 
     def test_single_draws_are_uniform(self):
         res = self._filled(10)
@@ -114,8 +122,8 @@ class TestSample:
         hits = np.zeros(10)
         trials = 100_000
         for _ in range(trials):
-            got = sample_batch(res, 1, rng)
-            hits[int(got[0].codes[0, 0, 0])] += 1
+            idx = sample_batch(res, 1, rng)
+            hits[int(res.codes[idx[0], 0, 0, 0])] += 1
         freqs = hits / trials
         assert np.all(np.abs(freqs - 0.1) < 0.01)
 
@@ -123,8 +131,7 @@ class TestSample:
         res = self._filled(10)
         rng = np.random.default_rng(6)
         for _ in range(50):
-            batch = sample_batch(res, 5, rng)
-            marks = [int(e.codes[0, 0, 0]) for e in batch]
+            marks = res.codes[sample_batch(res, 5, rng), 0, 0, 0].tolist()
             assert len(set(marks)) == len(marks) == 5
 
     def test_with_replacement_can_duplicate(self):
@@ -132,10 +139,85 @@ class TestSample:
         rng = np.random.default_rng(7)
         seen_dup = False
         for _ in range(100):
-            batch = sample_batch(res, 3, rng, with_replacement=True)
-            marks = [int(e.codes[0, 0, 0]) for e in batch]
+            marks = res.codes[sample_batch(res, 3, rng, with_replacement=True), 0, 0, 0].tolist()
             seen_dup = seen_dup or len(set(marks)) < 3
         assert seen_dup
+
+
+class TestSnapshot:
+    def test_round_trip_bit_identical(self):
+        # a checkpoint stores the live rows, labels as u2; fill() restores them
+        rng = np.random.default_rng(0)
+        res = new_res(capacity=5)
+        for i in range(9):
+            put(res, i % 3, rng, fill=i)
+        back = new_res(capacity=5)
+        back.fill(res.codes[: len(res)], res.labels[: len(res)].astype("<u2"))
+        assert len(back) == len(res)
+        for a, b in ((back.codes, res.codes), (back.labels, res.labels), (back.counts, res.counts)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert put(back, 0, np.random.default_rng(1)) == put(res, 0, np.random.default_rng(1))
+
+
+class ListReservoir:
+    """Reference: the policy as a list of (mark, label) rows, pop + append."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.rows = []
+
+    def insert(self, row, rng):
+        if len(self.rows) < self.capacity:
+            self.rows.append(row)
+            return None
+        counts = Counter(label for _, label in self.rows)
+        top = max(counts.values())
+        tied = sorted(label for label, c in counts.items() if c == top)
+        victim_class = tied[int(rng.integers(len(tied)))]
+        members = [i for i, (_, label) in enumerate(self.rows) if label == victim_class]
+        _, evicted = self.rows.pop(members[int(rng.integers(len(members)))])
+        self.rows.append(row)
+        return evicted
+
+    def sample(self, n, rng, with_replacement):
+        size = len(self.rows)
+        if n <= 0 or size == 0:
+            return []
+        if with_replacement:
+            idx = rng.integers(size, size=n)
+        elif n >= size:
+            return list(range(size))
+        else:
+            idx = rng.choice(size, size=n, replace=False)
+        return [int(i) for i in idx]
+
+
+class TestAgainstListReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        capacity=st.integers(1, 12),
+        labels=st.lists(st.integers(0, 4), max_size=60),
+        n=st.integers(0, 8),
+        with_replacement=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_rows_evictions_and_samples(self, capacity, labels, n, with_replacement, seed):
+        res = Reservoir(capacity, (1, 1, 2), 5)
+        ref = ListReservoir(capacity)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for i, label in enumerate(labels):
+            mark = i % 256
+            before = live_counts(res)
+            evicted = insert_with_eviction(res, np.full((1, 1, 2), mark, np.uint8), label, rng)
+            assert evicted == ref.insert((mark, label), ref_rng)
+            if evicted is not None:
+                assert before[evicted] == max(before.values())
+            assert len(res) == len(ref.rows) <= capacity
+            assert res.labels[: len(res)].tolist() == [lab for _, lab in ref.rows]
+            assert res.codes[: len(res), 0, 0, 1].tolist() == [m for m, _ in ref.rows]
+            assert res.counts.sum() == len(res)
+            picks = sample_batch(res, n, rng, with_replacement=with_replacement)
+            assert [int(i) for i in picks] == ref.sample(n, ref_rng, with_replacement)
 
 
 class TestMemoryAccounting:
@@ -168,52 +250,7 @@ class TestMemoryAccounting:
         with pytest.raises(DataError):
             memory_bytes(1, (1,), 0)
 
-    def test_code_bytes_tracks_entries(self):
-        res = Reservoir(capacity=3)
-        rng = np.random.default_rng(0)
-        for i in range(3):
-            insert_with_eviction(res, ex(i, shape=(4, 8, 8)), rng)
-        assert res.code_bytes() == 3 * 4 * 8 * 8
-
-
-class TestSnapshot:
-    def _res(self):
-        res = Reservoir(capacity=5)
-        rng = np.random.default_rng(0)
-        for i in range(4):
-            codes = rng.integers(0, 16, size=(2, 3, 3)).astype(np.uint8)
-            insert_with_eviction(res, QuantizedExemplar(codes, label=i % 2, task_id=i), rng)
-        return res
-
-    def test_round_trip_bit_identical(self):
-        res = self._res()
-        blob = snapshot_to_bytes(res, s=2, h=3, w=3, k=16)
-        back, header = snapshot_from_bytes(blob)
-        assert header == {"capacity": 5, "count": 4, "s": 2, "h": 3, "w": 3, "k": 16}
-        assert back.capacity == res.capacity
-        assert len(back) == len(res)
-        for a, b in zip(res.entries, back.entries):
-            assert a.label == b.label and a.task_id == b.task_id
-            assert np.array_equal(a.codes, b.codes)
-        assert snapshot_to_bytes(back, 2, 3, 3, 16) == blob
-
-    def test_layout_byte_positions(self):
-        res = Reservoir(capacity=2)
-        codes = np.arange(8, dtype=np.uint8).reshape(2, 2, 2)
-        res.entries.append(QuantizedExemplar(codes, label=3, task_id=7))
-        blob = snapshot_to_bytes(res, 2, 2, 2, k=9)
-        assert blob[:4] == (2).to_bytes(4, "little")  # capacity
-        assert blob[4:8] == (1).to_bytes(4, "little")  # count
-        assert blob[24:26] == (7).to_bytes(2, "little")  # task_id
-        assert blob[26:28] == (3).to_bytes(2, "little")  # label
-        assert blob[28:36] == bytes(range(8))
-
-    def test_truncated_blob_rejected(self):
-        blob = snapshot_to_bytes(self._res(), 2, 3, 3, 16)
-        with pytest.raises(DataError):
-            snapshot_from_bytes(blob[:-1])
-
-    def test_out_of_range_code_rejected(self):
-        blob = snapshot_to_bytes(self._res(), 2, 3, 3, k=2)
-        with pytest.raises(DataError):
-            snapshot_from_bytes(blob)
+    def test_preallocated_codes_match_budget(self):
+        res = new_res(capacity=3, shape=(4, 8, 8))
+        assert res.codes.dtype == np.uint8
+        assert res.codes.nbytes == memory_bytes(3, (4, 8, 8), 1)
