@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError
-from .network import SplitModel
+from .network import SplitModel, kaiming_params
 from .nn import (
     OptimState,
     Tensor,
@@ -44,21 +44,24 @@ class CompressorParams:
         return {k: v for k, v in self.params.items() if k.startswith("dec.")}
 
 
+def compressor_shapes(channels: int, latent_channels: int) -> dict[str, tuple]:
+    """Name -> shape of every compressor parameter, in initialization order."""
+    return {
+        "enc.weight": (latent_channels, channels, 1, 1),
+        "enc.bias": (latent_channels,),
+        "dec.weight": (channels, latent_channels, 1, 1),
+        "dec.bias": (channels,),
+    }
+
+
 def build_compressor(channels: int, latent_channels: int, seed: int) -> CompressorParams:
     """Kaiming-initialized 1x1 conv pair; latent must divide channels down."""
     if not (0 < latent_channels < channels):
         raise ConfigError(
             f"latent_channels {latent_channels} must be in 1..{channels - 1} (it is a compressor)"
         )
-    rng = np.random.default_rng(seed)
-    params = {}
-    for name, ci, co in (("enc", channels, latent_channels), ("dec", latent_channels, channels)):
-        std = np.sqrt(2.0 / ci)
-        params[f"{name}.weight"] = Tensor(
-            rng.normal(0.0, std, size=(co, ci, 1, 1)).astype(np.float32), requires_grad=True
-        )
-        params[f"{name}.bias"] = Tensor(np.zeros(co, dtype=np.float32), requires_grad=True)
-    return CompressorParams(latent_channels, params)
+    shapes = compressor_shapes(channels, latent_channels)
+    return CompressorParams(latent_channels, kaiming_params(shapes, np.random.default_rng(seed)))
 
 
 def compress(comp: CompressorParams, z: Tensor) -> Tensor:

@@ -16,7 +16,9 @@ parameters, `optim.<param>.<slot>` moment buffers, `pq.centroids`
 `meta.json`, a UTF-8 JSON object holding the config text plus what the
 config cannot give: the rng state, the task and step counters, the
 seen classes, the optimizer step count, the frozen digests and the
-metrics emitted so far. Loading checks the blobs against the config.
+metrics emitted so far. Loading checks the blobs against the config:
+the exact set of parameter and optimizer blob names, and every shape and
+dtype.
 load(save(x)) is bit-identical; resuming must reproduce an unbroken
 run exactly. Files of any other version are refused.
 """
@@ -31,12 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autoencoder import CompressorParams
+from .autoencoder import CompressorParams, compressor_shapes
 from .config import parse_config, serialize_config
 from .engine import EngineState, frozen_checksums, online_optim
 from .errors import CheckpointError
 from .metrics import MetricRecord
-from .network import SplitModel
+from .network import SplitModel, in_backbone, param_shapes
 from .nn import Tensor
 from .quantizer import Codebooks
 from .reservoir import Reservoir
@@ -183,6 +185,40 @@ def save_checkpoint(
             os.remove(tmp)
 
 
+def _param_blob_shapes(cfg, optim_steps: int) -> dict[str, tuple]:
+    """The `model.*`, `acae.*` and `optim.*` blob names and shapes a config implies.
+
+    The head's velocity buffers exist once the online optimizer has stepped.
+    """
+    net = cfg.net_config()
+    model = param_shapes(net)
+    comp = compressor_shapes(net.feature_channels, cfg.acae_latent_channels)
+    shapes = {f"model.{name}": shape for name, shape in model.items()}
+    shapes.update({f"acae.{name}": shape for name, shape in comp.items()})
+    if optim_steps:
+        shapes.update({
+            f"optim.{name}.velocity": shape
+            for name, shape in model.items()
+            if not in_backbone(name, net.replay_block)
+        })
+    return shapes
+
+
+def _check_params(path: str, arrays: dict, expected: dict) -> None:
+    missing = sorted(expected.keys() - arrays.keys())
+    extra = sorted(arrays.keys() - expected.keys())
+    if missing or extra:
+        raise CheckpointError(
+            f"{path}: parameter blobs do not match the config (missing {missing}, extra {extra})"
+        )
+    for name, shape in expected.items():
+        arr = arrays[name]
+        if arr.dtype != np.dtype("<f4") or arr.shape != shape:
+            raise CheckpointError(
+                f"{path}: blob {name!r} is {arr.dtype}{arr.shape}, the config needs <f4{shape}"
+            )
+
+
 def load_checkpoint(path: str) -> CheckpointBundle:
     """Parse and validate a checkpoint; inverse of save_checkpoint."""
     with open(path, "rb") as fh:
@@ -246,10 +282,11 @@ def load_checkpoint(path: str) -> CheckpointBundle:
     reservoir = Reservoir(cfg.reservoir_capacity, code_shape, cfg.dataset_classes)
     reservoir.fill(codes, labels)
 
-    model_params = {}
-    acae_params = {}
     optim = online_optim(cfg)
     optim.step_count = meta["optim_step_count"]
+    _check_params(path, arrays, _param_blob_shapes(cfg, optim.step_count))
+    model_params = {}
+    acae_params = {}
     for name, arr in arrays.items():
         group, _, rest = name.partition(".")
         if group == "model":

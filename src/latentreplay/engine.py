@@ -228,40 +228,55 @@ def _decode_codes(state: EngineState, codes: np.ndarray) -> np.ndarray:
 
 
 def feature_random_resized_crop(z: np.ndarray, scale: tuple, rng: np.random.Generator) -> np.ndarray:
-    """Crop a random sub-window and bilinearly resize it back to H x W.
+    """Crop a random sub-window of each (C, H, W) map in z and bilinearly resize it back to H x W.
 
     The window is real-valued, so its area fraction is drawn exactly
     from `scale` with the aspect ratio kept. scale (1, 1) degenerates to
     the identity and constants stay constant (bilinear weights sum to 1).
+    Each map draws its area, top and left in turn, map after map.
     """
-    c, h, w = z.shape
+    m, c, h, w = z.shape
     lo, hi = scale
-    area = rng.uniform(lo, hi)
-    side = np.sqrt(area)
-    crop_h, crop_w = side * h, side * w
-    top = rng.uniform(0.0, (h - 1) - (crop_h - 1))
-    left = rng.uniform(0.0, (w - 1) - (crop_w - 1))
+    top, left = np.empty(m), np.empty(m)
+    crop_h, crop_w = np.empty(m), np.empty(m)
+    for i in range(m):
+        side = np.sqrt(rng.uniform(lo, hi))
+        crop_h[i], crop_w[i] = side * h, side * w
+        top[i] = rng.uniform(0.0, (h - 1) - (crop_h[i] - 1))
+        left[i] = rng.uniform(0.0, (w - 1) - (crop_w[i] - 1))
 
-    rows = top + np.arange(h) * (crop_h - 1) / (h - 1)
-    cols = left + np.arange(w) * (crop_w - 1) / (w - 1)
+    rows = top[:, None] + np.arange(h) * (crop_h[:, None] - 1) / (h - 1)
+    cols = left[:, None] + np.arange(w) * (crop_w[:, None] - 1) / (w - 1)
     r0 = np.clip(np.floor(rows).astype(np.int64), 0, h - 1)
     c0 = np.clip(np.floor(cols).astype(np.int64), 0, w - 1)
     r1 = np.minimum(r0 + 1, h - 1)
     c1 = np.minimum(c0 + 1, w - 1)
-    fr = (rows - r0).astype(np.float32)
-    fc = (cols - c0).astype(np.float32)
+    fr = (rows - r0).astype(np.float32)[:, None, :, None]
+    fc = (cols - c0).astype(np.float32)[:, None, None, :]
 
-    top_rows = z[:, r0][:, :, c0] * (1 - fc) + z[:, r0][:, :, c1] * fc
-    bot_rows = z[:, r1][:, :, c0] * (1 - fc) + z[:, r1][:, :, c1] * fc
-    out = top_rows * (1 - fr[:, None]) + bot_rows * fr[:, None]
+    plane = (np.arange(m * c) * (h * w)).reshape(m, c, 1)
+
+    def corner(r, cc):
+        at = (r[:, :, None] * w + cc[:, None, :]).reshape(m, 1, h * w)
+        return z.take(plane + at).reshape(m, c, h, w)
+
+    top_rows = corner(r0, c0) * (1 - fc) + corner(r0, c1) * fc
+    bot_rows = corner(r1, c0) * (1 - fc) + corner(r1, c1) * fc
+    out = top_rows * (1 - fr) + bot_rows * fr
     return out.astype(z.dtype)
 
 
 def online_step(state: EngineState, x: np.ndarray, y: int) -> EngineState:
-    """One stream sample: encode, rehearse, single head update, store."""
+    """One stream sample: encode, rehearse, single head update, store.
+
+    A non-finite image or loss raises DataError before the head, the
+    reservoir and the step counter change.
+    """
     cfg, res = state.config, state.reservoir
     if not (0 <= y < cfg.dataset_classes):
         raise DataError(f"label {y} outside the class universe 0..{cfg.dataset_classes - 1}")
+    if not np.isfinite(x).all():
+        raise DataError(f"non-finite value in the input image at step {state.global_step}")
 
     current = encode_sample(state, x)
     idx = sample_batch(
@@ -272,14 +287,15 @@ def online_step(state: EngineState, x: np.ndarray, y: int) -> EngineState:
     labels = np.append(res.labels[idx], y)
     if cfg.online_augment:
         crop_range = (cfg.online_crop_min_area, cfg.online_crop_max_area)
-        feats = np.stack(
-            [feature_random_resized_crop(f, crop_range, state.rng) for f in feats]
-        )
+        feats = feature_random_resized_crop(feats, crop_range, state.rng)
 
     head = state.model.head_params()
     zero_grads(head)
     logits = state.model.forward_head(Tensor(feats))
-    loss, _ = softmax_cross_entropy(logits, labels)
+    with np.errstate(invalid="ignore"):  # a non-finite loss is reported just below
+        loss, _ = softmax_cross_entropy(logits, labels)
+    if not np.isfinite(loss.data):
+        raise DataError(f"non-finite loss {float(loss.data)} at step {state.global_step}")
     loss.backward()
     sgd_step(head, grads_of(head), state.optim)
 

@@ -9,6 +9,7 @@ to the unsplit forward pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,8 +75,7 @@ class SplitModel:
         self.params = params
 
     def backbone_names(self) -> list[str]:
-        n = self.config.replay_block
-        return [k for k in self.params if _block_of(k) is not None and _block_of(k) <= n]
+        return [k for k in self.params if in_backbone(k, self.config.replay_block)]
 
     def head_names(self) -> list[str]:
         backbone = set(self.backbone_names())
@@ -120,32 +120,43 @@ def _block_of(name: str) -> int | None:
     return None
 
 
-def build_model(config: NetConfig, seed: int) -> SplitModel:
-    """Deterministic Kaiming fan-in initialization from the given seed."""
-    config.validate()
-    rng = np.random.default_rng(seed)
-    params: dict[str, Tensor] = {}
+def in_backbone(name: str, replay_block: int) -> bool:
+    """Whether parameter `name` sits at or below the split after block `replay_block`."""
+    block = _block_of(name)
+    return block is not None and block <= replay_block
+
+
+def param_shapes(config: NetConfig) -> dict[str, tuple]:
+    """Name -> shape of every network parameter, in initialization order."""
+    shapes = {}
     c_in = config.in_shape[0]
     for b, c_out in enumerate(config.channels, start=1):
         for conv, ci in (("conv1", c_in), ("conv2", c_out)):
-            fan_in = ci * 9
-            std = np.sqrt(2.0 / fan_in)
-            w = rng.normal(0.0, std, size=(c_out, ci, 3, 3)).astype(np.float32)
-            params[f"block{b}.{conv}.weight"] = Tensor(w, requires_grad=True)
-            params[f"block{b}.{conv}.bias"] = Tensor(
-                np.zeros(c_out, dtype=np.float32), requires_grad=True
-            )
+            shapes[f"block{b}.{conv}.weight"] = (c_out, ci, 3, 3)
+            shapes[f"block{b}.{conv}.bias"] = (c_out,)
         c_in = c_out
-    d = config.channels[-1]
-    std = np.sqrt(2.0 / d)
-    params["classifier.weight"] = Tensor(
-        rng.normal(0.0, std, size=(config.num_classes, d)).astype(np.float32),
-        requires_grad=True,
-    )
-    params["classifier.bias"] = Tensor(
-        np.zeros(config.num_classes, dtype=np.float32), requires_grad=True
-    )
-    return SplitModel(config, params)
+    shapes["classifier.weight"] = (config.num_classes, config.channels[-1])
+    shapes["classifier.bias"] = (config.num_classes,)
+    return shapes
+
+
+def kaiming_params(shapes: dict[str, tuple], rng: np.random.Generator) -> dict[str, Tensor]:
+    """Trainable float32 parameters: zero biases, fan-in normal weights, drawn in table order."""
+    params = {}
+    for name, shape in shapes.items():
+        if name.endswith(".bias"):
+            data = np.zeros(shape, dtype=np.float32)
+        else:
+            std = np.sqrt(2.0 / math.prod(shape[1:]))
+            data = rng.normal(0.0, std, size=shape).astype(np.float32)
+        params[name] = Tensor(data, requires_grad=True)
+    return params
+
+
+def build_model(config: NetConfig, seed: int) -> SplitModel:
+    """Deterministic Kaiming fan-in initialization from the given seed."""
+    config.validate()
+    return SplitModel(config, kaiming_params(param_shapes(config), np.random.default_rng(seed)))
 
 
 def augment_images(x: np.ndarray, rng: np.random.Generator, pad: int = 2) -> np.ndarray:

@@ -4,6 +4,20 @@ Shapes follow the NCHW convention. Compute is float32; reductions
 (matmul contractions, means, the loss scalars) accumulate in float64 so
 finite-difference gradient checks stay clean. Every function is pure.
 Ops preserve float64 buffers end to end; see tensor.py for why.
+
+Float order. The contractions of conv2d (forward, input grad and weight
+grad) and of linear go through BLAS dgemm; so their float64 summation
+order is the BLAS library's, not numpy's. Every other reduction (bias
+grads, pools, losses) is a numpy reduction with numpy's fixed order.
+Two summation orders of the same float64 products differ by a few
+float64 ulps (about 1e-16 relative), and the result is then cast to a
+float32 buffer, whose rounding step is 2**29 times coarser: the cast
+lands on a different float32 only if the exact sum lies within those
+few ulps of a float32 rounding midpoint. On every conv shape the
+shipped workloads run, the weight grad from dgemm and from the former
+`np.einsum` loop cast to the same float32 bits. tests/test_kernels.py
+pins that, and that a whole run is byte-identical under one and two
+BLAS threads.
 """
 
 from __future__ import annotations
@@ -100,11 +114,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 
     if ho < 1 or wo < 1:
         raise ConfigError(f"conv2d output size {ho}x{wo} is not positive")
 
+    # widen to float64 before im2col, so the patch columns are copied once
     if pad > 0:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=_F64)
+        xp[:, :, pad : pad + h, pad : pad + w] = x.data
     else:
-        xp = x.data
-    cols = _im2col(xp, k, stride).astype(_F64)
+        xp = x.data.astype(_F64)
+    cols = _im2col(xp, k, stride)
     wmat = weight.data.reshape(o, -1).astype(_F64)
     out = np.matmul(wmat, cols) + bias.data.astype(_F64)[:, None]
     out = out.reshape(n, o, ho, wo).astype(_out_dtype(x, weight, bias))
@@ -112,7 +128,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 
     def backward(g):
         go = g.astype(_F64).reshape(n, o, ho * wo)
         if weight.requires_grad:
-            gw = np.einsum("nol,nkl->ok", go, cols).reshape(weight.shape)
+            gw = np.tensordot(go, cols, axes=([0, 2], [0, 2])).reshape(weight.shape)
             weight.accumulate_grad(gw)
         if bias.requires_grad:
             bias.accumulate_grad(go.sum(axis=(0, 2)))

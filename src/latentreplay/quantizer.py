@@ -6,6 +6,17 @@ gets its own k-means codebook; a quantized feature map stores one 8-bit
 index per subspace per position. k-means runs in float64 end to end so
 the per-iteration objective assertion is not disturbed by rounding; the
 finished centroids are cast to float32.
+
+Float order. Nothing here goes through BLAS. A squared distance is
+summed one coordinate at a time into a (block, k) buffer, which is the
+order numpy's own last-axis sum uses below eight terms (its pairwise
+sum is sequential there); every shipped workload has d' of 1 or 2. For
+d' >= 8 the order may differ from numpy's, but an exact centroid is at
+distance 0 under any order, so decode -> re-encode still returns the
+same codes. A centroid update takes `.mean(axis=0)` over the cluster's
+rows in row order, the same reduction as over `vectors[assign == c]`.
+`np.bincount(weights=...)` sums sequentially instead and would move the
+centroids.
 """
 
 from __future__ import annotations
@@ -63,10 +74,31 @@ def _kmeans_plus_plus(vectors: np.ndarray, k: int, rng: np.random.Generator) -> 
     return centroids
 
 
+_ASSIGN_ROWS = 256
+
+
 def _assign(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Nearest centroid per vector; ties go to the lowest index."""
-    d2 = ((vectors[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    return d2.argmin(axis=1)
+    """Nearest centroid per vector; ties go to the lowest index.
+
+    Runs over blocks of _ASSIGN_ROWS vectors so the distance buffer
+    stays in cache; blocking does not change any sum.
+    """
+    n, d = vectors.shape
+    out = np.empty(n, dtype=np.intp)
+    shape = (min(n, _ASSIGN_ROWS), centroids.shape[0])
+    d2 = np.empty(shape, dtype=np.result_type(vectors, centroids))
+    diff = np.empty_like(d2)
+    for start in range(0, n, _ASSIGN_ROWS):
+        block = vectors[start : start + _ASSIGN_ROWS]
+        acc, tmp = d2[: len(block)], diff[: len(block)]
+        np.subtract(block[:, 0, None], centroids[None, :, 0], out=acc)
+        acc *= acc
+        for j in range(1, d):
+            np.subtract(block[:, j, None], centroids[None, :, j], out=tmp)
+            tmp *= tmp
+            acc += tmp
+        out[start : start + len(block)] = acc.argmin(axis=1)
+    return out
 
 
 def kmeans_fit(
@@ -86,14 +118,19 @@ def kmeans_fit(
     assign = _assign(vectors, centroids)
     objective = ((vectors - centroids[assign]) ** 2).sum()
     for _ in range(iters):
+        # the rows of cluster c, in row order, are grouped[ends[c] : ends[c + 1]]
+        grouped = vectors[np.argsort(assign, kind="stable")]
+        ends = np.concatenate([[0], np.cumsum(np.bincount(assign, minlength=k))])
+        robbed = set()  # clusters a repair has taken a row from since grouping
         for c in range(k):
-            members = vectors[assign == c]
+            members = vectors[assign == c] if c in robbed else grouped[ends[c] : ends[c + 1]]
             if len(members):
                 centroids[c] = members.mean(axis=0)
             else:
                 dist = ((vectors - centroids[assign]) ** 2).sum(axis=1)
                 far = int(dist.argmax())
                 centroids[c] = vectors[far]
+                robbed.add(int(assign[far]))
                 assign[far] = c
         new_assign = _assign(vectors, centroids)
         new_objective = ((vectors - centroids[new_assign]) ** 2).sum()

@@ -400,6 +400,45 @@ class TestCheckpoint:
         rejected("capacity", serialize_config(replace(cfg, reservoir_capacity=10)))
         rejected("do not match", serialize_config(replace(cfg, net_replay_block=3)))
 
+    def test_parameters_must_match_the_config(self, tmp_path, capsys):
+        cfg, _, stream, state = tiny_run(tmp_path)
+        p = str(tmp_path / "p.ckpt")
+
+        def rejected(message, config_text=None):
+            save_checkpoint(state, p, config_text=config_text)  # CRC-valid, content wrong
+            with pytest.raises(CheckpointError, match=message):
+                load_checkpoint(p)
+            for command in (["eval", "--checkpoint", p],
+                            ["stream", "--checkpoint", p, "--out", str(tmp_path / "o")]):
+                assert main(command) == 6
+                assert json.loads(capsys.readouterr().err)["error"] == "checkpoint"
+
+        # a 10-class model under a 12-class config
+        twelve = replace(cfg, dataset_classes=12, split_steps=5)
+        rejected("classifier.weight", serialize_config(twelve))
+        params = state.model.params
+        dropped = params.pop("block3.conv1.weight")
+        rejected(r"missing \['model.block3.conv1.weight'\]")
+        params["block3.conv1.weight"] = dropped
+        params["block9.conv1.weight"] = dropped
+        rejected(r"extra \['model.block9.conv1.weight'\]")
+        del params["block9.conv1.weight"]
+        enc_bias = state.compressor.params["enc.bias"]
+        trained = enc_bias.data
+        enc_bias.data = trained[:3]
+        rejected("enc.bias")
+        enc_bias.data = trained.astype(np.float64)
+        rejected("enc.bias")
+        enc_bias.data = trained
+        # velocity buffers must exist exactly when the head has stepped
+        run_stream(state, stream.tasks[1:2])
+        state.optim.slots.pop("classifier.bias")
+        rejected("missing")
+        state.optim.step_count = 0
+        state.optim.slots.clear()
+        save_checkpoint(state, p)
+        load_checkpoint(p)
+
     def test_bad_magic_rejected(self, tmp_path):
         p = str(tmp_path / "m.ckpt")
         open(p, "wb").write(b"NOPE" + bytes(64))
@@ -521,6 +560,48 @@ class TestCli:
         split = open(tmp_path / "p2" / "metrics.jsonl").read()
         assert full == split
         assert open(tmp_path / "full" / "summary.csv").read() == open(tmp_path / "p2" / "summary.csv").read()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # stderr holds the JSON line only
+    def test_non_finite_stream_input_exits_3(self, tmp_path, capsys):
+        # an IDX float dataset whose first task-2 training image holds a NaN
+        cfg = RunConfig(dataset_per_class=20, dataset_test_per_class=5, offline_epochs=1,
+                        acae_epochs=1, pq_k=8, reservoir_capacity=40, online_rehearsal_n=3)
+        ds = load_dataset(cfg)
+        task2 = build_task_stream(ds, cfg).tasks[1]
+        train = ds.train_images.copy()
+        in_task2 = np.flatnonzero(np.isin(ds.train_labels, task2.classes))
+        hit = next(i for i in in_task2 if np.array_equal(ds.train_images[i], task2.images[0]))
+        train[hit, 0, 0, 0] = np.nan
+
+        def write_idx(path, arr, code):
+            head = bytes([0, 0, code, arr.ndim]) + struct.pack(f">{arr.ndim}I", *arr.shape)
+            path.write_bytes(head + arr.astype(">f4" if code == 0x0D else ">u1").tobytes())
+
+        root = tmp_path / "idx"
+        root.mkdir()
+        write_idx(root / "train-images.idx", train, 0x0D)
+        write_idx(root / "train-labels.idx", ds.train_labels, 0x08)
+        write_idx(root / "test-images.idx", ds.test_images, 0x0D)
+        write_idx(root / "test-labels.idx", ds.test_labels, 0x08)
+        cfg = replace(cfg, dataset_kind="idx", dataset_path=str(root))
+        cfgp = tmp_path / "cfg.txt"
+        cfgp.write_text(serialize_config(cfg))
+        ckpt = str(tmp_path / "run.ckpt")
+        assert main(["init", "--config", str(cfgp), "--out", ckpt]) == 0
+        before = open(ckpt, "rb").read()
+        capsys.readouterr()
+        assert main(["stream", "--checkpoint", ckpt, "--out", str(tmp_path / "out")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "data" and "non-finite value in the input image" in err["message"]
+        assert open(ckpt, "rb").read() == before
+
+        # a head that produces a non-finite loss, on the clean images
+        write_idx(root / "train-images.idx", ds.train_images, 0x0D)
+        state = load_checkpoint(ckpt).state
+        state.model.params["classifier.bias"].data[0] = np.inf
+        save_checkpoint(state, ckpt)
+        assert main(["stream", "--checkpoint", ckpt, "--out", str(tmp_path / "out")]) == 3
+        assert "non-finite loss" in json.loads(capsys.readouterr().err)["message"]
 
     def test_gradcheck_command(self, capsys):
         assert main(["gradcheck", "--seeds", "2"]) == 0

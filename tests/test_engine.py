@@ -194,14 +194,14 @@ class TestEncodeDecode:
 class TestFeatureCrop:
     def test_full_scale_is_identity(self):
         z = np.random.default_rng(0).normal(size=(6, 5, 7)).astype(np.float32)
-        out = feature_random_resized_crop(z, (1.0, 1.0), np.random.default_rng(1))
-        assert np.array_equal(out, z)
+        out = feature_random_resized_crop(z[None], (1.0, 1.0), np.random.default_rng(1))
+        assert np.array_equal(out[0], z)
 
     def test_constant_stays_constant(self):
         rng = np.random.default_rng(2)
         z = np.full((3, 4, 4), -1.7, dtype=np.float32)
         for _ in range(20):
-            out = feature_random_resized_crop(z, (0.64, 1.0), rng)
+            out = feature_random_resized_crop(z[None], (0.64, 1.0), rng)
             assert np.allclose(out, -1.7, atol=1e-6)
 
     @pytest.mark.parametrize("shape", [(1, 2, 2), (4, 4, 4), (2, 9, 3)])
@@ -209,14 +209,14 @@ class TestFeatureCrop:
         rng = np.random.default_rng(3)
         z = rng.normal(size=shape).astype(np.float32)
         for _ in range(10):
-            assert feature_random_resized_crop(z, (0.64, 1.0), rng).shape == shape
+            assert feature_random_resized_crop(z[None], (0.64, 1.0), rng).shape == (1, *shape)
 
     def test_output_within_input_range(self):
         # bilinear interpolation cannot overshoot the input extremes
         rng = np.random.default_rng(4)
         z = rng.normal(size=(2, 6, 6)).astype(np.float32)
         for _ in range(20):
-            out = feature_random_resized_crop(z, (0.64, 1.0), rng)
+            out = feature_random_resized_crop(z[None], (0.64, 1.0), rng)
             assert out.min() >= z.min() - 1e-6 and out.max() <= z.max() + 1e-6
 
 
@@ -250,6 +250,48 @@ class TestOnlineStep:
         for i in range(5):
             online_step(state, task2.images[i], int(task2.labels[i]))
         assert frozen_checksums(state) == base
+
+    @staticmethod
+    def _untouched_parts(state):
+        res = state.reservoir
+        return (
+            {k: p.data.copy() for k, p in state.model.head_params().items()},
+            res.codes[: res.size].copy(), res.labels[: res.size].copy(), res.counts.copy(),
+            state.global_step, state.optim.step_count,
+        )
+
+    def _assert_untouched(self, state, before):
+        after = self._untouched_parts(state)
+        for k in before[0]:
+            assert np.array_equal(after[0][k], before[0][k], equal_nan=True), k
+        for a, b in zip(after[1:4], before[1:4]):
+            assert np.array_equal(a, b)
+        assert after[4:] == before[4:]
+
+    def test_non_finite_image_rejected_before_any_update(self):
+        cfg = micro_config(offline_epochs=1, acae_epochs=1)
+        stream = build_task_stream(load_dataset(cfg), cfg)
+        state = initialize(stream.tasks[0], cfg)
+        task2 = stream.tasks[1]
+        for bad in (np.nan, np.inf):
+            x = task2.images[0].copy()
+            x[1, 2, 3] = bad
+            before = self._untouched_parts(state)
+            with pytest.raises(DataError, match="non-finite value in the input image"):
+                online_step(state, x, int(task2.labels[0]))
+            self._assert_untouched(state, before)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_loss_rejected_before_the_head_step(self):
+        cfg = micro_config(offline_epochs=1, acae_epochs=1)
+        stream = build_task_stream(load_dataset(cfg), cfg)
+        state = initialize(stream.tasks[0], cfg)
+        task2 = stream.tasks[1]
+        state.model.params["classifier.bias"].data[0] = np.inf
+        before = self._untouched_parts(state)
+        with pytest.raises(DataError, match="non-finite loss"):
+            online_step(state, task2.images[0], int(task2.labels[0]))
+        self._assert_untouched(state, before)
 
     def test_n0_no_augment_matches_direct_gradient(self):
         # with no rehearsal and no crop, the head update is exactly one
