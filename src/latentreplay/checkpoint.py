@@ -36,7 +36,7 @@ import numpy as np
 from .autoencoder import CompressorParams, compressor_shapes
 from .config import parse_config, serialize_config
 from .engine import EngineState, frozen_checksums, online_optim
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .metrics import MetricRecord
 from .network import SplitModel, in_backbone, param_shapes
 from .nn import Tensor
@@ -55,6 +55,8 @@ _DTYPE_TAGS = {
     np.dtype("<u2"): 5,
 }
 _TAG_DTYPES = {v: k for k, v in _DTYPE_TAGS.items()}
+_META_KEYS = ("config_text", "rng", "current_task", "global_step", "seen_classes",
+              "optim_step_count", "frozen_digest", "records")
 
 
 @dataclass
@@ -219,6 +221,20 @@ def _check_params(path: str, arrays: dict, expected: dict) -> None:
             )
 
 
+def _read_meta(path: str, blob: np.ndarray) -> dict:
+    """The `meta.json` object, with every key `save_checkpoint` writes."""
+    try:
+        meta = json.loads(blob.tobytes().decode())
+    except ValueError as err:  # bad UTF-8 or bad JSON
+        raise CheckpointError(f"{path}: meta.json is not UTF-8 JSON: {err}") from None
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: meta.json is not a JSON object")
+    missing = [key for key in _META_KEYS if key not in meta]
+    if missing:
+        raise CheckpointError(f"{path}: meta.json lacks {missing}")
+    return meta
+
+
 def load_checkpoint(path: str) -> CheckpointBundle:
     """Parse and validate a checkpoint; inverse of save_checkpoint."""
     with open(path, "rb") as fh:
@@ -248,8 +264,11 @@ def load_checkpoint(path: str) -> CheckpointBundle:
             raise CheckpointError(f"{path}: missing blob {name!r}")
         return arrays.pop(name)
 
-    meta = json.loads(take("meta.json").tobytes().decode())
-    cfg = parse_config(meta["config_text"])
+    meta = _read_meta(path, take("meta.json"))
+    try:
+        cfg = parse_config(meta["config_text"])
+    except ConfigError as err:
+        raise CheckpointError(f"{path}: stored config does not parse: {err}") from None
     net = cfg.net_config()
     s, k = cfg.pq_s, cfg.pq_k
     code_shape = (s, *net.feature_hw)

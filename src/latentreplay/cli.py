@@ -1,9 +1,12 @@
 """Command-line interface.
 
 Subcommands: init, stream, eval, membudget, frozen-study, gradcheck.
-Exit code 0 on success; failures print one JSON object to stderr with
-an error category and return a category-specific nonzero code. Set
-LATENTREPLAY_VERBOSE=1 for progress output on stderr.
+Run settings, the seed included, come only from the `--config` file
+(defaults apply); flags name files, stop points, the frozen-study block
+list and the gradcheck seed count. Exit code 0 on success; failures
+print one JSON object to stderr with an error category and return a
+category-specific nonzero code. Set LATENTREPLAY_VERBOSE=1 for progress
+output on stderr.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .engine import (
 )
 from .errors import LatentReplayError
 from .gradsuite import run_suite
+from .metrics import MetricsLog
 from .reporting import budget_line, emit_metrics, membudget_lines
 
 _EXIT_CODES = {
@@ -81,21 +85,20 @@ def _cmd_stream(args) -> int:
 
     t0 = time.time()
     hook = partial(seen_class_record, dataset)
-    log = run_stream(state, todo, hook, eval_every=cfg.online_eval_every)
+    new = run_stream(state, todo, hook, eval_every=cfg.online_eval_every)
     _note(f"streamed {state.global_step} steps in {time.time() - t0:.1f}s")
-    records = bundle.records + log.records
+    log = MetricsLog(bundle.records + new.records)
 
     out_ckpt = args.out_checkpoint or args.checkpoint
-    save_checkpoint(state, out_ckpt, config_text=bundle.config_text, records=records)
+    save_checkpoint(state, out_ckpt, config_text=bundle.config_text, records=log.records)
     code_shape = (state.books.s,) + state.model.config.feature_hw
     jsonl, csv = emit_metrics(
-        records, args.out, capacity=state.reservoir.capacity,
+        log.records, args.out, capacity=state.reservoir.capacity,
         code_shape=code_shape, exemplar_count=len(state.reservoir),
     )
     print(f"metrics written to {jsonl} and {csv}")
-    boundary = [r.top1 for r in records if r.boundary]
-    if boundary:
-        print(f"AOC {sum(boundary) / len(boundary):.4f} LAST {boundary[-1]:.4f}")
+    if log.boundary_top1():
+        print(f"AOC {log.aoc():.4f} LAST {log.last():.4f}")
     return 0
 
 
@@ -128,11 +131,7 @@ def _cmd_frozen_study(args) -> int:
     cfg = _load_config(args.config)
     dataset = load_dataset(cfg)
     blocks = [int(b) for b in args.blocks.split(",")]
-    results = frozen_backbone_study(
-        dataset, cfg.split_first_classes, blocks, cfg.net_config(),
-        epochs=cfg.offline_epochs, lr=cfg.offline_lr, momentum=cfg.offline_momentum,
-        batch_size=cfg.offline_batch_size, augment=cfg.offline_augment, seed=args.seed,
-    )
+    results = frozen_backbone_study(dataset, cfg, blocks)
     for n in blocks:
         print(f"frozen through block {n}: top1 {results[n]:.4f}")
     return 0
@@ -176,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("frozen-study", help="accuracy vs number of frozen blocks")
     p.add_argument("--config", default=None)
     p.add_argument("--blocks", default="0,1,2,3")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_frozen_study)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")

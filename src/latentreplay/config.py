@@ -17,7 +17,6 @@ from .network import NetConfig
 @dataclass
 class RunConfig:
     seed: int = 0
-    output_dir: str = "runs/latest"
 
     # dataset
     dataset_kind: str = "synthetic"  # synthetic | idx | cifar-bin

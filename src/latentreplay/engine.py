@@ -1,13 +1,14 @@
 """Continual-learning engine: initialization, online loop, evaluation.
 
 The run has two phases. Initialization trains the full network on the
-first task, fits the channel compressor and the product quantizer on
-that task's features, freezes everything up to and including the
-quantizer, and fills the replay memory. The online phase then consumes
-tasks 2..T one sample at a time: each incoming sample is compressed to
-codes, a rehearsal batch is decoded alongside it, and a single SGD step
-updates the head. Nothing below the split point ever changes after
-initialization; `frozen_checksums` makes that auditable.
+first task (`train_first_task`), fits the channel compressor
+(`fit_compressor`) and the product quantizer on that task's features,
+freezes everything up to and including the quantizer, and fills the
+replay memory. The online phase then consumes tasks 2..T one sample at
+a time: each incoming sample is compressed to codes, a rehearsal batch
+is decoded alongside it, and a single SGD step updates the head.
+Nothing below the split point ever changes after initialization;
+`frozen_checksums` makes that auditable.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .config import RunConfig
 from .datasets import Dataset
 from .errors import ConfigError, DataError
 from .metrics import MetricRecord, MetricsLog, top_k_accuracy
-from .network import NetConfig, SplitModel, _block_of, build_model, train_offline
+from .network import SplitModel, _block_of, build_model, train_offline
 from .nn import OptimState, Tensor, grads_of, no_grad, sgd_step, softmax_cross_entropy, zero_grads
 from .quantizer import Codebooks, pq_decode_batch, pq_encode_batch, train_pq
 from .reservoir import Reservoir, insert_with_eviction, sample_batch
@@ -32,6 +33,9 @@ __all__ = [
     "TaskStream",
     "build_task_stream",
     "EngineState",
+    "forward_batched",
+    "train_first_task",
+    "fit_compressor",
     "initialize",
     "encode_sample",
     "feature_random_resized_crop",
@@ -68,10 +72,6 @@ class TaskStream:
             seen |= cls
             if task.labels.size and not set(np.unique(task.labels)) <= cls:
                 raise DataError(f"task {i} contains labels outside its class set")
-
-    @property
-    def num_tasks(self) -> int:
-        return len(self.tasks)
 
 
 def build_task_stream(dataset: Dataset, cfg: RunConfig) -> TaskStream:
@@ -137,45 +137,56 @@ def frozen_checksums(state: EngineState) -> dict:
     }
 
 
-def _backbone_latents(model: SplitModel, images: np.ndarray, batch: int = 256) -> np.ndarray:
-    outs = []
+def forward_batched(fn, images: np.ndarray, batch: int = 256) -> np.ndarray:
+    """`fn(Tensor)` over `images` in chunks of `batch` rows, tape off, outputs stacked."""
     with no_grad():
-        for start in range(0, len(images), batch):
-            outs.append(model.forward_backbone(Tensor(images[start : start + batch])).data)
-    return np.concatenate(outs, axis=0)
+        chunks = [fn(Tensor(images[i : i + batch])).data for i in range(0, len(images), batch)]
+    return np.concatenate(chunks)
+
+
+def _offline_options(cfg: RunConfig) -> dict:
+    """`train_offline` keywords from the `offline.*` settings."""
+    return dict(
+        epochs=cfg.offline_epochs, lr=cfg.offline_lr, momentum=cfg.offline_momentum,
+        batch_size=cfg.offline_batch_size, augment=cfg.offline_augment,
+    )
+
+
+def train_first_task(task1: Task, cfg: RunConfig) -> SplitModel:
+    """Phase 1: the full network trained offline on task 1 with the `offline.*` settings."""
+    if len(task1.labels) == 0:
+        raise DataError("task 1 is empty")
+    model = build_model(cfg.net_config(), seed=cfg.seed)
+    train_offline(
+        model, task1.images, task1.labels,
+        rng=np.random.default_rng((cfg.seed, 101)), **_offline_options(cfg),
+    )
+    return model
+
+
+def fit_compressor(
+    model: SplitModel, latents: np.ndarray, labels: np.ndarray, cfg: RunConfig
+) -> CompressorParams:
+    """Phase 2: the channel compressor fitted on backbone latents with the `acae.*` settings.
+
+    The model comes back bit-identical, so one trained model can serve
+    several fits (the `acae.use_ce` ablation does).
+    """
+    comp = build_compressor(model.config.feature_channels, cfg.acae_latent_channels, cfg.seed + 1)
+    train_compressor(
+        comp, model, latents, labels,
+        epochs=cfg.acae_epochs, lr=cfg.acae_lr, batch_size=cfg.acae_batch_size,
+        use_ce=cfg.acae_use_ce, rng=np.random.default_rng((cfg.seed, 102)),
+    )
+    return comp
 
 
 def initialize(task1: Task, cfg: RunConfig) -> EngineState:
-    """First-task pipeline: offline net, compressor, quantizer, memory fill."""
-    if len(task1.labels) == 0:
-        raise DataError("task 1 is empty")
-    net = cfg.net_config()
-    model = build_model(net, seed=cfg.seed)
-    train_offline(
-        model,
-        task1.images,
-        task1.labels,
-        epochs=cfg.offline_epochs,
-        lr=cfg.offline_lr,
-        momentum=cfg.offline_momentum,
-        batch_size=cfg.offline_batch_size,
-        augment=cfg.offline_augment,
-        rng=np.random.default_rng((cfg.seed, 101)),
-    )
-
-    latents = _backbone_latents(model, task1.images)
-    comp = build_compressor(net.feature_channels, cfg.acae_latent_channels, seed=cfg.seed + 1)
-    train_compressor(
-        comp,
-        model,
-        latents,
-        task1.labels,
-        epochs=cfg.acae_epochs,
-        lr=cfg.acae_lr,
-        batch_size=cfg.acae_batch_size,
-        use_ce=cfg.acae_use_ce,
-        rng=np.random.default_rng((cfg.seed, 102)),
-    )
+    """First-task pipeline: offline net, compressor, quantizer, freeze, memory fill."""
+    model = train_first_task(task1, cfg)
+    net = model.config
+    latents = forward_batched(model.forward_backbone, task1.images)
+    comp = fit_compressor(model, latents, task1.labels, cfg)
 
     with no_grad():
         encoded = compress(comp, Tensor(latents)).data
@@ -336,19 +347,15 @@ def run_stream(state: EngineState, tasks, eval_hook=None, eval_every: int = 0) -
     return log
 
 
-def evaluate(state: EngineState, images: np.ndarray, labels: np.ndarray, batch: int = 256) -> dict:
+def evaluate(state: EngineState, images: np.ndarray, labels: np.ndarray) -> dict:
     """Task-agnostic accuracy: full-universe logits, no augmentation."""
     if len(labels) == 0:
         raise DataError("evaluate needs at least one sample")
-    logits = []
-    with no_grad():
-        for start in range(0, len(images), batch):
-            logits.append(state.model.forward(Tensor(images[start : start + batch])).data)
-    stacked = np.concatenate(logits, axis=0)
+    logits = forward_batched(state.model.forward, images)
     k5 = min(5, state.config.dataset_classes)
     return {
-        "top1": top_k_accuracy(stacked, labels, k=1),
-        "top5": top_k_accuracy(stacked, labels, k=k5),
+        "top1": top_k_accuracy(logits, labels, k=1),
+        "top5": top_k_accuracy(logits, labels, k=k5),
     }
 
 
@@ -366,53 +373,31 @@ def seen_class_record(
     )
 
 
-def frozen_backbone_study(
-    dataset: Dataset,
-    first_classes: int,
-    blocks,
-    net: NetConfig,
-    *,
-    epochs: int,
-    lr: float,
-    momentum: float = 0.9,
-    batch_size: int = 16,
-    augment: bool = True,
-    seed: int = 0,
-) -> dict:
+def frozen_backbone_study(dataset: Dataset, cfg: RunConfig, blocks) -> dict:
     """Accuracy cost of freezing a backbone trained on task 1 only.
 
-    For each n in `blocks`: train the full net on the first
-    `first_classes` classes, freeze blocks 1..n, train the rest on all
-    classes, and report test accuracy. n = 0 skips the first phase
-    entirely, which is plain joint training.
+    For each n in `blocks`: train the config's net on the first
+    `split.first_classes` classes, freeze blocks 1..n, train the rest on
+    all classes, and report test accuracy. Both phases use the
+    `offline.*` settings and the config's seed. n = 0 skips the first
+    phase entirely, which is plain joint training.
     """
     results = {}
-    task_mask = dataset.train_labels < first_classes
+    options = _offline_options(cfg)
+    task_mask = dataset.train_labels < cfg.split_first_classes
     for n in blocks:
-        model = build_model(net, seed=seed)
-        rng = np.random.default_rng((seed, 7, n))
+        model = build_model(cfg.net_config(), seed=cfg.seed)
+        rng = np.random.default_rng((cfg.seed, 7, n))
         if n > 0:
             train_offline(
-                model,
-                dataset.train_images[task_mask],
-                dataset.train_labels[task_mask],
-                epochs=epochs, lr=lr, momentum=momentum,
-                batch_size=batch_size, augment=augment, rng=rng,
+                model, dataset.train_images[task_mask], dataset.train_labels[task_mask],
+                rng=rng, **options,
             )
         trainable = [k for k in model.params if _block_of(k) is None or _block_of(k) > n]
         train_offline(
-            model,
-            dataset.train_images,
-            dataset.train_labels,
-            epochs=epochs, lr=lr, momentum=momentum,
-            batch_size=batch_size, augment=augment, rng=rng,
-            trainable=trainable,
+            model, dataset.train_images, dataset.train_labels,
+            rng=rng, trainable=trainable, **options,
         )
-        with no_grad():
-            preds = []
-            for start in range(0, len(dataset.test_images), 256):
-                out = model.forward(Tensor(dataset.test_images[start : start + 256]))
-                preds.append(out.data)
-        acc = top_k_accuracy(np.concatenate(preds), dataset.test_labels, k=1)
-        results[n] = acc
+        logits = forward_batched(model.forward, dataset.test_images)
+        results[n] = top_k_accuracy(logits, dataset.test_labels, k=1)
     return results

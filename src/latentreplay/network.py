@@ -46,6 +46,8 @@ class NetConfig:
             raise ConfigError("num_blocks must be positive")
         if len(self.channels) != b:
             raise ConfigError(f"channels has {len(self.channels)} entries for {b} blocks")
+        if len(self.in_shape) != 3:
+            raise ConfigError(f"in_shape must be C, H, W, got {self.in_shape}")
         c, h, w = self.in_shape
         if h % (2**b) != 0 or w % (2**b) != 0:
             raise ConfigError(f"input {h}x{w} is not divisible by 2^{b}")

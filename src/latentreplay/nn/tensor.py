@@ -13,9 +13,10 @@ every op preserves it; only the finite-difference checker uses this, so
 its central differences are not swamped by float32 rounding. Production
 code never constructs float64 tensors.
 
-NaN/Inf detection is a debug-mode assertion only, enabled with
-:func:`set_debug_checks` or the ``LATENTREPLAY_DEBUG`` environment
-variable.
+A NaN/Inf check on every op output is a debug-mode assertion, enabled
+with :func:`set_debug_checks` or the ``LATENTREPLAY_DEBUG`` environment
+variable. The online step does not depend on it: ``engine.online_step``
+always rejects a non-finite input image or loss before the head changes.
 """
 
 from __future__ import annotations
@@ -47,10 +48,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
-
-
-def grad_enabled() -> bool:
-    return _grad_enabled
 
 
 class Tensor:
@@ -95,9 +92,6 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    def item(self) -> float:
-        return float(self.data)
 
     def zero_grad(self) -> None:
         self.grad = None

@@ -11,8 +11,7 @@ from __future__ import annotations
 import json
 import os
 
-from .metrics import aoc as _aoc
-from .metrics import last as _last
+from .metrics import MetricsLog
 from .reservoir import as_mb, memory_bytes
 
 CSV_HEADER = "aoc,last,memory_bytes,exemplar_count,exemplar_shape"
@@ -63,15 +62,13 @@ def emit_metrics(records, out_dir: str, *, capacity: int, code_shape: tuple, exe
                 "boundary": r.boundary,
             }) + "\n")
 
-    boundary = [r.top1 for r in records if r.boundary]
+    log = MetricsLog(records)
     with open(csv_path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
-        if boundary:
+        if log.boundary_top1():
             mem = memory_bytes(capacity, code_shape, 1)
             dims = "x".join(str(d) for d in code_shape)
-            fh.write(
-                f"{_aoc(boundary)},{_last(boundary)},{mem},{exemplar_count},{dims}\n"
-            )
+            fh.write(f"{log.aoc()},{log.last()},{mem},{exemplar_count},{dims}\n")
     return jsonl_path, csv_path
 
 

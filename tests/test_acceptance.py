@@ -7,28 +7,30 @@ directional comparisons, the immutability audit, and the step
 accounting all read from the same runs.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from time import perf_counter
 
 import numpy as np
 import pytest
 
-from latentreplay.autoencoder import build_compressor, compress, decompress, train_compressor
+from latentreplay.autoencoder import compress, decompress
 from latentreplay.cli import main
 from latentreplay.config import RunConfig
 from latentreplay.datasets import load_dataset
 from latentreplay.engine import (
     build_task_stream,
+    fit_compressor,
+    forward_batched,
     frozen_backbone_study,
     frozen_checksums,
     initialize,
     run_stream,
     seen_class_record,
+    train_first_task,
 )
 from latentreplay.gradsuite import run_suite
 from latentreplay.metrics import aoc, top_k_accuracy
-from latentreplay.network import build_model, train_offline
 from latentreplay.nn import Tensor, no_grad
 from latentreplay.quantizer import pq_decode_batch, pq_encode_batch, reconstruction_mse, train_pq
 from latentreplay.reporting import BUDGET_TABLE, budget_line
@@ -200,62 +202,34 @@ def test_criterion_07_desk_scale_directions(mid_runs, last_runs, finetune_run):
 # ----------------------------------------------------- ablation directions
 
 
-def _head_latents(model, images, batch=256):
-    chunks = []
-    with no_grad():
-        for start in range(0, len(images), batch):
-            chunks.append(model.forward_backbone(Tensor(images[start : start + batch])).data)
-    return np.concatenate(chunks, axis=0)
-
-
-def _compressed_head_accuracy(seed: int, use_ce: bool) -> float:
+def _compressed_head_accuracies(seed: int) -> dict:
     """Task-1 top-1 through the frozen head after a round trip through a
     deliberately narrow compressor (2 channels, short training), where
-    the classifier term has room to matter."""
+    the classifier term has room to matter; keyed by `acae.use_ce`."""
     cfg = RunConfig(seed=seed, class_order_seed=seed, acae_latent_channels=2, acae_epochs=10)
     dataset = load_dataset(cfg)
     first = build_task_stream(dataset, cfg).tasks[0]
-    net = cfg.net_config()
-
-    model = build_model(net, seed=cfg.seed)
-    train_offline(
-        model,
-        first.images,
-        first.labels,
-        epochs=cfg.offline_epochs,
-        lr=cfg.offline_lr,
-        momentum=cfg.offline_momentum,
-        batch_size=cfg.offline_batch_size,
-        augment=cfg.offline_augment,
-        rng=np.random.default_rng((cfg.seed, 101)),
-    )
-    comp = build_compressor(net.feature_channels, cfg.acae_latent_channels, cfg.seed + 1)
-    train_compressor(
-        comp,
-        model,
-        _head_latents(model, first.images),
-        first.labels,
-        epochs=cfg.acae_epochs,
-        lr=cfg.acae_lr,
-        batch_size=cfg.acae_batch_size,
-        use_ce=use_ce,
-        rng=np.random.default_rng((cfg.seed, 102)),
-    )
-
+    model = train_first_task(first, cfg)
+    latents = forward_batched(model.forward_backbone, first.images)
     mask = np.isin(dataset.test_labels, first.classes)
-    with no_grad():
-        recon = decompress(comp, compress(comp, Tensor(_head_latents(model, dataset.test_images[mask]))))
-        logits = model.forward_head(recon).data
-    return top_k_accuracy(logits, dataset.test_labels[mask], k=1)
+    test_latents = forward_batched(model.forward_backbone, dataset.test_images[mask])
+
+    accs = {}
+    for use_ce in (True, False):
+        comp = fit_compressor(model, latents, first.labels, replace(cfg, acae_use_ce=use_ce))
+        with no_grad():
+            recon = decompress(comp, compress(comp, Tensor(test_latents)))
+            logits = model.forward_head(recon).data
+        accs[use_ce] = top_k_accuracy(logits, dataset.test_labels[mask], k=1)
+    return accs
 
 
 def test_criterion_08_ce_term_direction():
     t0 = perf_counter()
     wins = 0
     for seed in SEEDS:
-        wins += _compressed_head_accuracy(seed, use_ce=True) >= _compressed_head_accuracy(
-            seed, use_ce=False
-        )
+        accs = _compressed_head_accuracies(seed)
+        wins += accs[True] >= accs[False]
     assert wins >= 3
     assert perf_counter() - t0 <= 300.0
 
@@ -264,19 +238,8 @@ def test_criterion_09_frozen_backbone_direction():
     t0 = perf_counter()
     wins = 0
     for seed in SEEDS:
-        cfg = RunConfig(seed=seed, dataset_per_class=60)
-        dataset = load_dataset(cfg)
-        accs = frozen_backbone_study(
-            dataset,
-            2,
-            [1, 3],
-            cfg.net_config(),
-            epochs=8,
-            lr=0.01,
-            batch_size=16,
-            augment=True,
-            seed=seed,
-        )
+        cfg = RunConfig(seed=seed, dataset_per_class=60, offline_epochs=8)
+        accs = frozen_backbone_study(load_dataset(cfg), cfg, [1, 3])
         wins += accs[3] < accs[1]
     assert wins >= 3
     assert perf_counter() - t0 <= 600.0

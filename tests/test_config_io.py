@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import struct
 import zlib
 from dataclasses import replace
@@ -9,17 +10,67 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentreplay import checkpoint
 from latentreplay.checkpoint import load_checkpoint, save_checkpoint
 from latentreplay.cli import main
-from latentreplay.config import KEYS, RunConfig, parse_config, serialize_config
+from latentreplay.config import KEYS, RunConfig, parse_config, serialize_config, validate_config
 from latentreplay.datasets import gen_synthetic, load_cifar_bin, load_dataset, load_idx
-from latentreplay.engine import build_task_stream, initialize, run_stream, seen_class_record
+from latentreplay.engine import (
+    build_task_stream,
+    frozen_backbone_study,
+    initialize,
+    run_stream,
+    seen_class_record,
+)
 from latentreplay.errors import CheckpointError, ConfigError, DataError
 from latentreplay.metrics import MetricRecord, aoc
 from latentreplay.reporting import BUDGET_TABLE, emit_metrics, membudget_lines, read_metrics
 from latentreplay.reservoir import memory_bytes
+
+
+# parse_config cuts each line at '#' and strips whitespace, so text values avoid both
+_PLAIN_TEXT = st.text(st.characters(codec="ascii", categories=("L", "N", "P", "S"),
+                                    exclude_characters="#"))
+_BY_TYPE = {
+    int: st.integers(-(2**40), 2**40),
+    float: st.floats(allow_nan=False, allow_infinity=False),
+    bool: st.booleans(),
+    str: _PLAIN_TEXT,
+}
+
+
+@st.composite
+def valid_configs(draw):
+    """RunConfigs that pass validate_config, every unconstrained field drawn by type."""
+    values = {name: draw(_BY_TYPE[typ]) for name, typ in KEYS.values() if typ in _BY_TYPE}
+    blocks = draw(st.integers(1, 4))
+    channels = tuple(draw(st.lists(st.integers(2, 64), min_size=blocks, max_size=blocks)))
+    replay_block = draw(st.integers(1, blocks))
+    s = draw(st.integers(1, channels[replay_block - 1] - 1))
+    latent = s * draw(st.integers(1, (channels[replay_block - 1] - 1) // s))
+    classes = draw(st.integers(2, 40))
+    first = draw(st.integers(1, classes - 1))
+    rest = classes - first
+    lo = draw(st.floats(0.0, 1.0, exclude_min=True))
+    values.update(
+        dataset_kind=draw(st.sampled_from(["synthetic", "idx", "cifar-bin"])),
+        dataset_classes=classes,
+        split_first_classes=first,
+        split_steps=draw(st.sampled_from([d for d in range(1, rest + 1) if rest % d == 0])),
+        net_num_blocks=blocks,
+        net_channels=channels,
+        net_in_shape=tuple(draw(st.integers(1, 4)) * m for m in (1, 2**blocks, 2**blocks)),
+        net_replay_block=replay_block,
+        pq_s=s,
+        pq_k=draw(st.integers(1, 256)),
+        acae_latent_channels=latent,
+        online_crop_min_area=lo,
+        online_crop_max_area=draw(st.floats(lo, 1.0)),
+    )
+    return RunConfig(**values)
 
 
 class TestParseConfig:
@@ -75,6 +126,16 @@ class TestParseConfig:
         again = parse_config(serialize_config(once))
         assert once == again
         assert serialize_config(once) == serialize_config(again)
+
+    def test_in_shape_needs_three_dims(self):
+        with pytest.raises(ConfigError, match="in_shape"):
+            parse_config("net.in_shape = 3, 16\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=valid_configs())
+    def test_serialized_config_parses_back_equal(self, cfg):
+        validate_config(cfg)
+        assert parse_config(serialize_config(cfg)) == cfg
 
     def test_tuple_and_bool_parsing(self):
         cfg = parse_config("net.in_shape = 3, 32, 32\nonline.augment = off\n")
@@ -439,6 +500,38 @@ class TestCheckpoint:
         save_checkpoint(state, p)
         load_checkpoint(p)
 
+    def test_malformed_meta_rejected(self, tmp_path, capsys):
+        _, _, _, state = tiny_run(tmp_path)
+        p = str(tmp_path / "j.ckpt")
+        save_checkpoint(state, p)
+        good = open(p, "rb").read()
+        meta_at = good.index(b"meta.json") - 4  # the last blob, right before the CRC
+        # name length, name, dtype tag, rank 1, its one dim, then the payload
+        meta = json.loads(good[meta_at + 4 + len("meta.json") + 1 + 4 + 4 : -4])
+
+        def rejected(message, payload):
+            out = good[:meta_at] + checkpoint._pack_blob(
+                "meta.json", np.frombuffer(payload, dtype=np.uint8)
+            )
+            open(p, "wb").write(out + struct.pack("<I", zlib.crc32(out)))  # CRC-valid
+            with pytest.raises(CheckpointError, match=message):
+                load_checkpoint(p)
+            assert main(["eval", "--checkpoint", p]) == 6
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "checkpoint" and re.search(message, err["message"])
+
+        rejected("not UTF-8 JSON", b"\xff\xfe")
+        rejected("not UTF-8 JSON", b'{"config_text": ')
+        rejected("not a JSON object", b"[]")
+        step = meta.pop("global_step")
+        rejected("global_step", json.dumps(meta).encode())
+        meta["global_step"] = step
+        # a checkpoint written before `output_dir` was removed from the config
+        stale = dict(meta, config_text=meta["config_text"] + "output_dir = runs/latest\n")
+        rejected("stored config does not parse.*output_dir", json.dumps(stale).encode())
+        rejected("stored config does not parse.*pq.k", json.dumps(
+            dict(meta, config_text=meta["config_text"] + "pq.k = 0\n")).encode())
+
     def test_bad_magic_rejected(self, tmp_path):
         p = str(tmp_path / "m.ckpt")
         open(p, "wb").write(b"NOPE" + bytes(64))
@@ -536,6 +629,19 @@ class TestCli:
         rows = read_metrics(outdir + "/metrics.jsonl")
         assert [r["task"] for r in rows] == [1, 2, 3, 4, 5]
         assert rows[0]["step"] == 0  # the post-init record rides along
+
+    def test_frozen_study_takes_the_seed_from_the_config(self, tmp_path, capsys):
+        cfgp = tmp_path / "cfg.txt"
+        cfgp.write_text(
+            "seed = 1\ndataset.per_class = 10\ndataset.test_per_class = 5\noffline.epochs = 1\n"
+        )
+        assert main(["frozen-study", "--config", str(cfgp), "--blocks", "0,3"]) == 0
+        cfg = parse_config(cfgp.read_text())
+        accs = frozen_backbone_study(load_dataset(cfg), cfg, [0, 3])
+        assert capsys.readouterr().out == (
+            f"frozen through block 0: top1 {accs[0]:.4f}\n"
+            f"frozen through block 3: top1 {accs[3]:.4f}\n"
+        )
 
     def test_until_task_split_matches_full_run(self, tmp_path):
         cfg_text = (

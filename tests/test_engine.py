@@ -1,5 +1,6 @@
 """Engine contracts: stream shape, frozen parameters, online-step math."""
 
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -16,18 +17,18 @@ from latentreplay.engine import (
     encode_sample,
     evaluate,
     feature_random_resized_crop,
+    forward_batched,
     frozen_backbone_study,
     frozen_checksums,
     initialize,
     online_step,
     run_stream,
     seen_class_record,
-    _backbone_latents,
     _decode_codes,
 )
 from latentreplay.errors import DataError
 from latentreplay.metrics import MetricRecord, top_k_accuracy
-from latentreplay.network import NetConfig, build_model, train_offline
+from latentreplay.network import build_model, train_offline
 from latentreplay.nn import Tensor, grads_of, no_grad, softmax_cross_entropy, zero_grads
 from latentreplay.quantizer import pq_decode_batch, pq_encode_batch
 
@@ -131,7 +132,7 @@ class TestInitialize:
         cfg, ds, stream, state = micro_run
         mask = np.isin(ds.test_labels, stream.tasks[0].classes)
         xt, yt = ds.test_images[mask], ds.test_labels[mask]
-        z = _backbone_latents(state.model, xt)
+        z = forward_batched(state.model.forward_backbone, xt)
         with no_grad():
             raw = state.model.forward_head(Tensor(z)).data
         zhat = decode_batch(state, z)
@@ -304,7 +305,7 @@ class TestOnlineStep:
         x, y = task2.images[0], int(task2.labels[0])
 
         before = {k: p.data.copy() for k, p in state.model.head_params().items()}
-        zhat = decode_batch(state, _backbone_latents(state.model, x[None]))
+        zhat = decode_batch(state, forward_batched(state.model.forward_backbone, x[None]))
         lr = np.float32(state.optim.lr)
 
         online_step(state, x, y)
@@ -424,38 +425,28 @@ class TestFrozenBackboneStudy:
     def test_nothing_frozen_equals_joint_training(self):
         cfg = micro_config(dataset_per_class=30, offline_epochs=3)
         ds = load_dataset(cfg)
-        net = cfg.net_config()
-        study = frozen_backbone_study(
-            ds, 2, [0], net, epochs=3, lr=0.01, batch_size=16, augment=True, seed=0
-        )
+        study = frozen_backbone_study(ds, cfg, [0])
 
-        model = build_model(net, seed=0)
+        model = build_model(cfg.net_config(), seed=0)
         rng = np.random.default_rng((0, 7, 0))
         train_offline(
             model, ds.train_images, ds.train_labels, epochs=3, lr=0.01,
             momentum=0.9, batch_size=16, augment=True, rng=rng,
             trainable=list(model.params),
         )
-        with no_grad():
-            logits = []
-            for s in range(0, len(ds.test_images), 256):
-                logits.append(model.forward(Tensor(ds.test_images[s : s + 256])).data)
-        joint = top_k_accuracy(np.concatenate(logits), ds.test_labels, k=1)
+        logits = forward_batched(model.forward, ds.test_images)
+        joint = top_k_accuracy(logits, ds.test_labels, k=1)
         assert study[0] == joint
 
     def test_larger_first_task_smaller_final_drop(self):
         # freezing everything hurts less when task 1 saw more classes
         wins = 0
         for seed in range(3):
-            cfg = micro_config(dataset_per_class=30, seed=seed)
+            cfg = micro_config(dataset_per_class=30, seed=seed, offline_epochs=4)
             ds = load_dataset(cfg)
-            net = cfg.net_config()
             drops = {}
             for first in (2, 5):
-                accs = frozen_backbone_study(
-                    ds, first, [0, 3], net, epochs=4, lr=0.01,
-                    batch_size=16, augment=True, seed=seed,
-                )
+                accs = frozen_backbone_study(ds, replace(cfg, split_first_classes=first), [0, 3])
                 drops[first] = accs[0] - accs[3]
             if drops[5] <= drops[2]:
                 wins += 1
