@@ -21,7 +21,6 @@ from .nn import (
     Tensor,
     adam_step,
     conv2d,
-    grads_of,
     mse,
     no_grad,
     relu,
@@ -121,7 +120,7 @@ def train_compressor(
         raise DataError("train_compressor called with an empty feature set")
     prev_flags = {k: p.requires_grad for k, p in model.params.items()}
     model.set_trainable(model.params, False)
-    state = OptimState("adam", lr=lr)
+    state = OptimState(lr=lr)
     train_params = comp.params
 
     def dataset_mse() -> float:
@@ -142,7 +141,7 @@ def train_compressor(
                 loss, _ = compression_loss(comp, model, Tensor(features[idx]), labels[idx], use_ce)
                 zero_grads(train_params)
                 loss.backward()
-                adam_step(train_params, grads_of(train_params), state)
+                adam_step(train_params, state)
             history.append(dataset_mse())
     finally:
         for k, p in model.params.items():

@@ -9,6 +9,9 @@ Layout, all integers little-endian:
                rank u32, dims u32 each, raw payload (C order)
     tail       crc32 of everything before it, u32
 
+Blob names are UTF-8 and unique. The dtype tags are 0 (<f4), 3 (u1) and
+5 (<u2); any other tag is refused.
+
 Every part of the state is a named blob: `model.*` and `acae.*`
 parameters, `optim.<param>.<slot>` moment buffers, `pq.centroids`
 (<f4, shape (s, k, d')), the live reservoir rows as `reservoir.codes`
@@ -16,9 +19,9 @@ parameters, `optim.<param>.<slot>` moment buffers, `pq.centroids`
 `meta.json`, a UTF-8 JSON object holding the config text plus what the
 config cannot give: the rng state, the task and step counters, the
 seen classes, the optimizer step count, the frozen digests and the
-metrics emitted so far. Loading checks the blobs against the config:
-the exact set of parameter and optimizer blob names, and every shape and
-dtype.
+metrics emitted so far. Loading checks the JSON type of every metadata
+value and the blobs against the config: the exact set of parameter and
+optimizer blob names, and every shape and dtype.
 load(save(x)) is bit-identical; resuming must reproduce an unbroken
 run exactly. Files of any other version are refused.
 """
@@ -26,6 +29,7 @@ run exactly. Files of any other version are refused.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import zlib
@@ -46,17 +50,16 @@ from .reservoir import Reservoir
 MAGIC = b"ACRM"
 VERSION = 2
 
-_DTYPE_TAGS = {
-    np.dtype("<f4"): 0,
-    np.dtype("<f8"): 1,
-    np.dtype("<i8"): 2,
-    np.dtype("u1"): 3,
-    np.dtype("<u4"): 4,
-    np.dtype("<u2"): 5,
-}
+# the tag numbers are part of the file format; a tag not listed is refused
+_DTYPE_TAGS = {np.dtype("<f4"): 0, np.dtype("u1"): 3, np.dtype("<u2"): 5}
 _TAG_DTYPES = {v: k for k, v in _DTYPE_TAGS.items()}
-_META_KEYS = ("config_text", "rng", "current_task", "global_step", "seen_classes",
-              "optim_step_count", "frozen_digest", "records")
+# meta.json key -> JSON type of its value
+_META_KEYS = {
+    "config_text": str, "rng": dict, "current_task": int, "global_step": int,
+    "seen_classes": list, "optim_step_count": int, "frozen_digest": dict, "records": list,
+}
+# the JSON types allowed for step, task, seen classes, top1, top5, boundary
+_RECORD_TYPES = ((int,), (int,), (int,), (int, float), (int, float), (bool,))
 
 
 @dataclass
@@ -98,15 +101,18 @@ class _Reader:
 
 
 def _read_blob(r: _Reader) -> tuple[str, np.ndarray]:
-    name = r.take(r.u32()).decode()
+    raw = r.take(r.u32())
+    try:
+        name = raw.decode()
+    except UnicodeDecodeError:
+        raise CheckpointError(f"blob name {raw[:32]!r} is not UTF-8") from None
     tag = r.take(1)[0]
     if tag not in _TAG_DTYPES:
         raise CheckpointError(f"blob {name!r} has unknown dtype tag {tag}")
     dtype = _TAG_DTYPES[tag]
     rank = r.u32()
     dims = tuple(r.u32() for _ in range(rank))
-    count = int(np.prod(dims, dtype=np.int64)) if rank else 1
-    payload = r.take(count * dtype.itemsize)
+    payload = r.take(math.prod(dims) * dtype.itemsize)
     return name, np.frombuffer(payload, dtype=dtype).reshape(dims)
 
 
@@ -120,16 +126,20 @@ def _rng_state_json(rng: np.random.Generator) -> dict:
     }
 
 
-def _rng_from_json(d: dict) -> np.random.Generator:
+def _rng_from_json(path: str, d: dict) -> np.random.Generator:
+    """The generator `_rng_state_json` described; CheckpointError if `d` is not such a state."""
     rng = np.random.default_rng()
-    if d["bit_generator"] != rng.bit_generator.state["bit_generator"]:
-        raise CheckpointError(f"unsupported rng kind {d['bit_generator']!r}")
-    rng.bit_generator.state = {
-        "bit_generator": d["bit_generator"],
-        "state": {k: int(v) for k, v in d["state"].items()},
-        "has_uint32": d["has_uint32"],
-        "uinteger": d["uinteger"],
-    }
+    try:
+        if d["bit_generator"] != rng.bit_generator.state["bit_generator"]:
+            raise CheckpointError(f"{path}: unsupported rng kind {d['bit_generator']!r}")
+        rng.bit_generator.state = {
+            "bit_generator": d["bit_generator"],
+            "state": {k: int(v) for k, v in d["state"].items()},
+            "has_uint32": d["has_uint32"],
+            "uinteger": d["uinteger"],
+        }
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise CheckpointError(f"{path}: meta.json 'rng' is not a generator state: {err!r}") from None
     return rng
 
 
@@ -232,6 +242,19 @@ def _read_meta(path: str, blob: np.ndarray) -> dict:
     missing = [key for key in _META_KEYS if key not in meta]
     if missing:
         raise CheckpointError(f"{path}: meta.json lacks {missing}")
+    for key, typ in _META_KEYS.items():
+        if type(meta[key]) is not typ:
+            raise CheckpointError(f"{path}: meta.json {key!r} is not a JSON {typ.__name__}")
+    if any(type(c) is not int for c in meta["seen_classes"]):
+        raise CheckpointError(f"{path}: meta.json 'seen_classes' holds a non-integer")
+    for row in meta["records"]:
+        if type(row) is not list or len(row) != len(_RECORD_TYPES) or not all(
+            type(v) in types for v, types in zip(row, _RECORD_TYPES)
+        ):
+            raise CheckpointError(
+                f"{path}: meta.json 'records' row {row!r} is not "
+                f"[step, task, seen classes, top1, top5, boundary]"
+            )
     return meta
 
 
@@ -255,6 +278,8 @@ def load_checkpoint(path: str) -> CheckpointBundle:
     arrays: dict[str, np.ndarray] = {}
     for _ in range(r.u32()):
         name, arr = _read_blob(r)
+        if name in arrays:
+            raise CheckpointError(f"{path}: blob {name!r} appears twice")
         arrays[name] = arr
     if r.pos != len(r.blob):
         raise CheckpointError(f"{path}: {len(r.blob) - r.pos} bytes after the last blob")
@@ -274,9 +299,13 @@ def load_checkpoint(path: str) -> CheckpointBundle:
     code_shape = (s, *net.feature_hw)
 
     cents = take("pq.centroids")
-    if cents.shape != (s, k, cfg.acae_latent_channels // s):
-        raise CheckpointError(f"{path}: centroid table {cents.shape} does not match the config")
-    books = Codebooks(s, k, cents.shape[2], cents.copy())
+    if cents.dtype != np.dtype("<f4") or cents.shape != (s, k, cfg.acae_latent_channels // s):
+        raise CheckpointError(
+            f"{path}: centroid table {cents.dtype}{cents.shape} does not match the config"
+        )
+    if not np.isfinite(cents).all():
+        raise CheckpointError(f"{path}: non-finite centroid")
+    books = Codebooks(cents.copy())
 
     codes, labels = take("reservoir.codes"), take("reservoir.labels")
     n = len(labels)
@@ -326,7 +355,7 @@ def load_checkpoint(path: str) -> CheckpointBundle:
         books=books,
         reservoir=reservoir,
         optim=optim,
-        rng=_rng_from_json(meta["rng"]),
+        rng=_rng_from_json(path, meta["rng"]),
         current_task=meta["current_task"],
         global_step=meta["global_step"],
         frozen_digest=dict(meta["frozen_digest"]),

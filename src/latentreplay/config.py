@@ -67,7 +67,6 @@ class RunConfig:
     online_crop_min_area: float = 0.64
     online_crop_max_area: float = 1.0
     online_augment: bool = True
-    online_sample_with_replacement: bool = False
 
     def net_config(self) -> NetConfig:
         return NetConfig(
@@ -187,7 +186,12 @@ def validate_config(cfg: RunConfig, lines_set: dict[str, int] | None = None) -> 
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    """Render a RunConfig as parseable key=value text (all keys, sorted)."""
+    """Render a RunConfig as parseable key=value text (all keys, sorted).
+
+    The format has no escapes, so a text value holding '#' or a line
+    break, or with leading or trailing whitespace, would parse back as
+    a different value; it raises ConfigError naming the key instead.
+    """
     out = []
     for key in sorted(KEYS):
         field_name, typ = KEYS[key]
@@ -198,5 +202,8 @@ def serialize_config(cfg: RunConfig) -> str:
             rendered = "true" if value else "false"
         else:
             rendered = str(value)
+        if typ is str and ("#" in value or value != value.strip()
+                           or value.splitlines() not in ([], [value])):
+            raise ConfigError(f"{key} = {value!r} cannot be written to a config file")
         out.append(f"{key} = {rendered}")
     return "\n".join(out) + "\n"

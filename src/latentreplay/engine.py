@@ -24,7 +24,7 @@ from .datasets import Dataset
 from .errors import ConfigError, DataError
 from .metrics import MetricRecord, MetricsLog, top_k_accuracy
 from .network import SplitModel, _block_of, build_model, train_offline
-from .nn import OptimState, Tensor, grads_of, no_grad, sgd_step, softmax_cross_entropy, zero_grads
+from .nn import OptimState, Tensor, no_grad, sgd_step, softmax_cross_entropy, zero_grads
 from .quantizer import Codebooks, pq_decode_batch, pq_encode_batch, train_pq
 from .reservoir import Reservoir, insert_with_eviction, sample_batch
 
@@ -137,10 +137,14 @@ def frozen_checksums(state: EngineState) -> dict:
     }
 
 
-def forward_batched(fn, images: np.ndarray, batch: int = 256) -> np.ndarray:
-    """`fn(Tensor)` over `images` in chunks of `batch` rows, tape off, outputs stacked."""
+_FORWARD_BATCH = 256
+
+
+def forward_batched(fn, images: np.ndarray) -> np.ndarray:
+    """`fn(Tensor)` over `images` in chunks of _FORWARD_BATCH rows, tape off, outputs stacked."""
+    b = _FORWARD_BATCH
     with no_grad():
-        chunks = [fn(Tensor(images[i : i + batch])).data for i in range(0, len(images), batch)]
+        chunks = [fn(Tensor(images[i : i + b])).data for i in range(0, len(images), b)]
     return np.concatenate(chunks)
 
 
@@ -218,7 +222,7 @@ def initialize(task1: Task, cfg: RunConfig) -> EngineState:
 
 def online_optim(cfg: RunConfig) -> OptimState:
     """Fresh head optimizer for the online phase."""
-    return OptimState("sgd-momentum", lr=cfg.online_lr, momentum=cfg.online_momentum)
+    return OptimState(lr=cfg.online_lr, momentum=cfg.online_momentum)
 
 
 def encode_sample(state: EngineState, x: np.ndarray) -> np.ndarray:
@@ -290,10 +294,7 @@ def online_step(state: EngineState, x: np.ndarray, y: int) -> EngineState:
         raise DataError(f"non-finite value in the input image at step {state.global_step}")
 
     current = encode_sample(state, x)
-    idx = sample_batch(
-        res, cfg.online_rehearsal_n, state.rng,
-        with_replacement=cfg.online_sample_with_replacement,
-    )
+    idx = sample_batch(res, cfg.online_rehearsal_n, state.rng)
     feats = _decode_codes(state, np.concatenate([res.codes[idx], current[None]]))
     labels = np.append(res.labels[idx], y)
     if cfg.online_augment:
@@ -308,7 +309,7 @@ def online_step(state: EngineState, x: np.ndarray, y: int) -> EngineState:
     if not np.isfinite(loss.data):
         raise DataError(f"non-finite loss {float(loss.data)} at step {state.global_step}")
     loss.backward()
-    sgd_step(head, grads_of(head), state.optim)
+    sgd_step(head, state.optim)
 
     insert_with_eviction(res, current, y, state.rng)
     state.global_step += 1

@@ -72,7 +72,7 @@ def layer_checks(seed: int) -> list[CheckResult]:
     labels = rng.integers(0, 3, size=2)
 
     def conv_loss(x, w, b):
-        loss, _ = softmax_cross_entropy(global_avgpool(conv2d(x, w, b, 1, 1)), labels)
+        loss, _ = softmax_cross_entropy(global_avgpool(conv2d(x, w, b, pad=1)), labels)
         return loss
 
     results.append(_result("conv2d", seed, conv_loss, [x, w, b]))

@@ -21,7 +21,6 @@ from .nn import (
     avgpool2,
     conv2d,
     global_avgpool,
-    grads_of,
     linear,
     relu,
     sgd_step,
@@ -95,8 +94,8 @@ class SplitModel:
 
     def _block(self, z: Tensor, idx: int) -> Tensor:
         p = self.params
-        z = relu(conv2d(z, p[f"block{idx}.conv1.weight"], p[f"block{idx}.conv1.bias"], 1, 1))
-        z = relu(conv2d(z, p[f"block{idx}.conv2.weight"], p[f"block{idx}.conv2.bias"], 1, 1))
+        z = relu(conv2d(z, p[f"block{idx}.conv1.weight"], p[f"block{idx}.conv1.bias"], pad=1))
+        z = relu(conv2d(z, p[f"block{idx}.conv2.weight"], p[f"block{idx}.conv2.bias"], pad=1))
         return avgpool2(z)
 
     def forward_backbone(self, x) -> Tensor:
@@ -161,9 +160,13 @@ def build_model(config: NetConfig, seed: int) -> SplitModel:
     return SplitModel(config, kaiming_params(param_shapes(config), np.random.default_rng(seed)))
 
 
-def augment_images(x: np.ndarray, rng: np.random.Generator, pad: int = 2) -> np.ndarray:
-    """Random crop after zero-padding by `pad` pixels, plus horizontal flip."""
+_AUGMENT_PAD = 2
+
+
+def augment_images(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Random crop after zero-padding by _AUGMENT_PAD pixels, plus horizontal flip."""
     n, c, h, w = x.shape
+    pad = _AUGMENT_PAD
     padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     out = np.empty_like(x)
     offs = rng.integers(0, 2 * pad + 1, size=(n, 2))
@@ -203,7 +206,7 @@ def train_offline(
     prev_flags = {k: p.requires_grad for k, p in model.params.items()}
     for k, p in model.params.items():
         p.requires_grad = k in train_params
-    state = OptimState("sgd-momentum", lr=lr, momentum=momentum)
+    state = OptimState(lr=lr, momentum=momentum)
     epoch_losses = []
     try:
         for _ in range(epochs):
@@ -218,7 +221,7 @@ def train_offline(
                 loss, _ = softmax_cross_entropy(logits, labels[idx])
                 zero_grads(train_params)
                 loss.backward()
-                sgd_step(train_params, grads_of(train_params), state)
+                sgd_step(train_params, state)
                 total += float(loss.data) * len(idx)
             epoch_losses.append(total / m)
     finally:

@@ -1,4 +1,4 @@
-from .gradcheck import GradCheckReport, finite_diff_check, finite_diff_report
+from .gradcheck import GradCheckReport, finite_diff_report
 from .ops import (
     avgpool2,
     conv2d,
@@ -9,13 +9,12 @@ from .ops import (
     relu,
     softmax_cross_entropy,
 )
-from .optim import OptimState, adam_step, grads_of, sgd_step, zero_grads
-from .tensor import Tensor, no_grad, set_debug_checks
+from .optim import OptimState, adam_step, sgd_step, zero_grads
+from .tensor import Tensor, no_grad
 
 __all__ = [
     "Tensor",
     "no_grad",
-    "set_debug_checks",
     "conv2d",
     "relu",
     "avgpool2",
@@ -26,10 +25,8 @@ __all__ = [
     "OptimState",
     "sgd_step",
     "adam_step",
-    "grads_of",
     "zero_grads",
     "GradCheckReport",
-    "finite_diff_check",
     "finite_diff_report",
     "record_relu_masks",
 ]

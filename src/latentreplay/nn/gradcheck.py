@@ -93,11 +93,3 @@ def finite_diff_report(
         raise ValueError("every element crossed a relu kink; nothing was checked")
     return GradCheckReport(worst, checked, skipped)
 
-
-def finite_diff_check(
-    fn: Callable[..., Tensor],
-    inputs: Sequence[Tensor],
-    eps: float = 1e-3,
-) -> float:
-    """Max relative error over all non-singular elements."""
-    return finite_diff_report(fn, inputs, eps).max_rel_err

@@ -55,41 +55,36 @@ def _out_dtype(*tensors: Tensor):
     return _F64 if any(t.data.dtype == _F64 for t in tensors) else _F32
 
 
-def _im2col(xp: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+def _im2col(xp: np.ndarray, kernel: int) -> np.ndarray:
     """Extract (N, C*K*K, Ho*Wo) patch columns from a padded NCHW array."""
     n, c, hp, wp = xp.shape
-    ho = (hp - kernel) // stride + 1
-    wo = (wp - kernel) // stride + 1
+    ho, wo = hp - kernel + 1, wp - kernel + 1
     sn, sc, sh, sw = xp.strides
     patches = np.lib.stride_tricks.as_strided(
         xp,
         shape=(n, c, kernel, kernel, ho, wo),
-        strides=(sn, sc, sh, sw, stride * sh, stride * sw),
+        strides=(sn, sc, sh, sw, sh, sw),
         writeable=False,
     )
     return patches.reshape(n, c * kernel * kernel, ho * wo)
 
 
-def _col2im(cols: np.ndarray, shape: tuple, kernel: int, stride: int) -> np.ndarray:
+def _col2im(cols: np.ndarray, shape: tuple, kernel: int) -> np.ndarray:
     """Scatter-add (N, C*K*K, Ho*Wo) columns back onto an NCHW array."""
     n, c, hp, wp = shape
-    ho = (hp - kernel) // stride + 1
-    wo = (wp - kernel) // stride + 1
+    ho, wo = hp - kernel + 1, wp - kernel + 1
     out = np.zeros(shape, dtype=cols.dtype)
     cols = cols.reshape(n, c, kernel, kernel, ho, wo)
     for ki in range(kernel):
         for kj in range(kernel):
-            out[:, :, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride] += cols[
-                :, :, ki, kj, :, :
-            ]
+            out[:, :, ki : ki + ho, kj : kj + wo] += cols[:, :, ki, kj, :, :]
     return out
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """Cross-correlation of an NCHW batch with OIKK filters.
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, pad: int = 0) -> Tensor:
+    """Stride-1 cross-correlation of an NCHW batch with OIKK filters.
 
-    Output spatial size is (H + 2*pad - K) / stride + 1, which must be a
-    positive integer.
+    Output spatial size is H + 2*pad - K + 1, which must be positive.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d input/weight, got {x.shape} / {weight.shape}")
@@ -101,16 +96,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 
         raise ShapeError(f"input has {c} channels but weight expects {i}")
     if bias.shape != (o,):
         raise ShapeError(f"bias shape {bias.shape} does not match {o} output channels")
-    if stride < 1 or pad < 0:
-        raise ConfigError(f"invalid stride={stride} pad={pad}")
+    if pad < 0:
+        raise ConfigError(f"invalid pad={pad}")
     k = kh
-    if (h + 2 * pad - k) % stride != 0 or (w + 2 * pad - k) % stride != 0:
-        raise ConfigError(
-            f"conv2d output size is not an integer for input {h}x{w}, "
-            f"kernel {k}, stride {stride}, pad {pad}"
-        )
-    ho = (h + 2 * pad - k) // stride + 1
-    wo = (w + 2 * pad - k) // stride + 1
+    ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
     if ho < 1 or wo < 1:
         raise ConfigError(f"conv2d output size {ho}x{wo} is not positive")
 
@@ -120,7 +109,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 
         xp[:, :, pad : pad + h, pad : pad + w] = x.data
     else:
         xp = x.data.astype(_F64)
-    cols = _im2col(xp, k, stride)
+    cols = _im2col(xp, k)
     wmat = weight.data.reshape(o, -1).astype(_F64)
     out = np.matmul(wmat, cols) + bias.data.astype(_F64)[:, None]
     out = out.reshape(n, o, ho, wo).astype(_out_dtype(x, weight, bias))
@@ -134,7 +123,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 
             bias.accumulate_grad(go.sum(axis=(0, 2)))
         if x.requires_grad:
             gcols = np.matmul(wmat.T, go)
-            gxp = _col2im(gcols, xp.shape, k, stride)
+            gxp = _col2im(gcols, xp.shape, k)
             if pad > 0:
                 gxp = gxp[:, :, pad : pad + h, pad : pad + w]
             x.accumulate_grad(gxp)

@@ -1,7 +1,8 @@
 """SGD-with-momentum and Adam parameter updates.
 
 State lives in an :class:`OptimState` so it can be checkpointed; the
-step functions mutate parameter data in place. Zero gradients with zero
+step functions read each parameter's `.grad` (a missing gradient counts
+as zero) and mutate parameter data in place. Zero gradients with zero
 accumulated moments leave parameters bit-identical.
 """
 
@@ -11,26 +12,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, ShapeError
 from .tensor import Tensor
+
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 @dataclass
 class OptimState:
     """Per-parameter moment buffers plus hyperparameters and a step counter."""
 
-    kind: str  # "sgd-momentum" or "adam"
     lr: float
     momentum: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     slots: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in ("sgd-momentum", "adam"):
-            raise ConfigError(f"unknown optimizer kind {self.kind!r}")
 
     def slot(self, name: str, key: str, shape: tuple) -> np.ndarray:
         buf = self.slots.setdefault(name, {})
@@ -39,55 +35,37 @@ class OptimState:
         return buf[key]
 
 
-def _check(name: str, param: Tensor, grad: np.ndarray) -> np.ndarray:
-    grad = np.asarray(grad, dtype=np.float32)
-    if grad.shape != param.data.shape:
-        raise ShapeError(
-            f"gradient for {name!r} has shape {grad.shape}, parameter is {param.data.shape}"
-        )
-    return grad
+def _grad(p: Tensor) -> np.ndarray:
+    return p.grad if p.grad is not None else np.zeros_like(p.data)
 
 
-def sgd_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: OptimState) -> None:
+def sgd_step(params: dict[str, Tensor], state: OptimState) -> None:
     """p <- p - lr * v with v <- momentum * v + g."""
-    if state.kind != "sgd-momentum":
-        raise ConfigError(f"sgd_step called with {state.kind!r} state")
     state.step_count += 1
     for name, p in params.items():
-        g = _check(name, p, grads[name])
         v = state.slot(name, "velocity", p.data.shape)
         v *= np.float32(state.momentum)
-        v += g
+        v += _grad(p)
         p.data -= np.float32(state.lr) * v
 
 
-def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: OptimState) -> None:
+def adam_step(params: dict[str, Tensor], state: OptimState) -> None:
     """Bias-corrected Adam update."""
-    if state.kind != "adam":
-        raise ConfigError(f"adam_step called with {state.kind!r} state")
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     for name, p in params.items():
-        g = _check(name, p, grads[name])
+        g = _grad(p)
         m = state.slot(name, "m", p.data.shape)
         v = state.slot(name, "v", p.data.shape)
-        m *= np.float32(state.beta1)
-        m += np.float32(1.0 - state.beta1) * g
-        v *= np.float32(state.beta2)
-        v += np.float32(1.0 - state.beta2) * (g * g)
+        m *= np.float32(BETA1)
+        m += np.float32(1.0 - BETA1) * g
+        v *= np.float32(BETA2)
+        v += np.float32(1.0 - BETA2) * (g * g)
         m_hat = m / np.float32(bc1)
         v_hat = v / np.float32(bc2)
-        p.data -= np.float32(state.lr) * m_hat / (np.sqrt(v_hat) + np.float32(state.eps))
-
-
-def grads_of(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    """Collect .grad buffers, treating missing gradients as zero."""
-    return {
-        name: (p.grad if p.grad is not None else np.zeros_like(p.data))
-        for name, p in params.items()
-    }
+        p.data -= np.float32(state.lr) * m_hat / (np.sqrt(v_hat) + np.float32(EPS))
 
 
 def zero_grads(params: dict[str, Tensor]) -> None:

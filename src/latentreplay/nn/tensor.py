@@ -13,15 +13,13 @@ every op preserves it; only the finite-difference checker uses this, so
 its central differences are not swamped by float32 rounding. Production
 code never constructs float64 tensors.
 
-A NaN/Inf check on every op output is a debug-mode assertion, enabled
-with :func:`set_debug_checks` or the ``LATENTREPLAY_DEBUG`` environment
-variable. The online step does not depend on it: ``engine.online_step``
-always rejects a non-finite input image or loss before the head changes.
+Op outputs are not checked for NaN/Inf: ``engine.online_step`` rejects a
+non-finite input image or loss before the head changes, and
+``quantizer.Codebooks`` rejects a non-finite centroid.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -29,13 +27,6 @@ import numpy as np
 from ..errors import ShapeError
 
 _grad_enabled = True
-_debug_checks = bool(os.environ.get("LATENTREPLAY_DEBUG"))
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Toggle the NaN/Inf assertion applied to every op output."""
-    global _debug_checks
-    _debug_checks = enabled
 
 
 @contextmanager
@@ -81,8 +72,6 @@ class Tensor:
             out.requires_grad = False
             out._parents = ()
             out._backward_fn = None
-        if _debug_checks and not np.all(np.isfinite(data)):
-            raise FloatingPointError("non-finite value in op output")
         return out
 
     @property

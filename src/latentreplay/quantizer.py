@@ -32,9 +32,6 @@ from .errors import ConfigError, DataError, ShapeError
 class Codebooks:
     """Per-subspace centroid tables of shape (s, k, d')."""
 
-    s: int
-    k: int
-    subdim: int
     centroids: np.ndarray  # float32 (s, k, d')
 
     def __post_init__(self):
@@ -42,13 +39,20 @@ class Codebooks:
             raise ConfigError("k must be at least 1")
         if self.k > 256:
             raise ConfigError("k above 256 does not fit the one-byte code format")
-        if self.centroids.shape != (self.s, self.k, self.subdim):
-            raise ShapeError(
-                f"centroid table {self.centroids.shape} does not match "
-                f"(s={self.s}, k={self.k}, d'={self.subdim})"
-            )
         if not np.all(np.isfinite(self.centroids)):
             raise DataError("non-finite centroid")
+
+    @property
+    def s(self) -> int:
+        return self.centroids.shape[0]
+
+    @property
+    def k(self) -> int:
+        return self.centroids.shape[1]
+
+    @property
+    def subdim(self) -> int:
+        return self.centroids.shape[2]
 
     @property
     def latent_channels(self) -> int:
@@ -169,7 +173,7 @@ def train_pq(
     for i in range(s):
         sub = vectors[:, i * subdim : (i + 1) * subdim]
         centroids[i] = kmeans_fit(sub, k, iters, np.random.default_rng(seed + i))
-    return Codebooks(s, k, subdim, centroids.astype(np.float32))
+    return Codebooks(centroids.astype(np.float32))
 
 
 def pq_encode_batch(latents: np.ndarray, books: Codebooks) -> np.ndarray:
@@ -202,22 +206,6 @@ def pq_decode_batch(codes: np.ndarray, books: Codebooks) -> np.ndarray:
             books.subdim, n, h, w
         ).transpose(1, 0, 2, 3)
     return out
-
-
-def pq_encode(latent: np.ndarray, books: Codebooks) -> np.ndarray:
-    """(C', H, W) latent -> (s, H, W) uint8 codes."""
-    if latent.ndim != 3 or latent.shape[0] != books.latent_channels:
-        raise ShapeError(
-            f"latent shape {latent.shape} does not match C'={books.latent_channels}"
-        )
-    return pq_encode_batch(latent[None], books)[0]
-
-
-def pq_decode(codes: np.ndarray, books: Codebooks) -> np.ndarray:
-    """(s, H, W) codes -> (C', H, W) float32 latent of looked-up centroids."""
-    if codes.ndim != 3 or codes.shape[0] != books.s:
-        raise ShapeError(f"codes shape {codes.shape} does not match s={books.s}")
-    return pq_decode_batch(codes[None], books)[0]
 
 
 def reconstruction_mse(latents: np.ndarray, books: Codebooks) -> float:

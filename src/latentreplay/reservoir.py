@@ -8,7 +8,7 @@ Eviction targets the most-populated class: among classes tied at the
 maximum count one is chosen uniformly (ties in ascending label order),
 then a uniform member of that class, in row order, is removed. Later
 rows shift down one and the new row goes last. Rehearsal sampling draws
-row indices uniformly, without replacement by default. Memory
+row indices uniformly, without replacement. Memory
 accounting is exact integer byte arithmetic; megabytes are decimal
 (10^6 bytes), the convention the stored-size bookkeeping is built
 around.
@@ -67,15 +67,11 @@ def insert_with_eviction(
     return evicted
 
 
-def sample_batch(
-    res: Reservoir, n: int, rng: np.random.Generator, with_replacement: bool = False
-) -> np.ndarray:
-    """Up to n row indices drawn uniformly; every row if n >= size."""
+def sample_batch(res: Reservoir, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Up to n distinct row indices drawn uniformly; every row if n >= size."""
     size = res.size
     if n <= 0 or size == 0:
         return np.zeros(0, dtype=np.int64)
-    if with_replacement:
-        return rng.integers(size, size=n)
     if n >= size:
         return np.arange(size)
     return rng.choice(size, size=n, replace=False)

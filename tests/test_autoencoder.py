@@ -15,7 +15,7 @@ from latentreplay.autoencoder import (
 )
 from latentreplay.errors import ConfigError, ContractError, DataError
 from latentreplay.network import NetConfig, build_model, train_offline
-from latentreplay.nn import Tensor, finite_diff_check, no_grad
+from latentreplay.nn import Tensor, no_grad
 
 
 def param_digest(params) -> str:

@@ -1,18 +1,22 @@
 """Config text format, binary loaders, checkpoints, metrics files, CLI."""
 
+import ast
 import json
+import math
 import os
 import re
 import struct
 import zlib
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import latentreplay
 from latentreplay import checkpoint
 from latentreplay.checkpoint import load_checkpoint, save_checkpoint
 from latentreplay.cli import main
@@ -31,14 +35,11 @@ from latentreplay.reporting import BUDGET_TABLE, emit_metrics, membudget_lines, 
 from latentreplay.reservoir import memory_bytes
 
 
-# parse_config cuts each line at '#' and strips whitespace, so text values avoid both
-_PLAIN_TEXT = st.text(st.characters(codec="ascii", categories=("L", "N", "P", "S"),
-                                    exclude_characters="#"))
 _BY_TYPE = {
     int: st.integers(-(2**40), 2**40),
     float: st.floats(allow_nan=False, allow_infinity=False),
     bool: st.booleans(),
-    str: _PLAIN_TEXT,
+    str: st.text(),
 }
 
 
@@ -112,8 +113,6 @@ class TestParseConfig:
             parse_config("acae.latent_channels = 16\n")  # replay block has 16 channels
 
     def test_every_field_reachable_from_a_key(self):
-        from dataclasses import fields
-
         covered = {field for field, _ in KEYS.values()}
         assert covered == {f.name for f in fields(RunConfig)}
 
@@ -135,7 +134,38 @@ class TestParseConfig:
     @given(cfg=valid_configs())
     def test_serialized_config_parses_back_equal(self, cfg):
         validate_config(cfg)
-        assert parse_config(serialize_config(cfg)) == cfg
+
+        def survives_one_line(key, value):
+            try:
+                return getattr(parse_config(f"{key} = {value}\n"), KEYS[key][0]) == value
+            except ConfigError:
+                return False
+
+        # the text values a plain `key = value` line cannot carry
+        lost = [key for key, (name, typ) in KEYS.items()
+                if typ is str and not survives_one_line(key, getattr(cfg, name))]
+        if lost:
+            with pytest.raises(ConfigError, match="|".join(map(re.escape, lost))):
+                serialize_config(cfg)
+        else:
+            assert parse_config(serialize_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("path", ["data#1", " lead", "trail ", "a\nb", "a\rb"])
+    def test_unwritable_text_value_rejected(self, path):
+        with pytest.raises(ConfigError, match="dataset.path"):
+            serialize_config(RunConfig(dataset_path=path))
+
+    def test_every_config_field_is_read(self):
+        # a RunConfig field that no attribute read in the package names is a key nothing uses
+        package = Path(latentreplay.__file__).parent
+        read = {
+            node.attr
+            for source in package.rglob("*.py")
+            for node in ast.walk(ast.parse(source.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+        unread = sorted(f.name for f in fields(RunConfig) if f.name not in read)
+        assert unread == []
 
     def test_tuple_and_bool_parsing(self):
         cfg = parse_config("net.in_shape = 3, 32, 32\nonline.augment = off\n")
@@ -488,9 +518,16 @@ class TestCheckpoint:
         trained = enc_bias.data
         enc_bias.data = trained[:3]
         rejected("enc.bias")
-        enc_bias.data = trained.astype(np.float64)
+        enc_bias.data = trained.astype(np.uint16)  # a dtype the format has, the wrong one
         rejected("enc.bias")
+        enc_bias.data = trained.astype(np.float64)  # a dtype the format has no tag for
+        with pytest.raises(CheckpointError, match="enc.bias.*unsupported dtype"):
+            save_checkpoint(state, p)
         enc_bias.data = trained
+        cents = state.books.centroids
+        cents[0, 0, 0], finite = np.nan, cents[0, 0, 0]
+        rejected("non-finite centroid")
+        cents[0, 0, 0] = finite
         # velocity buffers must exist exactly when the head has stepped
         run_stream(state, stream.tasks[1:2])
         state.optim.slots.pop("classifier.bias")
@@ -531,6 +568,88 @@ class TestCheckpoint:
         rejected("stored config does not parse.*output_dir", json.dumps(stale).encode())
         rejected("stored config does not parse.*pq.k", json.dumps(
             dict(meta, config_text=meta["config_text"] + "pq.k = 0\n")).encode())
+        # a checkpoint written while rehearsal could draw with replacement
+        rejected("stored config does not parse.*online.sample_with_replacement", json.dumps(
+            dict(meta, config_text=meta["config_text"] + "online.sample_with_replacement = false\n")
+        ).encode())
+        # damaged values of present keys
+        rng = meta["rng"]
+        for bad_rng in (
+            {k: v for k, v in rng.items() if k != "state"},
+            dict(rng, state="x"),
+            dict(rng, state={"state": "abc", "inc": "1"}),
+            dict(rng, has_uint32="x"),
+            [],
+        ):
+            rejected("'rng'", json.dumps(dict(meta, rng=bad_rng)).encode())
+        for row in ([0, 1], [0, 1, 2, 0.5, 1.0], "row", [0, 1, 2, "0.5", 1.0, True]):
+            rejected("'records'", json.dumps(dict(meta, records=[row])).encode())
+        for key, value in (
+            ("seen_classes", 3), ("seen_classes", ["a"]), ("frozen_digest", [1]),
+            ("global_step", "x"), ("global_step", 1.5), ("global_step", True),
+            ("current_task", None), ("optim_step_count", "0"), ("config_text", 0),
+        ):
+            rejected(f"'{key}'", json.dumps(dict(meta, **{key: value})).encode())
+
+    def test_unused_dtype_tags_rejected(self, tmp_path, capsys):
+        # the format has no tag 1, 2 or 4 (no blob is <f8, <i8 or <u4)
+        _, _, _, state = tiny_run(tmp_path)
+        p = str(tmp_path / "g.ckpt")
+        save_checkpoint(state, p)
+        good = open(p, "rb").read()
+        tag_at = good.index(b"reservoir.labels") + len(b"reservoir.labels")
+        assert good[tag_at] == 5
+        for tag in (1, 2, 4):
+            out = good[:tag_at] + bytes([tag]) + good[tag_at + 1 : -4]
+            open(p, "wb").write(out + struct.pack("<I", zlib.crc32(out)))  # CRC-valid
+            with pytest.raises(CheckpointError, match=f"unknown dtype tag {tag}"):
+                load_checkpoint(p)
+            assert main(["eval", "--checkpoint", p]) == 6
+            assert json.loads(capsys.readouterr().err)["error"] == "checkpoint"
+
+    def test_damage_at_every_blob_boundary_rejected(self, tmp_path, capsys):
+        _, _, _, state = tiny_run(tmp_path)
+        p = str(tmp_path / "f.ckpt")
+        save_checkpoint(state, p)
+        good = open(p, "rb").read()
+
+        # the blob table, parsed here from the documented layout
+        itemsize = {0: 4, 3: 1, 5: 2}
+        (count,) = struct.unpack_from("<I", good, 8)
+        blobs, at = [], 12
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<I", good, at)
+            tag = good[at + 4 + name_len]
+            (rank,) = struct.unpack_from("<I", good, at + 5 + name_len)
+            dims = struct.unpack_from(f"<{rank}I", good, at + 9 + name_len)
+            payload = at + 9 + name_len + 4 * rank
+            end = payload + math.prod(dims) * itemsize[tag]
+            assert end > payload
+            blobs.append((at, name_len, payload, end))
+            at = end
+        assert at == len(good) - 4 and len(blobs) > 20
+
+        def rejected(data, recrc=False):
+            if recrc:
+                data = data[:-4] + struct.pack("<I", zlib.crc32(data[:-4]))
+            open(p, "wb").write(data)
+            with pytest.raises(CheckpointError):
+                load_checkpoint(p)
+            assert main(["eval", "--checkpoint", p]) == 6
+            assert json.loads(capsys.readouterr().err)["error"] == "checkpoint"
+
+        def flipped(data, i):
+            return data[:i] + bytes([data[i] ^ 0xFF]) + data[i + 1 :]
+
+        for start, name_len, payload, end in blobs:
+            rejected(good[:start])
+            rejected(good[:payload])
+            rejected(flipped(good, start + 4))  # a name byte, CRC left stale
+            rejected(flipped(good, payload))
+            rejected(flipped(good, start + 4), recrc=True)  # a name that is not UTF-8
+            # the same blob twice in a row, with the blob count raised to match
+            body = good[:start] + good[start:end] + good[start:-4]
+            rejected(body[:8] + struct.pack("<I", count + 1) + body[12:] + bytes(4), recrc=True)
 
     def test_bad_magic_rejected(self, tmp_path):
         p = str(tmp_path / "m.ckpt")

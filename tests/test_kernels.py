@@ -33,7 +33,7 @@ def _einsum_weight_grad(x, w, g, pad):
     """Weight gradient as an einsum over np.pad-ded im2col columns."""
     o, k = w.shape[0], w.shape[2]
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = _im2col(xp, k, 1).astype(np.float64)
+    cols = _im2col(xp, k).astype(np.float64)
     go = g.astype(np.float64).reshape(g.shape[0], o, -1)
     return np.einsum("nol,nkl->ok", go, cols).reshape(w.shape).astype(np.float32)
 
@@ -66,7 +66,7 @@ def test_conv_weight_grad_matches_einsum(x_shape, w_shape):
     pad = w_shape[2] // 2
     weight = Tensor(w, requires_grad=True)
     bias = Tensor(np.zeros(w_shape[0], np.float32), requires_grad=True)
-    out = conv2d(Tensor(x), weight, bias, 1, pad)
+    out = conv2d(Tensor(x), weight, bias, pad=pad)
     g = rng.normal(size=out.shape).astype(np.float32)
     out.backward(g)
     assert weight.grad.dtype == np.float32
@@ -78,9 +78,9 @@ def test_padded_conv_matches_np_pad():
     x = rng.normal(size=(3, 4, 6, 5)).astype(np.float32)
     w = rng.normal(size=(2, 4, 3, 3)).astype(np.float32)
     b = np.zeros(2, np.float32)
-    got = conv2d(Tensor(x), Tensor(w), Tensor(b), 1, 2).data
+    got = conv2d(Tensor(x), Tensor(w), Tensor(b), pad=2).data
     xp = np.pad(x, ((0, 0), (0, 0), (2, 2), (2, 2)))
-    want = conv2d(Tensor(xp), Tensor(w), Tensor(b), 1, 0).data
+    want = conv2d(Tensor(xp), Tensor(w), Tensor(b)).data
     assert got.tobytes() == want.tobytes()
 
 
@@ -176,7 +176,7 @@ def _codebook_and_codes(draw):
     n, h, w = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
     size = n * s * h * w
     codes = np.array(draw(st.lists(st.integers(0, k - 1), min_size=size, max_size=size)))
-    return Codebooks(s, k, subdim, cents), codes.astype(np.uint8).reshape(n, s, h, w)
+    return Codebooks(cents), codes.astype(np.uint8).reshape(n, s, h, w)
 
 
 @settings(max_examples=150, deadline=None)

@@ -9,9 +9,7 @@ from latentreplay.errors import ConfigError, DataError, ShapeError
 from latentreplay.quantizer import (
     Codebooks,
     kmeans_fit,
-    pq_decode,
     pq_decode_batch,
-    pq_encode,
     pq_encode_batch,
     reconstruction_mse,
     train_pq,
@@ -110,7 +108,7 @@ class TestEncodeDecode:
             ],
             dtype=np.float32,
         )
-        return Codebooks(s=2, k=3, subdim=2, centroids=centroids)
+        return Codebooks(centroids)
 
     def test_centroid_valued_latent_is_fixed_point(self):
         books = self._books()
@@ -119,16 +117,24 @@ class TestEncodeDecode:
         latent[2:4, 0, 0] = books.centroids[1][2]
         latent[0:2, 1, 1] = books.centroids[0][2]
         latent[2:4, 1, 1] = books.centroids[1][0]
-        decoded = pq_decode(pq_encode(latent, books), books)
+        decoded = pq_decode_batch(pq_encode_batch(latent[None], books), books)[0]
         # positions (0,1) and (1,0) hold zeros, which also match centroids
         assert np.array_equal(decoded[:, 0, 0], latent[:, 0, 0])
         assert np.array_equal(decoded[:, 1, 1], latent[:, 1, 1])
+
+    def test_sizes_come_from_the_table_shape(self):
+        books = self._books()
+        assert (books.s, books.k, books.subdim, books.latent_channels) == (2, 3, 2, 4)
+        with pytest.raises(ConfigError):
+            Codebooks(np.zeros((2, 0, 2), dtype=np.float32))
+        with pytest.raises(DataError):
+            Codebooks(np.full((2, 3, 2), np.nan, dtype=np.float32))
 
     def test_k1_codes_all_zero(self):
         rng = np.random.default_rng(0)
         latents = rng.normal(size=(10, 4, 2, 2)).astype(np.float32)
         books = train_pq(latents, s=2, k=1, iters=5, seed=0)
-        codes = pq_encode(latents[0], books)
+        codes = pq_encode_batch(latents[:1], books)[0]
         assert codes.dtype == np.uint8
         assert np.array_equal(codes, np.zeros_like(codes))
 
@@ -138,7 +144,7 @@ class TestEncodeDecode:
         latents = rng.normal(size=(30, 4, 3, 3)).astype(np.float32)
         books = train_pq(latents, s=2, k=7, iters=10, seed=seed)
         latent = rng.normal(size=(4, 3, 3)).astype(np.float32)
-        codes = pq_encode(latent, books)
+        codes = pq_encode_batch(latent[None], books)[0]
         for y in range(3):
             for x in range(3):
                 for i in range(2):
@@ -153,12 +159,12 @@ class TestEncodeDecode:
         books = self._books()
         codes = np.full((2, 2, 2), 3, dtype=np.uint8)
         with pytest.raises(DataError):
-            pq_decode(codes, books)
+            pq_decode_batch(codes[None], books)
 
     def test_encode_rejects_wrong_channel_count(self):
         books = self._books()
         with pytest.raises(ShapeError):
-            pq_encode(np.zeros((6, 2, 2), dtype=np.float32), books)
+            pq_encode_batch(np.zeros((1, 6, 2, 2), dtype=np.float32), books)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_idempotence_bit_exact(self, seed):
@@ -166,27 +172,18 @@ class TestEncodeDecode:
         latents = rng.normal(size=(40, 8, 3, 3)).astype(np.float32)
         books = train_pq(latents, s=4, k=16, iters=10, seed=seed)
         u = rng.normal(size=(8, 3, 3)).astype(np.float32)
-        once = pq_decode(pq_encode(u, books), books)
-        twice = pq_decode(pq_encode(once, books), books)
+        once = pq_decode_batch(pq_encode_batch(u[None], books), books)
+        twice = pq_decode_batch(pq_encode_batch(once, books), books)
         assert np.array_equal(once, twice)
 
     def test_code_array_byte_size(self):
         rng = np.random.default_rng(0)
         latents = rng.normal(size=(30, 8, 5, 4)).astype(np.float32)
         books = train_pq(latents, s=4, k=8, iters=5, seed=0)
-        codes = pq_encode(latents[0], books)
+        codes = pq_encode_batch(latents[:1], books)[0]
         assert codes.shape == (4, 5, 4)
         assert codes.nbytes == 4 * 5 * 4
         assert codes.max() < 8
-
-    def test_batch_helpers_match_single(self):
-        rng = np.random.default_rng(3)
-        latents = rng.normal(size=(12, 4, 2, 2)).astype(np.float32)
-        books = train_pq(latents, s=2, k=4, iters=5, seed=1)
-        batch_codes = pq_encode_batch(latents, books)
-        assert np.array_equal(batch_codes[5], pq_encode(latents[5], books))
-        decoded = pq_decode_batch(batch_codes, books)
-        assert np.array_equal(decoded[5], pq_decode(batch_codes[5], books))
 
 
 class TestReconstructionMse:
@@ -216,6 +213,6 @@ class TestReconstructionMse:
         assert all(a >= b for a, b in zip(errs, errs[1:]))
 
     def test_empty_set_rejected(self):
-        books = Codebooks(1, 1, 2, np.zeros((1, 1, 2), dtype=np.float32))
+        books = Codebooks(np.zeros((1, 1, 2), dtype=np.float32))
         with pytest.raises(DataError):
             reconstruction_mse(np.zeros((0, 2, 1, 1), dtype=np.float32), books)

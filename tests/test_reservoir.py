@@ -134,15 +134,6 @@ class TestSample:
             marks = res.codes[sample_batch(res, 5, rng), 0, 0, 0].tolist()
             assert len(set(marks)) == len(marks) == 5
 
-    def test_with_replacement_can_duplicate(self):
-        res = self._filled(3)
-        rng = np.random.default_rng(7)
-        seen_dup = False
-        for _ in range(100):
-            marks = res.codes[sample_batch(res, 3, rng, with_replacement=True), 0, 0, 0].tolist()
-            seen_dup = seen_dup or len(set(marks)) < 3
-        assert seen_dup
-
 
 class TestSnapshot:
     def test_round_trip_bit_identical(self):
@@ -179,17 +170,13 @@ class ListReservoir:
         self.rows.append(row)
         return evicted
 
-    def sample(self, n, rng, with_replacement):
+    def sample(self, n, rng):
         size = len(self.rows)
         if n <= 0 or size == 0:
             return []
-        if with_replacement:
-            idx = rng.integers(size, size=n)
-        elif n >= size:
+        if n >= size:
             return list(range(size))
-        else:
-            idx = rng.choice(size, size=n, replace=False)
-        return [int(i) for i in idx]
+        return [int(i) for i in rng.choice(size, size=n, replace=False)]
 
 
 class TestAgainstListReference:
@@ -198,10 +185,9 @@ class TestAgainstListReference:
         capacity=st.integers(1, 12),
         labels=st.lists(st.integers(0, 4), max_size=60),
         n=st.integers(0, 8),
-        with_replacement=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_same_rows_evictions_and_samples(self, capacity, labels, n, with_replacement, seed):
+    def test_same_rows_evictions_and_samples(self, capacity, labels, n, seed):
         res = Reservoir(capacity, (1, 1, 2), 5)
         ref = ListReservoir(capacity)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -216,8 +202,8 @@ class TestAgainstListReference:
             assert res.labels[: len(res)].tolist() == [lab for _, lab in ref.rows]
             assert res.codes[: len(res), 0, 0, 1].tolist() == [m for m, _ in ref.rows]
             assert res.counts.sum() == len(res)
-            picks = sample_batch(res, n, rng, with_replacement=with_replacement)
-            assert [int(i) for i in picks] == ref.sample(n, ref_rng, with_replacement)
+            picks = sample_batch(res, n, rng)
+            assert [int(i) for i in picks] == ref.sample(n, ref_rng)
 
 
 class TestMemoryAccounting:

@@ -8,7 +8,7 @@ from latentreplay.nn import (
     Tensor,
     avgpool2,
     conv2d,
-    finite_diff_check,
+    finite_diff_report,
     global_avgpool,
     linear,
     mse,
@@ -46,7 +46,7 @@ class TestConv2d:
         x = Tensor(np.ones((1, 1, 3, 3), dtype=np.float32))
         w = Tensor(np.full((1, 1, 1, 1), 2.0, dtype=np.float32))
         b = Tensor(np.zeros(1, dtype=np.float32))
-        out = conv2d(x, w, b, stride=1, pad=0)
+        out = conv2d(x, w, b, pad=0)
         assert np.array_equal(out.data, np.full((1, 1, 3, 3), 2.0, dtype=np.float32))
 
     def test_identity_kernel(self):
@@ -55,17 +55,18 @@ class TestConv2d:
         w = np.zeros((3, 3, 3, 3), dtype=np.float32)
         for c in range(3):
             w[c, c, 1, 1] = 1.0
-        out = conv2d(Tensor(x), Tensor(w), Tensor(np.zeros(3, dtype=np.float32)), 1, 1)
+        out = conv2d(Tensor(x), Tensor(w), Tensor(np.zeros(3, dtype=np.float32)), pad=1)
         assert np.array_equal(out.data, x)
 
     @pytest.mark.parametrize("seed", range(20))
     @pytest.mark.parametrize("size,stride,pad", [(8, 1, 0), (8, 1, 1), (8, 1, 2), (9, 2, 0), (7, 2, 1)])
     def test_matches_naive_loop_oracle(self, seed, size, stride, pad):
+        # conv2d is stride 1; a stride-s oracle output is its every s-th position
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(2, 3, size, size)).astype(np.float32)
         w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
         b = rng.normal(size=4).astype(np.float32)
-        got = conv2d(Tensor(x), Tensor(w), Tensor(b), stride, pad).data
+        got = conv2d(Tensor(x), Tensor(w), Tensor(b), pad=pad).data[:, :, ::stride, ::stride]
         want = conv2d_reference(x, w, b, stride, pad)
         rel = np.abs(got - want) / np.maximum(np.abs(want), 1e-3)
         assert rel.max() <= 1e-5
@@ -74,13 +75,20 @@ class TestConv2d:
         x = Tensor(np.zeros((1, 2, 4, 4), dtype=np.float32))
         w = Tensor(np.zeros((1, 3, 3, 3), dtype=np.float32))
         with pytest.raises(ShapeError):
+            conv2d(x, w, Tensor(np.zeros(1, dtype=np.float32)), pad=1)
+
+    def test_pad_is_keyword_only(self):
+        # a call written for the old (stride, pad) signature fails instead of padding by 1
+        x = Tensor(np.zeros((1, 1, 4, 4), dtype=np.float32))
+        w = Tensor(np.zeros((1, 1, 3, 3), dtype=np.float32))
+        with pytest.raises(TypeError):
             conv2d(x, w, Tensor(np.zeros(1, dtype=np.float32)), 1, 1)
 
-    def test_non_integer_output_raises(self):
-        x = Tensor(np.zeros((1, 1, 5, 5), dtype=np.float32))
-        w = Tensor(np.zeros((1, 1, 2, 2), dtype=np.float32))
+    def test_empty_output_raises(self):
+        x = Tensor(np.zeros((1, 1, 2, 2), dtype=np.float32))
+        w = Tensor(np.zeros((1, 1, 3, 3), dtype=np.float32))
         with pytest.raises(ConfigError):
-            conv2d(x, w, Tensor(np.zeros(1, dtype=np.float32)), stride=2, pad=0)
+            conv2d(x, w, Tensor(np.zeros(1, dtype=np.float32)))
 
 
 class TestRelu:
@@ -202,7 +210,7 @@ class TestFiniteDifferences:
             loss, _ = softmax_cross_entropy(linear(x, w, b), labels)
             return loss
 
-        assert finite_diff_check(f, [x, w, b]) <= 1e-3
+        assert finite_diff_report(f, [x, w, b]).max_rel_err <= 1e-3
 
     @pytest.mark.parametrize("seed", range(5))
     def test_conv2d(self, seed):
@@ -213,10 +221,10 @@ class TestFiniteDifferences:
         labels = rng.integers(0, 3, size=2)
 
         def f(x, w, b):
-            loss, _ = softmax_cross_entropy(global_avgpool(conv2d(x, w, b, 1, 1)), labels)
+            loss, _ = softmax_cross_entropy(global_avgpool(conv2d(x, w, b, pad=1)), labels)
             return loss
 
-        assert finite_diff_check(f, [x, w, b]) <= 1e-3
+        assert finite_diff_report(f, [x, w, b]).max_rel_err <= 1e-3
 
     @pytest.mark.parametrize("seed", range(5))
     def test_relu_away_from_kink(self, seed):
@@ -230,7 +238,7 @@ class TestFiniteDifferences:
             loss, _ = softmax_cross_entropy(relu(x), labels)
             return loss
 
-        assert finite_diff_check(f, [x]) <= 1e-3
+        assert finite_diff_report(f, [x]).max_rel_err <= 1e-3
 
     @pytest.mark.parametrize("seed", range(5))
     def test_pools(self, seed):
@@ -242,14 +250,14 @@ class TestFiniteDifferences:
             loss, _ = softmax_cross_entropy(global_avgpool(avgpool2(x)), labels)
             return loss
 
-        assert finite_diff_check(f, [x]) <= 1e-3
+        assert finite_diff_report(f, [x]).max_rel_err <= 1e-3
 
     @pytest.mark.parametrize("seed", range(3))
     def test_mse(self, seed):
         rng = np.random.default_rng(seed)
         a = Tensor(rng.normal(size=(3, 4)).astype(np.float32), requires_grad=True)
         b = Tensor(rng.normal(size=(3, 4)).astype(np.float32))
-        assert finite_diff_check(lambda a: mse(a, b), [a]) <= 1e-3
+        assert finite_diff_report(lambda a: mse(a, b), [a]).max_rel_err <= 1e-3
 
 
 class TestPurity:
@@ -258,6 +266,6 @@ class TestPurity:
         x = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
         w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
         b = rng.normal(size=4).astype(np.float32)
-        a = conv2d(Tensor(x), Tensor(w), Tensor(b), 1, 1).data
-        bb = conv2d(Tensor(x), Tensor(w), Tensor(b), 1, 1).data
+        a = conv2d(Tensor(x), Tensor(w), Tensor(b), pad=1).data
+        bb = conv2d(Tensor(x), Tensor(w), Tensor(b), pad=1).data
         assert np.array_equal(a, bb)
