@@ -19,9 +19,9 @@ parameters, `optim.<param>.<slot>` moment buffers, `pq.centroids`
 `meta.json`, a UTF-8 JSON object holding the config text plus what the
 config cannot give: the rng state, the task and step counters, the
 seen classes, the optimizer step count, the frozen digests and the
-metrics emitted so far. Loading checks the JSON type of every metadata
-value and the blobs against the config: the exact set of parameter and
-optimizer blob names, and every shape and dtype.
+metrics emitted so far. Loading checks every metadata value's JSON type,
+the parameter and optimizer blob names, shapes and dtypes the config
+implies, finite values and a `current_task` in 1..split.steps + 1.
 load(save(x)) is bit-identical; resuming must reproduce an unbroken
 run exactly. Files of any other version are refused.
 """
@@ -258,6 +258,16 @@ def _read_meta(path: str, blob: np.ndarray) -> dict:
     return meta
 
 
+def _check_state(path: str, state: EngineState, blobs: dict) -> None:
+    """Refuse a non-finite parameter or optimizer blob and a `current_task` outside 1..T."""
+    if not np.isfinite(np.concatenate([a.ravel() for a in blobs.values()])).all():
+        bad = [name for name, a in blobs.items() if not np.isfinite(a).all()]
+        raise CheckpointError(f"{path}: non-finite values in {bad}")
+    tasks = state.config.split_steps + 1
+    if not 1 <= state.current_task <= tasks:
+        raise CheckpointError(f"{path}: current_task {state.current_task} is outside 1..{tasks}")
+
+
 def load_checkpoint(path: str) -> CheckpointBundle:
     """Parse and validate a checkpoint; inverse of save_checkpoint."""
     with open(path, "rb") as fh:
@@ -363,6 +373,7 @@ def load_checkpoint(path: str) -> CheckpointBundle:
     )
     if frozen_checksums(state) != state.frozen_digest:
         raise CheckpointError(f"{path}: frozen parameter digests do not match stored values")
+    _check_state(path, state, arrays)  # arrays: the model.*, acae.* and optim.* blobs
 
     records = [MetricRecord(*row) for row in meta["records"]]
     return CheckpointBundle(state, meta["config_text"], records)

@@ -43,12 +43,8 @@ _EXIT_CODES = {
 }
 
 
-def _verbose() -> bool:
-    return os.environ.get("LATENTREPLAY_VERBOSE", "") not in ("", "0")
-
-
 def _note(msg: str) -> None:
-    if _verbose():
+    if os.environ.get("LATENTREPLAY_VERBOSE", "") not in ("", "0"):
         print(msg, file=sys.stderr)
 
 
@@ -120,9 +116,7 @@ def _cmd_membudget(args) -> int:
         print(line)
     if args.config:
         cfg = _load_config(args.config)
-        net = cfg.net_config()
-        hw = net.feature_hw
-        shape = (cfg.pq_s, hw[0], hw[1])
+        shape = (cfg.pq_s, *cfg.net_config().feature_hw)
         print("config: " + budget_line(cfg.reservoir_capacity, shape, 3))
     return 0
 

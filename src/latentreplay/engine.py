@@ -304,7 +304,7 @@ def online_step(state: EngineState, x: np.ndarray, y: int) -> EngineState:
     head = state.model.head_params()
     zero_grads(head)
     logits = state.model.forward_head(Tensor(feats))
-    with np.errstate(invalid="ignore"):  # a non-finite loss is reported just below
+    with np.errstate(divide="ignore", invalid="ignore"):  # a non-finite loss is reported below
         loss, _ = softmax_cross_entropy(logits, labels)
     if not np.isfinite(loss.data):
         raise DataError(f"non-finite loss {float(loss.data)} at step {state.global_step}")

@@ -6,18 +6,19 @@ finite-difference gradient checks stay clean. Every function is pure.
 Ops preserve float64 buffers end to end; see tensor.py for why.
 
 Float order. The contractions of conv2d (forward, input grad and weight
-grad) and of linear go through BLAS dgemm; so their float64 summation
-order is the BLAS library's, not numpy's. Every other reduction (bias
-grads, pools, losses) is a numpy reduction with numpy's fixed order.
-Two summation orders of the same float64 products differ by a few
-float64 ulps (about 1e-16 relative), and the result is then cast to a
-float32 buffer, whose rounding step is 2**29 times coarser: the cast
-lands on a different float32 only if the exact sum lies within those
-few ulps of a float32 rounding midpoint. On every conv shape the
-shipped workloads run, the weight grad from dgemm and from the former
-`np.einsum` loop cast to the same float32 bits. tests/test_kernels.py
-pins that, and that a whole run is byte-identical under one and two
-BLAS threads.
+grad) and of linear go through BLAS dgemm, so their float64 summation
+order is the BLAS library's, not numpy's; the input grad is one dgemm
+of the flipped filters with the columns of the padded output gradient.
+Every other reduction (bias grads, pools, losses) is a numpy reduction
+with numpy's fixed order. Two summation orders of the same float64
+products differ by a few float64 ulps (about 1e-16 relative), and the
+result is then cast to a float32 buffer, whose rounding step is 2**29
+times coarser: the cast lands on a different float32 only if the exact
+sum lies within those few ulps of a float32 rounding midpoint. On every
+conv shape the shipped workloads run, both grads cast to the same
+float32 bits as the former `np.einsum` weight grad and per-tap
+scatter-add input grad; tests/test_kernels.py pins that, and that a
+whole run is byte-identical under one and two BLAS threads.
 """
 
 from __future__ import annotations
@@ -69,18 +70,6 @@ def _im2col(xp: np.ndarray, kernel: int) -> np.ndarray:
     return patches.reshape(n, c * kernel * kernel, ho * wo)
 
 
-def _col2im(cols: np.ndarray, shape: tuple, kernel: int) -> np.ndarray:
-    """Scatter-add (N, C*K*K, Ho*Wo) columns back onto an NCHW array."""
-    n, c, hp, wp = shape
-    ho, wo = hp - kernel + 1, wp - kernel + 1
-    out = np.zeros(shape, dtype=cols.dtype)
-    cols = cols.reshape(n, c, kernel, kernel, ho, wo)
-    for ki in range(kernel):
-        for kj in range(kernel):
-            out[:, :, ki : ki + ho, kj : kj + wo] += cols[:, :, ki, kj, :, :]
-    return out
-
-
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, pad: int = 0) -> Tensor:
     """Stride-1 cross-correlation of an NCHW batch with OIKK filters.
 
@@ -122,11 +111,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, pad: int = 0) -> Tensor:
         if bias.requires_grad:
             bias.accumulate_grad(go.sum(axis=(0, 2)))
         if x.requires_grad:
-            gcols = np.matmul(wmat.T, go)
-            gxp = _col2im(gcols, xp.shape, k)
-            if pad > 0:
-                gxp = gxp[:, :, pad : pad + h, pad : pad + w]
-            x.accumulate_grad(gxp)
+            # correlate the flipped filters with go padded by q (cropped if q < 0)
+            q = k - 1 - pad
+            go4 = go.reshape(n, o, ho, wo)
+            pads = [(0, 0), (0, 0), (q, q), (q, q)]
+            gop = np.pad(go4, pads) if q > 0 else go4[:, :, -q : ho + q, -q : wo + q]
+            wflip = wmat.reshape(o, c, k, k)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            gx = np.matmul(wflip.reshape(c, -1), _im2col(gop, k))
+            x.accumulate_grad(gx.reshape(n, c, h, w))
 
     return Tensor._from_op(out, (x, weight, bias), backward)
 

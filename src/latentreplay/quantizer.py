@@ -16,7 +16,8 @@ distance 0 under any order, so decode -> re-encode still returns the
 same codes. A centroid update takes `.mean(axis=0)` over the cluster's
 rows in row order, the same reduction as over `vectors[assign == c]`.
 `np.bincount(weights=...)` sums sequentially instead and would move the
-centroids.
+centroids. Lloyd stops at a fixed point: once an iteration ends in the
+(centroids, assignment) it began with, the rest would only repeat it.
 """
 
 from __future__ import annotations
@@ -122,6 +123,7 @@ def kmeans_fit(
     assign = _assign(vectors, centroids)
     objective = ((vectors - centroids[assign]) ** 2).sum()
     for _ in range(iters):
+        start = (centroids.copy(), assign.copy())
         # the rows of cluster c, in row order, are grouped[ends[c] : ends[c + 1]]
         grouped = vectors[np.argsort(assign, kind="stable")]
         ends = np.concatenate([[0], np.cumsum(np.bincount(assign, minlength=k))])
@@ -142,6 +144,8 @@ def kmeans_fit(
         if np.array_equal(new_assign, assign):
             assign = new_assign
             break
+        if np.array_equal(new_assign, start[1]) and np.array_equal(centroids, start[0]):
+            break  # a fixed point: the deterministic body would repeat this iteration
         assign, objective = new_assign, new_objective
     return centroids
 
@@ -166,8 +170,6 @@ def train_pq(
     c = vectors.shape[1]
     if c % s != 0:
         raise ConfigError(f"channel count {c} is not divisible by s={s}")
-    if vectors.shape[0] < k:
-        raise DataError(f"need at least k={k} position vectors, got {vectors.shape[0]}")
     subdim = c // s
     centroids = np.empty((s, k, subdim), dtype=np.float64)
     for i in range(s):

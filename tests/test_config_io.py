@@ -25,6 +25,7 @@ from latentreplay.datasets import gen_synthetic, load_cifar_bin, load_dataset, l
 from latentreplay.engine import (
     build_task_stream,
     frozen_backbone_study,
+    frozen_checksums,
     initialize,
     run_stream,
     seen_class_record,
@@ -537,6 +538,50 @@ class TestCheckpoint:
         save_checkpoint(state, p)
         load_checkpoint(p)
 
+    def test_non_finite_parameters_rejected(self, tmp_path, capsys):
+        cfg, _, stream, state = tiny_run(tmp_path)
+        run_stream(state, stream.tasks[1:2])  # the head's velocity buffers exist
+        p = str(tmp_path / "n.ckpt")
+        cases = [
+            (state.model.params["classifier.weight"].data, "model.classifier.weight"),
+            (state.model.params["block1.conv1.bias"].data, "model.block1.conv1.bias"),
+            (state.compressor.params["dec.weight"].data, "acae.dec.weight"),
+            (state.optim.slots["classifier.bias"]["velocity"], "optim.classifier.bias.velocity"),
+        ]
+        for arr, name in cases:
+            for bad in (np.nan, np.inf):
+                arr.flat[0], kept = bad, arr.flat[0]
+                state.frozen_digest = frozen_checksums(state)  # as if frozen with the NaN
+                save_checkpoint(state, p)
+                with pytest.raises(CheckpointError, match=rf"non-finite values in \['{name}'\]"):
+                    load_checkpoint(p)
+                for command in (["eval", "--checkpoint", p],
+                                ["stream", "--checkpoint", p, "--out", str(tmp_path / "o")]):
+                    assert main(command) == 6
+                    assert json.loads(capsys.readouterr().err)["error"] == "checkpoint"
+                arr.flat[0] = kept
+        state.frozen_digest = frozen_checksums(state)
+        save_checkpoint(state, p)
+        load_checkpoint(p)
+
+    def test_current_task_out_of_range_rejected(self, tmp_path, capsys):
+        cfg, _, _, state = tiny_run(tmp_path)
+        p = str(tmp_path / "t.ckpt")
+        last = cfg.split_steps + 1
+        for task in (0, -1, last + 1, 99):
+            state.current_task = task
+            save_checkpoint(state, p)
+            with pytest.raises(CheckpointError, match=rf"current_task {task} is outside 1..{last}"):
+                load_checkpoint(p)
+            for command in (["eval", "--checkpoint", p],
+                            ["stream", "--checkpoint", p, "--out", str(tmp_path / "o")]):
+                assert main(command) == 6
+                assert json.loads(capsys.readouterr().err)["error"] == "checkpoint"
+        for task in (1, last):
+            state.current_task = task
+            save_checkpoint(state, p)
+            assert load_checkpoint(p).state.current_task == task
+
     def test_malformed_meta_rejected(self, tmp_path, capsys):
         _, _, _, state = tiny_run(tmp_path)
         p = str(tmp_path / "j.ckpt")
@@ -820,13 +865,17 @@ class TestCli:
         assert err["error"] == "data" and "non-finite value in the input image" in err["message"]
         assert open(ckpt, "rb").read() == before
 
-        # a head that produces a non-finite loss, on the clean images
+        # a finite head whose loss is not, on the clean images: the bias
+        # drives every other class's softmax to 0 (a non-finite parameter
+        # is refused at load: TestCheckpoint)
         write_idx(root / "train-images.idx", ds.train_images, 0x0D)
         state = load_checkpoint(ckpt).state
-        state.model.params["classifier.bias"].data[0] = np.inf
+        state.model.params["classifier.bias"].data[0] = 3e38
         save_checkpoint(state, ckpt)
+        before = open(ckpt, "rb").read()
         assert main(["stream", "--checkpoint", ckpt, "--out", str(tmp_path / "out")]) == 3
         assert "non-finite loss" in json.loads(capsys.readouterr().err)["message"]
+        assert open(ckpt, "rb").read() == before
 
     def test_gradcheck_command(self, capsys):
         assert main(["gradcheck", "--seeds", "2"]) == 0

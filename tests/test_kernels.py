@@ -4,7 +4,7 @@ Each reference below is the earlier implementation, kept here only as an
 oracle. The kernels must match it bit for bit (and, for the crop, leave
 the rng in the same state), because the whole run's output depends on
 them. The last test checks that a run does not depend on the BLAS
-thread count, now that the conv weight gradient goes through BLAS.
+thread count, now that both conv gradients go through BLAS.
 """
 
 import os
@@ -26,7 +26,7 @@ from latentreplay.quantizer import Codebooks, kmeans_fit, pq_decode_batch, pq_en
 from test_acceptance import TINY_CONFIG
 
 
-# ------------------------------------------------------------ conv weight grad
+# ------------------------------------------------------------ conv gradients
 
 
 def _einsum_weight_grad(x, w, g, pad):
@@ -38,8 +38,36 @@ def _einsum_weight_grad(x, w, g, pad):
     return np.einsum("nol,nkl->ok", go, cols).reshape(w.shape).astype(np.float32)
 
 
+def _col2im_input_grad(x_shape, w, g, pad):
+    """Input gradient as per-tap columns scatter-added onto the padded input, then cropped."""
+    n, c, h, wd = x_shape
+    o, k = w.shape[0], w.shape[2]
+    ho, wo = g.shape[2:]
+    go = g.astype(np.float64).reshape(n, o, -1)
+    cols = np.matmul(w.reshape(o, -1).astype(np.float64).T, go).reshape(n, c, k, k, ho, wo)
+    gxp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad))
+    for ki in range(k):
+        for kj in range(k):
+            gxp[:, :, ki : ki + ho, kj : kj + wo] += cols[:, :, ki, kj]
+    return gxp[:, :, pad : pad + h, pad : pad + wd].astype(np.float32)
+
+
+def _conv_grads(x_shape, w_shape, pad):
+    """Random x, w and output gradient g, and conv2d's float32 (x.grad, weight.grad)."""
+    rng = np.random.default_rng(sum(x_shape) * 31 + sum(w_shape))
+    x = rng.normal(size=x_shape).astype(np.float32)
+    w = rng.normal(0.0, 0.3, size=w_shape).astype(np.float32)
+    inp, weight = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    bias = Tensor(np.zeros(w_shape[0], np.float32), requires_grad=True)
+    out = conv2d(inp, weight, bias, pad=pad)
+    g = rng.normal(size=out.shape).astype(np.float32)
+    out.backward(g)
+    assert inp.grad.dtype == weight.grad.dtype == np.float32
+    return x, w, g, inp.grad, weight.grad
+
+
 def _workload_conv_shapes():
-    """(input, weight) shapes of every conv whose weight gradient a shipped workload takes."""
+    """(input, weight) shapes of every conv a shipped workload backprops through."""
     shapes = set()
     # offline training of the default (3, 16, 16) net, full and last batch
     for n in (16, 8):
@@ -52,6 +80,10 @@ def _workload_conv_shapes():
         for c, latent, hw in ((16, 8, 4), (8, 4, 8), (32, 8, 2)):
             shapes.add(((n, c, hw, hw), (latent, c, 1, 1)))
             shapes.add(((n, latent, hw, hw), (c, latent, 1, 1)))
+    # the compressor's CE term backprops through the frozen head convs
+    for n in (32, 8):
+        for c_in, c_out, hw in ((8, 16, 8), (16, 16, 8), (16, 32, 4), (32, 32, 4)):
+            shapes.add(((n, c_in, hw, hw), (c_out, c_in, 3, 3)))
     # online head steps on 8 rehearsed maps plus the new one
     for c_in, c_out, hw in ((8, 16, 8), (16, 16, 8), (16, 32, 4), (32, 32, 4)):
         shapes.add(((9, c_in, hw, hw), (c_out, c_in, 3, 3)))
@@ -60,17 +92,25 @@ def _workload_conv_shapes():
 
 @pytest.mark.parametrize("x_shape,w_shape", _workload_conv_shapes())
 def test_conv_weight_grad_matches_einsum(x_shape, w_shape):
-    rng = np.random.default_rng(sum(x_shape) * 31 + sum(w_shape))
-    x = rng.normal(size=x_shape).astype(np.float32)
-    w = rng.normal(0.0, 0.3, size=w_shape).astype(np.float32)
     pad = w_shape[2] // 2
-    weight = Tensor(w, requires_grad=True)
-    bias = Tensor(np.zeros(w_shape[0], np.float32), requires_grad=True)
-    out = conv2d(Tensor(x), weight, bias, pad=pad)
-    g = rng.normal(size=out.shape).astype(np.float32)
-    out.backward(g)
-    assert weight.grad.dtype == np.float32
-    assert weight.grad.tobytes() == _einsum_weight_grad(x, w, g, pad).tobytes()
+    x, w, g, _, w_grad = _conv_grads(x_shape, w_shape, pad)
+    assert w_grad.tobytes() == _einsum_weight_grad(x, w, g, pad).tobytes()
+
+
+@pytest.mark.parametrize("x_shape,w_shape", _workload_conv_shapes())
+def test_conv_input_grad_matches_col2im(x_shape, w_shape):
+    pad = w_shape[2] // 2
+    x, w, g, x_grad, _ = _conv_grads(x_shape, w_shape, pad)
+    assert x_grad.tobytes() == _col2im_input_grad(x_shape, w, g, pad).tobytes()
+
+
+@pytest.mark.parametrize(
+    "k,pad", [(3, 0), (3, 1), (3, 2), (1, 0), (1, 1), (3, 3)]  # the last two pad past k - 1
+)
+def test_conv_input_grad_matches_col2im_at_every_pad(k, pad):
+    x_shape = (4, 5, 7, 6)
+    x, w, g, x_grad, _ = _conv_grads(x_shape, (3, 5, k, k), pad)
+    assert x_grad.tobytes() == _col2im_input_grad(x_shape, w, g, pad).tobytes()
 
 
 def test_padded_conv_matches_np_pad():
@@ -115,6 +155,32 @@ def _masked_kmeans_fit(vectors, k, iters, rng, repairs):
     return centroids
 
 
+def _kmeans_fit_without_exit(vectors, k, iters, rng):
+    """kmeans_fit without its fixed-point exit: it stops only when an assignment repeats."""
+    vectors = np.asarray(vectors, dtype=np.float64)
+    centroids = quantizer._kmeans_plus_plus(vectors, k, rng)
+    assign = quantizer._assign(vectors, centroids)
+    for _ in range(iters):
+        grouped = vectors[np.argsort(assign, kind="stable")]
+        ends = np.concatenate([[0], np.cumsum(np.bincount(assign, minlength=k))])
+        robbed = set()
+        for c in range(k):
+            members = vectors[assign == c] if c in robbed else grouped[ends[c] : ends[c + 1]]
+            if len(members):
+                centroids[c] = members.mean(axis=0)
+            else:
+                dist = ((vectors - centroids[assign]) ** 2).sum(axis=1)
+                far = int(dist.argmax())
+                centroids[c] = vectors[far]
+                robbed.add(int(assign[far]))
+                assign[far] = c
+        new_assign = quantizer._assign(vectors, centroids)
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+    return centroids
+
+
 def _tied_set(rng, n, d, dtype):
     # coarse values make exact distance ties between centroids common
     coarse = rng.integers(-4, 5, size=(n, d)) * 0.5
@@ -142,6 +208,7 @@ def test_kmeans_fit_matches_masked_loop(d, seed):
     want = _masked_kmeans_fit(vectors, 64, 25, np.random.default_rng(seed), [])
     got = kmeans_fit(vectors, 64, 25, np.random.default_rng(seed))
     assert got.tobytes() == want.tobytes()
+    assert np.array_equal(got, _kmeans_fit_without_exit(vectors, 64, 25, np.random.default_rng(seed)))
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -156,6 +223,36 @@ def test_kmeans_fit_repairs_empty_clusters_like_masked_loop(d, seed):
     # a repair that takes a row from a later cluster changes that cluster's mean
     assert any(old > c for c, old in repairs), "the set was meant to force such repairs"
     assert got.tobytes() == want.tobytes()
+    assert np.array_equal(got, _kmeans_fit_without_exit(vectors, 128, 25, np.random.default_rng(seed)))
+
+
+def _degenerate_sets():
+    rng = np.random.default_rng(5)
+    return {
+        # a dead relu channel pair: every position is the zero vector
+        "identical": np.zeros((3200, 2)),
+        # the mean of copies of 0.1 is not 0.1, so Lloyd cycles instead of resting
+        "identical-inexact-mean": np.full((3200, 2), 0.1),
+        "three-values": rng.choice([-1.0, 0.25, 2.0], size=(3200, 2)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_degenerate_sets()))
+def test_kmeans_fit_fixed_point_exit_keeps_the_centroids(name):
+    vectors = _degenerate_sets()[name]
+    want = _kmeans_fit_without_exit(vectors, 256, 25, np.random.default_rng(3))
+    got = kmeans_fit(vectors, 256, 25, np.random.default_rng(3))
+    assert np.array_equal(got, want)
+
+
+def test_kmeans_fit_stops_at_its_fixed_point(monkeypatch):
+    calls = []
+    assign = quantizer._assign
+    monkeypatch.setattr(quantizer, "_assign", lambda v, c: calls.append(1) or assign(v, c))
+    kmeans_fit(_degenerate_sets()["identical"], 256, 25, np.random.default_rng(3))
+    # one assignment from the seeds, one after the first update, which reached
+    # the state it started from; without the exit all 25 iterations run
+    assert len(calls) <= 3
 
 
 # ----------------------------------------------------------- PQ idempotency
