@@ -259,13 +259,17 @@ def _read_meta(path: str, blob: np.ndarray) -> dict:
 
 
 def _check_state(path: str, state: EngineState, blobs: dict) -> None:
-    """Refuse a non-finite parameter or optimizer blob and a `current_task` outside 1..T."""
+    """Refuse non-finite parameters, a `current_task` outside 1..T and an unknown seen class."""
     if not np.isfinite(np.concatenate([a.ravel() for a in blobs.values()])).all():
         bad = [name for name, a in blobs.items() if not np.isfinite(a).all()]
         raise CheckpointError(f"{path}: non-finite values in {bad}")
     tasks = state.config.split_steps + 1
     if not 1 <= state.current_task <= tasks:
         raise CheckpointError(f"{path}: current_task {state.current_task} is outside 1..{tasks}")
+    classes = state.config.dataset_classes
+    bad = sorted(state.seen_classes - set(range(classes)))
+    if bad:
+        raise CheckpointError(f"{path}: seen_classes {bad} are outside 0..{classes - 1}")
 
 
 def load_checkpoint(path: str) -> CheckpointBundle:

@@ -137,7 +137,7 @@ def frozen_checksums(state: EngineState) -> dict:
     }
 
 
-_FORWARD_BATCH = 256
+_FORWARD_BATCH = 32  # beat 16 and 64; at 256 a 16x16 conv patch matrix is 37.7 MB, past L2
 
 
 def forward_batched(fn, images: np.ndarray) -> np.ndarray:

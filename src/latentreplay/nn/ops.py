@@ -5,20 +5,22 @@ Shapes follow the NCHW convention. Compute is float32; reductions
 finite-difference gradient checks stay clean. Every function is pure.
 Ops preserve float64 buffers end to end; see tensor.py for why.
 
-Float order. The contractions of conv2d (forward, input grad and weight
-grad) and of linear go through BLAS dgemm, so their float64 summation
-order is the BLAS library's, not numpy's; the input grad is one dgemm
-of the flipped filters with the columns of the padded output gradient.
-Every other reduction (bias grads, pools, losses) is a numpy reduction
-with numpy's fixed order. Two summation orders of the same float64
-products differ by a few float64 ulps (about 1e-16 relative), and the
-result is then cast to a float32 buffer, whose rounding step is 2**29
-times coarser: the cast lands on a different float32 only if the exact
-sum lies within those few ulps of a float32 rounding midpoint. On every
-conv shape the shipped workloads run, both grads cast to the same
-float32 bits as the former `np.einsum` weight grad and per-tap
-scatter-add input grad; tests/test_kernels.py pins that, and that a
-whole run is byte-identical under one and two BLAS threads.
+Float order. Each conv2d contraction (forward, weight grad, and input
+grad as the flipped filters times the padded output gradient's patches)
+is one BLAS dgemm over a channel-major (C*K*K, N*Ho*Wo) patch matrix,
+summed in the BLAS library's order, as in linear; that order can depend
+on the matrix size (it does for the 1x1 32 -> 8 conv on 2x2 maps).
+avgpool2 sums each window as ((a + b) + (c + d)), or as
+(((a + b) + c) + d) for a one-column output, numpy's order for
+reshape(...).mean(axis=(3, 5)). Other reductions are numpy's, in its
+fixed order. Two summation orders of the same float64 products differ
+by a few float64 ulps, and the float32 cast that follows is 2**29 times
+coarser, so it moves only if the exact sum lies within those ulps of a
+float32 rounding midpoint. tests/test_kernels.py pins, on every shape
+the shipped workloads run, the same float32 bits as a per-sample matmul
+forward, an einsum weight grad, a per-tap scatter-add input grad and
+numpy's pool and relu, and byte-identical runs under one and two BLAS
+threads.
 """
 
 from __future__ import annotations
@@ -56,18 +58,27 @@ def _out_dtype(*tensors: Tensor):
     return _F64 if any(t.data.dtype == _F64 for t in tensors) else _F32
 
 
+def _padded(a: np.ndarray, pad: int) -> np.ndarray:
+    """Float64 copy of a (C, N, H, W) array zero-padded by `pad` on each side (cropped if < 0)."""
+    c, n, h, w = a.shape
+    i, j = max(pad, 0), max(-pad, 0)
+    out = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=_F64)
+    out[:, :, i : i + h - 2 * j, i : i + w - 2 * j] = a[:, :, j : h - j, j : w - j]
+    return out
+
+
 def _im2col(xp: np.ndarray, kernel: int) -> np.ndarray:
-    """Extract (N, C*K*K, Ho*Wo) patch columns from a padded NCHW array."""
-    n, c, hp, wp = xp.shape
+    """Extract (C*K*K, N*Ho*Wo) patch columns from a padded channel-major (C, N, H, W) array."""
+    c, n, hp, wp = xp.shape
     ho, wo = hp - kernel + 1, wp - kernel + 1
-    sn, sc, sh, sw = xp.strides
+    sc, sn, sh, sw = xp.strides
     patches = np.lib.stride_tricks.as_strided(
         xp,
-        shape=(n, c, kernel, kernel, ho, wo),
-        strides=(sn, sc, sh, sw, sh, sw),
+        shape=(c, kernel, kernel, n, ho, wo),
+        strides=(sc, sh, sw, sn, sh, sw),
         writeable=False,
     )
-    return patches.reshape(n, c * kernel * kernel, ho * wo)
+    return patches.reshape(c * kernel * kernel, n * ho * wo)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, pad: int = 0) -> Tensor:
@@ -92,33 +103,25 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, pad: int = 0) -> Tensor:
     if ho < 1 or wo < 1:
         raise ConfigError(f"conv2d output size {ho}x{wo} is not positive")
 
-    # widen to float64 before im2col, so the patch columns are copied once
-    if pad > 0:
-        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=_F64)
-        xp[:, :, pad : pad + h, pad : pad + w] = x.data
-    else:
-        xp = x.data.astype(_F64)
-    cols = _im2col(xp, k)
+    # one dgemm over every sample's patch columns; outputs and grads stay NCHW
+    cols = _im2col(_padded(x.data.transpose(1, 0, 2, 3), pad), k)
     wmat = weight.data.reshape(o, -1).astype(_F64)
-    out = np.matmul(wmat, cols) + bias.data.astype(_F64)[:, None]
-    out = out.reshape(n, o, ho, wo).astype(_out_dtype(x, weight, bias))
+    out = (wmat @ cols + bias.data.astype(_F64)[:, None]).reshape(o, n, ho, wo)
+    out = out.transpose(1, 0, 2, 3).astype(_out_dtype(x, weight, bias), order="C")
 
     def backward(g):
-        go = g.astype(_F64).reshape(n, o, ho * wo)
+        go = g.astype(_F64)
         if weight.requires_grad:
-            gw = np.tensordot(go, cols, axes=([0, 2], [0, 2])).reshape(weight.shape)
-            weight.accumulate_grad(gw)
+            gw = go.transpose(1, 0, 2, 3).reshape(o, -1) @ cols.T
+            weight.accumulate_grad(gw.reshape(weight.shape))
         if bias.requires_grad:
-            bias.accumulate_grad(go.sum(axis=(0, 2)))
+            bias.accumulate_grad(go.reshape(n, o, ho * wo).sum(axis=(0, 2)))
         if x.requires_grad:
-            # correlate the flipped filters with go padded by q (cropped if q < 0)
-            q = k - 1 - pad
-            go4 = go.reshape(n, o, ho, wo)
-            pads = [(0, 0), (0, 0), (q, q), (q, q)]
-            gop = np.pad(go4, pads) if q > 0 else go4[:, :, -q : ho + q, -q : wo + q]
+            # correlate the flipped filters with go padded by K - 1 - pad
             wflip = wmat.reshape(o, c, k, k)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            gx = np.matmul(wflip.reshape(c, -1), _im2col(gop, k))
-            x.accumulate_grad(gx.reshape(n, c, h, w))
+            gx = wflip.reshape(c, -1) @ _im2col(_padded(go.transpose(1, 0, 2, 3), k - 1 - pad), k)
+            gx = gx.reshape(c, n, h, w).transpose(1, 0, 2, 3)
+            x.accumulate_grad(gx.astype(x.data.dtype, order="C"))
 
     return Tensor._from_op(out, (x, weight, bias), backward)
 
@@ -128,11 +131,13 @@ def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
     if _relu_mask_sink is not None:
         _relu_mask_sink.append(mask)
-    out = np.where(mask, x.data, 0).astype(x.data.dtype)
+    # np.where(mask, v, 0) bit for bit, as an AND of the float bits without a branch
+    keep = -mask.astype(f"i{x.data.itemsize}")
+    out = (x.data.view(keep.dtype) & keep).view(x.data.dtype)
 
     def backward(g):
         if x.requires_grad:
-            x.accumulate_grad(np.where(mask, g, 0))
+            x.accumulate_grad((g.view(keep.dtype) & keep).view(g.dtype))
 
     return Tensor._from_op(out, (x,), backward)
 
@@ -144,12 +149,13 @@ def avgpool2(x: Tensor) -> Tensor:
     n, c, h, w = x.shape
     if h % 2 != 0 or w % 2 != 0:
         raise ConfigError(f"avgpool2 needs even spatial dims, got {h}x{w}")
-    out = (
-        x.data.astype(_F64)
-        .reshape(n, c, h // 2, 2, w // 2, 2)
-        .mean(axis=(3, 5))
-        .astype(_out_dtype(x))
-    )
+    v = x.data  # float64 sums in numpy's mean order (module docstring)
+    out = np.add(v[:, :, 0::2, 0::2], v[:, :, 0::2, 1::2], dtype=_F64)
+    if w > 2:
+        out += np.add(v[:, :, 1::2, 0::2], v[:, :, 1::2, 1::2], dtype=_F64)
+    else:
+        out = out + v[:, :, 1::2, 0::2] + v[:, :, 1::2, 1::2]
+    out = (out * 0.25).astype(_out_dtype(x))
 
     def backward(g):
         if x.requires_grad:

@@ -582,6 +582,24 @@ class TestCheckpoint:
             save_checkpoint(state, p)
             assert load_checkpoint(p).state.current_task == task
 
+    def test_seen_classes_out_of_range_rejected(self, tmp_path, capsys):
+        cfg, _, _, state = tiny_run(tmp_path)
+        p = str(tmp_path / "s.ckpt")
+        last = cfg.dataset_classes - 1
+        for seen, bad in (({4, 6, 99}, "[99]"), ({-1, 0}, "[-1]"), ({last + 1}, f"[{last + 1}]")):
+            state.seen_classes = seen
+            save_checkpoint(state, p)
+            message = rf"seen_classes {re.escape(bad)} are outside 0..{last}"
+            with pytest.raises(CheckpointError, match=message):
+                load_checkpoint(p)
+            for command in (["eval", "--checkpoint", p],
+                            ["stream", "--checkpoint", p, "--out", str(tmp_path / "o")]):
+                assert main(command) == 6
+                assert json.loads(capsys.readouterr().err)["error"] == "checkpoint"
+        state.seen_classes = {0, last}
+        save_checkpoint(state, p)
+        assert load_checkpoint(p).state.seen_classes == {0, last}
+
     def test_malformed_meta_rejected(self, tmp_path, capsys):
         _, _, _, state = tiny_run(tmp_path)
         p = str(tmp_path / "j.ckpt")

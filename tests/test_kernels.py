@@ -18,22 +18,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latentreplay
-from latentreplay import quantizer
-from latentreplay.engine import feature_random_resized_crop
-from latentreplay.nn import Tensor, conv2d
-from latentreplay.nn.ops import _im2col
+from latentreplay import engine, quantizer
+from latentreplay.config import parse_config
+from latentreplay.datasets import load_dataset
+from latentreplay.engine import feature_random_resized_crop, forward_batched
+from latentreplay.network import build_model
+from latentreplay.nn import Tensor, avgpool2, conv2d, relu
 from latentreplay.quantizer import Codebooks, kmeans_fit, pq_decode_batch, pq_encode_batch
 from test_acceptance import TINY_CONFIG
 
 
-# ------------------------------------------------------------ conv gradients
+# ------------------------------------------------------------------ conv2d
+
+
+def _nchw_im2col(xp, k):
+    """(N, C*K*K, Ho*Wo) patch columns of a padded NCHW array, float64."""
+    n, c, hp, wp = xp.shape
+    ho, wo = hp - k + 1, wp - k + 1
+    patches = np.lib.stride_tricks.as_strided(
+        xp, shape=(n, c, k, k, ho, wo), strides=xp.strides[:2] + xp.strides[2:] * 2
+    )
+    return patches.reshape(n, c * k * k, ho * wo).astype(np.float64)
+
+
+def _stacked_forward(x, w, b, pad):
+    """Forward as one (O, C*K*K) x (C*K*K, Ho*Wo) matmul per sample, float32 out."""
+    n, o, k = x.shape[0], w.shape[0], w.shape[2]
+    cols = _nchw_im2col(np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))), k)
+    out = np.matmul(w.reshape(o, -1).astype(np.float64), cols) + b.astype(np.float64)[:, None]
+    ho = x.shape[2] + 2 * pad - k + 1
+    return out.reshape(n, o, ho, -1).astype(np.float32)
 
 
 def _einsum_weight_grad(x, w, g, pad):
     """Weight gradient as an einsum over np.pad-ded im2col columns."""
     o, k = w.shape[0], w.shape[2]
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = _im2col(xp, k).astype(np.float64)
+    cols = _nchw_im2col(np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))), k)
     go = g.astype(np.float64).reshape(g.shape[0], o, -1)
     return np.einsum("nol,nkl->ok", go, cols).reshape(w.shape).astype(np.float32)
 
@@ -66,28 +86,50 @@ def _conv_grads(x_shape, w_shape, pad):
     return x, w, g, inp.grad, weight.grad
 
 
+_NET = ((3, 8, 16), (8, 8, 16), (8, 16, 8), (16, 16, 8), (16, 32, 4), (32, 32, 4))
+
+
 def _workload_conv_shapes():
-    """(input, weight) shapes of every conv a shipped workload backprops through."""
+    """(input, weight) shapes of every conv a shipped workload runs."""
     shapes = set()
     # offline training of the default (3, 16, 16) net, full and last batch
     for n in (16, 8):
-        for c_in, c_out, hw in (
-            (3, 8, 16), (8, 8, 16), (8, 16, 8), (16, 16, 8), (16, 32, 4), (32, 32, 4)
-        ):
+        for c_in, c_out, hw in _NET:
             shapes.add(((n, c_in, hw, hw), (c_out, c_in, 3, 3)))
-    # compressor training at the split after block 2, 1 and 3
-    for n in (32, 8):
-        for c, latent, hw in ((16, 8, 4), (8, 4, 8), (32, 8, 2)):
+    # compressor training at the split after block 2, 1 and 3, its forward over
+    # all of task 1 (2 classes of 100 or, on big-memory, 500), and decoding the
+    # rehearsed maps plus the new one
+    for c, latent, hw in ((16, 8, 4), (8, 4, 8), (32, 8, 2)):
+        for n in (32, 8, 9, 200, 1000):
             shapes.add(((n, c, hw, hw), (latent, c, 1, 1)))
             shapes.add(((n, latent, hw, hw), (c, latent, 1, 1)))
     # the compressor's CE term backprops through the frozen head convs
     for n in (32, 8):
-        for c_in, c_out, hw in ((8, 16, 8), (16, 16, 8), (16, 32, 4), (32, 32, 4)):
+        for c_in, c_out, hw in _NET[2:]:
             shapes.add(((n, c_in, hw, hw), (c_out, c_in, 3, 3)))
     # online head steps on 8 rehearsed maps plus the new one
-    for c_in, c_out, hw in ((8, 16, 8), (16, 16, 8), (16, 32, 4), (32, 32, 4)):
+    for c_in, c_out, hw in _NET[2:]:
         shapes.add(((9, c_in, hw, hw), (c_out, c_in, 3, 3)))
+    # encoding one stream sample, and whole-net forward passes in full and last
+    # chunks (every image count is a multiple of 8)
+    for n in {1, *range(8, engine._FORWARD_BATCH + 1, 8)}:
+        for c_in, c_out, hw in _NET:
+            shapes.add(((n, c_in, hw, hw), (c_out, c_in, 3, 3)))
+    for c, latent, hw in ((16, 8, 4), (8, 4, 8), (32, 8, 2)):
+        shapes.add(((1, c, hw, hw), (latent, c, 1, 1)))
     return sorted(shapes)
+
+
+@pytest.mark.parametrize("x_shape,w_shape", _workload_conv_shapes())
+def test_conv_forward_matches_stacked_matmul(x_shape, w_shape):
+    rng = np.random.default_rng(sum(x_shape) * 7 + sum(w_shape))
+    x = rng.normal(size=x_shape).astype(np.float32)
+    w = rng.normal(0.0, 0.3, size=w_shape).astype(np.float32)
+    b = rng.normal(0.0, 0.1, size=w_shape[0]).astype(np.float32)
+    pad = w_shape[2] // 2
+    got = conv2d(Tensor(x), Tensor(w), Tensor(b), pad=pad).data
+    assert got.flags.c_contiguous
+    assert got.tobytes() == _stacked_forward(x, w, b, pad).tobytes()
 
 
 @pytest.mark.parametrize("x_shape,w_shape", _workload_conv_shapes())
@@ -122,6 +164,65 @@ def test_padded_conv_matches_np_pad():
     xp = np.pad(x, ((0, 0), (0, 0), (2, 2), (2, 2)))
     want = conv2d(Tensor(xp), Tensor(w), Tensor(b)).data
     assert got.tobytes() == want.tobytes()
+
+
+# ------------------------------------------------------------------- avgpool2
+
+
+def _pool_shapes():
+    """Every avgpool2 input shape a shipped workload runs, and output width 1."""
+    shapes = {(1, 8, 2, 2), (3, 5, 4, 2), (2, 3, 2, 6), (9, 4, 6, 6)}
+    for n in {1, 8, 9, 16, 32, *range(8, engine._FORWARD_BATCH + 1, 8)}:
+        for c, hw in ((8, 16), (16, 8), (32, 4)):
+            shapes.add((n, c, hw, hw))
+    return sorted(shapes)
+
+
+def _wide_exponents(shape, dtype, seed):
+    # values across 2**120: unlike normal data, their sums round differently per order
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=shape) * 2.0 ** rng.integers(-60, 61, size=shape)).astype(dtype)
+
+
+@pytest.mark.parametrize("shape", _pool_shapes())
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_avgpool2_matches_reshape_mean(shape, dtype):
+    n, c, h, w = shape
+    x = Tensor(_wide_exponents(shape, dtype, sum(shape)), requires_grad=True, dtype=dtype)
+    out = avgpool2(x)
+    want = x.data.astype(np.float64).reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+    assert out.data.dtype == dtype
+    assert out.data.tobytes() == want.astype(dtype).tobytes()
+    g = _wide_exponents(out.shape, dtype, sum(shape) + 1)
+    out.backward(g)
+    assert x.grad.tobytes() == (np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) * 0.25).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_matches_where(dtype):
+    special = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-45, -1e-45]
+    data = np.concatenate([special, _wide_exponents(200, np.float64, 3)]).astype(dtype)
+    x = Tensor(data.reshape(2, 2, 2, -1), requires_grad=True, dtype=dtype)
+    out = relu(x)
+    assert out.data.tobytes() == np.where(x.data > 0, x.data, 0).tobytes()
+    g = np.concatenate([special, _wide_exponents(200, np.float64, 4)]).astype(dtype)[::-1]
+    out.backward(g.reshape(x.shape))
+    assert x.grad.tobytes() == np.where(x.data > 0, g.reshape(x.shape), 0).tobytes()
+
+
+# ----------------------------------------------------------- forward chunks
+
+
+@pytest.mark.parametrize("batch", [1, engine._FORWARD_BATCH, 256])
+def test_forward_batched_logits_do_not_depend_on_the_chunk(batch, monkeypatch):
+    cfg = parse_config(
+        "net.replay_block = 1\nacae.latent_channels = 4\npq.s = 4\ndataset.test_per_class = 100\n"
+    )
+    model = build_model(cfg.net_config(), cfg.seed)
+    images = load_dataset(cfg).test_images[:600]
+    want = np.concatenate([model.forward(Tensor(images[i : i + 300])).data for i in (0, 300)])
+    monkeypatch.setattr(engine, "_FORWARD_BATCH", batch)
+    assert forward_batched(model.forward, images).tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------------------- k-means

@@ -4,7 +4,7 @@ Usage, from the root of a checkout, with a copy of the parent commit
 made by `git archive`:
 
     mkdir -p ../parent && git archive <parent-commit> | tar -x -C ../parent
-    python3 tools/bench_record.py --parent ../parent --out BENCH_1.json
+    python3 tools/bench_record.py --parent ../parent --out BENCH_<n>.json
 
 Both sides run from copies made the same way: the tracked files of this
 checkout, with their uncommitted changes, are archived into `change`
