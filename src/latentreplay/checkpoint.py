@@ -19,11 +19,13 @@ parameters, `optim.<param>.<slot>` moment buffers, `pq.centroids`
 `meta.json`, a UTF-8 JSON object holding the config text plus what the
 config cannot give: the rng state, the task and step counters, the
 seen classes, the optimizer step count, the frozen digests and the
-metrics emitted so far. Loading checks every metadata value's JSON type,
-the parameter and optimizer blob names, shapes and dtypes the config
-implies, finite values and a `current_task` in 1..split.steps + 1.
-load(save(x)) is bit-identical; resuming must reproduce an unbroken
-run exactly. Files of any other version are refused.
+metrics emitted so far. This module owns the format only: loading
+checks the blob table, every metadata value's JSON type and the blob
+names, shapes, dtypes and row count the config implies, then maps a
+failed `engine.check_state`, the run's state contract, to
+CheckpointError. load(save(x)) is bit-identical; resuming must
+reproduce an unbroken run exactly. Files of any other version are
+refused.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ import numpy as np
 
 from .autoencoder import CompressorParams, compressor_shapes
 from .config import parse_config, serialize_config
-from .engine import EngineState, frozen_checksums, online_optim
-from .errors import CheckpointError, ConfigError
+from .engine import EngineState, check_state, online_optim, state_arrays
+from .errors import CheckpointError, ConfigError, ContractError, DataError
 from .metrics import MetricRecord
 from .network import SplitModel, in_backbone, param_shapes
 from .nn import Tensor
@@ -85,33 +87,32 @@ def _pack_blob(name: str, arr: np.ndarray) -> bytes:
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
+    def __init__(self, blob: memoryview):
         self.blob = blob
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.blob):
             raise CheckpointError("truncated checkpoint")
         out = self.blob[self.pos : self.pos + n]
         self.pos += n
         return out
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
 def _read_blob(r: _Reader) -> tuple[str, np.ndarray]:
-    raw = r.take(r.u32())
+    raw = r.take(*r.unpack("<I"))
     try:
-        name = raw.decode()
+        name = str(raw, "utf-8")
     except UnicodeDecodeError:
-        raise CheckpointError(f"blob name {raw[:32]!r} is not UTF-8") from None
-    tag = r.take(1)[0]
+        raise CheckpointError(f"blob name {bytes(raw[:32])!r} is not UTF-8") from None
+    tag, rank = r.unpack("<BI")
     if tag not in _TAG_DTYPES:
         raise CheckpointError(f"blob {name!r} has unknown dtype tag {tag}")
     dtype = _TAG_DTYPES[tag]
-    rank = r.u32()
-    dims = tuple(r.u32() for _ in range(rank))
+    dims = r.unpack(f"<{rank}I")
     payload = r.take(math.prod(dims) * dtype.itemsize)
     return name, np.frombuffer(payload, dtype=dtype).reshape(dims)
 
@@ -157,12 +158,7 @@ def save_checkpoint(
     if state.config.dataset_classes > 1 << 16:
         raise CheckpointError("labels above 65535 do not fit the u2 label blob")
     res = state.reservoir
-    arrays = [(f"model.{name}", p.data) for name, p in sorted(state.model.params.items())]
-    arrays += [(f"acae.{name}", p.data) for name, p in sorted(state.compressor.params.items())]
-    for pname, slots in sorted(state.optim.slots.items()):
-        arrays += [(f"optim.{pname}.{key}", buf) for key, buf in sorted(slots.items())]
-    arrays += [
-        ("pq.centroids", state.books.centroids),
+    arrays = state_arrays(state) + [
         ("reservoir.codes", res.codes[: res.size]),
         ("reservoir.labels", res.labels[: res.size].astype("<u2")),
     ]
@@ -258,20 +254,6 @@ def _read_meta(path: str, blob: np.ndarray) -> dict:
     return meta
 
 
-def _check_state(path: str, state: EngineState, blobs: dict) -> None:
-    """Refuse non-finite parameters, a `current_task` outside 1..T and an unknown seen class."""
-    if not np.isfinite(np.concatenate([a.ravel() for a in blobs.values()])).all():
-        bad = [name for name, a in blobs.items() if not np.isfinite(a).all()]
-        raise CheckpointError(f"{path}: non-finite values in {bad}")
-    tasks = state.config.split_steps + 1
-    if not 1 <= state.current_task <= tasks:
-        raise CheckpointError(f"{path}: current_task {state.current_task} is outside 1..{tasks}")
-    classes = state.config.dataset_classes
-    bad = sorted(state.seen_classes - set(range(classes)))
-    if bad:
-        raise CheckpointError(f"{path}: seen_classes {bad} are outside 0..{classes - 1}")
-
-
 def load_checkpoint(path: str) -> CheckpointBundle:
     """Parse and validate a checkpoint; inverse of save_checkpoint."""
     with open(path, "rb") as fh:
@@ -280,17 +262,17 @@ def load_checkpoint(path: str) -> CheckpointBundle:
         raise CheckpointError(f"{path}: too short to be a checkpoint")
     if blob[:4] != MAGIC:
         raise CheckpointError(f"{path}: bad magic {blob[:4]!r}")
-    stored_crc = struct.unpack("<I", blob[-4:])[0]
-    if zlib.crc32(blob[:-4]) != stored_crc:
+    body = memoryview(blob)[:-4]
+    if zlib.crc32(body) != struct.unpack("<I", blob[-4:])[0]:
         raise CheckpointError(f"{path}: checksum mismatch, file is corrupt")
 
-    r = _Reader(blob[:-4])
+    r = _Reader(body)
     r.take(4)
-    version = r.u32()
+    version, count = r.unpack("<II")
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
     arrays: dict[str, np.ndarray] = {}
-    for _ in range(r.u32()):
+    for _ in range(count):
         name, arr = _read_blob(r)
         if name in arrays:
             raise CheckpointError(f"{path}: blob {name!r} appears twice")
@@ -317,9 +299,10 @@ def load_checkpoint(path: str) -> CheckpointBundle:
         raise CheckpointError(
             f"{path}: centroid table {cents.dtype}{cents.shape} does not match the config"
         )
-    if not np.isfinite(cents).all():
-        raise CheckpointError(f"{path}: non-finite centroid")
-    books = Codebooks(cents.copy())
+    try:
+        books = Codebooks(cents.copy())
+    except DataError as err:  # a non-finite centroid
+        raise CheckpointError(f"{path}: {err}") from None
 
     codes, labels = take("reservoir.codes"), take("reservoir.labels")
     n = len(labels)
@@ -335,12 +318,6 @@ def load_checkpoint(path: str) -> CheckpointBundle:
         )
     if n > cfg.reservoir_capacity:
         raise CheckpointError(f"{path}: {n} reservoir rows exceed capacity {cfg.reservoir_capacity}")
-    if codes.max(initial=0) >= k:
-        raise CheckpointError(f"{path}: reservoir code {int(codes.max())} out of range for k={k}")
-    if labels.max(initial=0) >= cfg.dataset_classes:
-        raise CheckpointError(
-            f"{path}: reservoir label {int(labels.max())} outside {cfg.dataset_classes} classes"
-        )
     reservoir = Reservoir(cfg.reservoir_capacity, code_shape, cfg.dataset_classes)
     reservoir.fill(codes, labels)
 
@@ -375,9 +352,10 @@ def load_checkpoint(path: str) -> CheckpointBundle:
         frozen_digest=dict(meta["frozen_digest"]),
         seen_classes=set(meta["seen_classes"]),
     )
-    if frozen_checksums(state) != state.frozen_digest:
-        raise CheckpointError(f"{path}: frozen parameter digests do not match stored values")
-    _check_state(path, state, arrays)  # arrays: the model.*, acae.* and optim.* blobs
+    try:
+        check_state(state)
+    except ContractError as err:
+        raise CheckpointError(f"{path}: {err}") from None
 
     records = [MetricRecord(*row) for row in meta["records"]]
     return CheckpointBundle(state, meta["config_text"], records)

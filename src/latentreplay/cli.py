@@ -5,17 +5,14 @@ Run settings, the seed included, come only from the `--config` file
 (defaults apply); flags name files, stop points, the frozen-study block
 list and the gradcheck seed count. Exit code 0 on success; failures
 print one JSON object to stderr with an error category and return a
-category-specific nonzero code. Set LATENTREPLAY_VERBOSE=1 for progress
-output on stderr.
+category-specific nonzero code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import time
 from functools import partial
 
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -43,11 +40,6 @@ _EXIT_CODES = {
 }
 
 
-def _note(msg: str) -> None:
-    if os.environ.get("LATENTREPLAY_VERBOSE", "") not in ("", "0"):
-        print(msg, file=sys.stderr)
-
-
 def _load_config(path: str | None) -> RunConfig:
     if path is None:
         return parse_config("")
@@ -60,9 +52,7 @@ def _cmd_init(args) -> int:
     dataset = load_dataset(cfg)
     stream = build_task_stream(dataset, cfg)
     print("class order:", " ".join(str(c) for t in stream.tasks for c in t.classes))
-    t0 = time.time()
     state = initialize(stream.tasks[0], cfg)
-    _note(f"initialize took {time.time() - t0:.1f}s")
     records = [seen_class_record(dataset, state, 1, 0)]
     save_checkpoint(state, args.out, records=records)
     print(f"checkpoint written to {args.out}")
@@ -79,10 +69,8 @@ def _cmd_stream(args) -> int:
     until = args.until_task if args.until_task else len(tasks)
     todo = [t for t in tasks if state.current_task < t.task_id <= until]
 
-    t0 = time.time()
     hook = partial(seen_class_record, dataset)
     new = run_stream(state, todo, hook, eval_every=cfg.online_eval_every)
-    _note(f"streamed {state.global_step} steps in {time.time() - t0:.1f}s")
     log = MetricsLog(bundle.records + new.records)
 
     out_ckpt = args.out_checkpoint or args.checkpoint

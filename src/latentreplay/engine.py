@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .autoencoder import CompressorParams, build_compressor, compress, decompress, train_compressor
 from .config import RunConfig
 from .datasets import Dataset
-from .errors import ConfigError, DataError
+from .errors import ConfigError, ContractError, DataError
 from .metrics import MetricRecord, MetricsLog, top_k_accuracy
 from .network import SplitModel, _block_of, build_model, train_offline
 from .nn import OptimState, Tensor, no_grad, sgd_step, softmax_cross_entropy, zero_grads
@@ -31,8 +32,11 @@ from .reservoir import Reservoir, insert_with_eviction, sample_batch
 __all__ = [
     "Task",
     "TaskStream",
+    "task_classes",
     "build_task_stream",
     "EngineState",
+    "state_arrays",
+    "check_state",
     "forward_batched",
     "train_first_task",
     "fit_compressor",
@@ -61,46 +65,33 @@ class Task:
 class TaskStream:
     tasks: tuple
 
-    def validate(self) -> None:
-        seen: set = set()
-        for i, task in enumerate(self.tasks, start=1):
-            if task.task_id != i:
-                raise DataError(f"task ids must run 1..T in order, got {task.task_id} at position {i}")
-            cls = set(task.classes)
-            if cls & seen:
-                raise DataError(f"task {i} reuses classes {sorted(cls & seen)}")
-            seen |= cls
-            if task.labels.size and not set(np.unique(task.labels)) <= cls:
-                raise DataError(f"task {i} contains labels outside its class set")
+
+@lru_cache(maxsize=16)  # a new generator is most of the cost of a `check_state` split
+def _class_order(seed: int, classes: int) -> tuple:
+    return tuple(np.random.default_rng(seed).permutation(classes).tolist())
+
+
+def task_classes(cfg: RunConfig) -> list:
+    """The classes of tasks 1..T from the config alone: the first `split.first_classes` of a
+    permutation seeded by `dataset.class_order_seed`, then `split.steps` equal chunks."""
+    order = _class_order(cfg.class_order_seed, cfg.dataset_classes)
+    first = cfg.split_first_classes
+    step, left = divmod(len(order) - first, cfg.split_steps)
+    if left or step < 1:
+        raise ConfigError("split.steps does not divide the remaining classes")
+    return [order[:first]] + [order[i : i + step] for i in range(first, len(order), step)]
 
 
 def build_task_stream(dataset: Dataset, cfg: RunConfig) -> TaskStream:
-    """Split the train set into tasks along a seeded class permutation.
-
-    Task 1 takes the first `split.first_classes` classes of the
-    permuted order; the rest are dealt into `split.steps` equal chunks.
-    Sample order within a task is shuffled per task from the run seed.
-    """
-    order_rng = np.random.default_rng(cfg.class_order_seed)
-    order = order_rng.permutation(dataset.num_classes)
-    chunks = [tuple(order[: cfg.split_first_classes])]
-    rest = order[cfg.split_first_classes :]
-    step = len(rest) // cfg.split_steps
-    if step * cfg.split_steps != len(rest):
-        raise ConfigError("split.steps does not divide the remaining classes")
-    for i in range(cfg.split_steps):
-        chunks.append(tuple(rest[i * step : (i + 1) * step]))
-
+    """The tasks of `task_classes(cfg)`; sample order is shuffled per task from the run seed."""
     tasks = []
-    for tid, classes in enumerate(chunks, start=1):
+    for tid, classes in enumerate(task_classes(cfg), start=1):
         mask = np.isin(dataset.train_labels, classes)
         images = dataset.train_images[mask]
         labels = dataset.train_labels[mask]
         perm = np.random.default_rng((cfg.seed, tid)).permutation(len(labels))
-        tasks.append(Task(tid, tuple(int(c) for c in classes), images[perm], labels[perm]))
-    stream = TaskStream(tuple(tasks))
-    stream.validate()
-    return stream
+        tasks.append(Task(tid, classes, images[perm], labels[perm]))
+    return TaskStream(tuple(tasks))
 
 
 @dataclass
@@ -135,6 +126,45 @@ def frozen_checksums(state: EngineState) -> dict:
         "decoder": _digest(sorted((k, v.data) for k, v in comp.decoder_params().items())),
         "codebooks": _digest([("centroids", state.books.centroids)]),
     }
+
+
+def state_arrays(state: EngineState) -> list:
+    """(name, array) of every parameter, optimizer slot and the centroids, in checkpoint order."""
+    arrays = [(f"model.{name}", p.data) for name, p in sorted(state.model.params.items())]
+    arrays += [(f"acae.{name}", p.data) for name, p in sorted(state.compressor.params.items())]
+    for pname, slots in sorted(state.optim.slots.items()):
+        arrays += [(f"optim.{pname}.{key}", buf) for key, buf in sorted(slots.items())]
+    arrays.append(("pq.centroids", state.books.centroids))
+    return arrays
+
+
+def check_state(state: EngineState) -> None:
+    """Raise ContractError at the first run invariant `state` breaks (finite values,
+    `current_task` in 1..T, `seen_classes` the union of tasks 1..current_task, codes below k,
+    only seen classes stored, counts that match the labels, frozen digests); writes nothing."""
+    arrays = state_arrays(state)
+    if not np.isfinite(np.concatenate([a.ravel() for _, a in arrays])).all():
+        bad = [name for name, a in arrays if not np.isfinite(a).all()]
+        raise ContractError(f"non-finite values in {bad}")
+    tasks, task = task_classes(state.config), state.current_task
+    if not 1 <= task <= len(tasks):
+        raise ContractError(f"current_task {task} is outside 1..{len(tasks)}")
+    seen = set().union(*tasks[:task])
+    if state.seen_classes != seen:
+        raise ContractError(f"seen_classes {sorted(state.seen_classes)} are not {sorted(seen)}, "
+                            f"the classes of tasks 1..{task}")
+    res, k = state.reservoir, state.books.k
+    top = int(res.codes[: res.size].max(initial=0))
+    if top >= k:
+        raise ContractError(f"reservoir code {top} out of range for k={k}")
+    unseen = sorted(set(np.flatnonzero(res.counts).tolist()) - seen)
+    if unseen:
+        raise ContractError(f"reservoir labels {unseen} are of classes not seen by task {task}")
+    live = np.bincount(res.labels[: res.size], minlength=len(res.counts))
+    if not np.array_equal(res.counts, live):
+        raise ContractError("reservoir class counts do not match its labels")
+    if frozen_checksums(state) != state.frozen_digest:
+        raise ContractError("frozen parameter digests do not match stored values")
 
 
 _FORWARD_BATCH = 32  # beat 16 and 64; at 256 a 16x16 conv patch matrix is 37.7 MB, past L2
@@ -313,13 +343,13 @@ def online_step(state: EngineState, x: np.ndarray, y: int) -> EngineState:
 
     insert_with_eviction(res, current, y, state.rng)
     state.global_step += 1
-    state.seen_classes.add(y)
     return state
 
 
 def run_stream(state: EngineState, tasks, eval_hook=None, eval_every: int = 0) -> MetricsLog:
-    """Single pass over tasks 2..T in order; evaluates at each boundary.
+    """Single pass over tasks 2..T in order; `check_state`, then evaluates at each boundary.
 
+    A task's classes join `seen_classes` as it starts.
     `eval_hook(state, task_id, step, boundary)` may return a
     MetricRecord to append, or None. `eval_every` > 0 adds intra-task
     evaluations every that many steps.
@@ -343,6 +373,7 @@ def run_stream(state: EngineState, tasks, eval_hook=None, eval_every: int = 0) -
             online_step(state, task.images[i], int(task.labels[i]))
             if eval_every and eval_hook is not None and state.global_step % eval_every == 0 and i < n - 1:
                 maybe_add(eval_hook(state, task.task_id, state.global_step, False))
+        check_state(state)
         if eval_hook is not None:
             maybe_add(eval_hook(state, task.task_id, state.global_step, True))
     return log

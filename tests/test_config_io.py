@@ -24,11 +24,13 @@ from latentreplay.config import KEYS, RunConfig, parse_config, serialize_config,
 from latentreplay.datasets import gen_synthetic, load_cifar_bin, load_dataset, load_idx
 from latentreplay.engine import (
     build_task_stream,
+    check_state,
     frozen_backbone_study,
     frozen_checksums,
     initialize,
     run_stream,
     seen_class_record,
+    task_classes,
 )
 from latentreplay.errors import CheckpointError, ConfigError, DataError
 from latentreplay.metrics import MetricRecord, aoc
@@ -172,6 +174,21 @@ class TestParseConfig:
         cfg = parse_config("net.in_shape = 3, 32, 32\nonline.augment = off\n")
         assert cfg.net_in_shape == (3, 32, 32)
         assert cfg.online_augment is False
+
+
+def test_src_reads_no_environment_variable():
+    # run settings come from the config file alone, never from the environment
+    package = Path(latentreplay.__file__).parent
+    reads = sorted(
+        f"{source.name}:{node.lineno}"
+        for source in package.rglob("*.py")
+        for node in ast.walk(ast.parse(source.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+        and isinstance(node.value, ast.Name) and node.value.id == "os"
+        or isinstance(node, ast.ImportFrom) and node.module == "os"
+        and any(alias.name in ("environ", "getenv") for alias in node.names)
+    )
+    assert reads == []
 
 
 def idx_bytes(dtype_code, dims, payload):
@@ -579,26 +596,66 @@ class TestCheckpoint:
                 assert json.loads(capsys.readouterr().err)["error"] == "checkpoint"
         for task in (1, last):
             state.current_task = task
+            state.seen_classes = set().union(*task_classes(cfg)[:task])
             save_checkpoint(state, p)
             assert load_checkpoint(p).state.current_task == task
 
     def test_seen_classes_out_of_range_rejected(self, tmp_path, capsys):
-        cfg, _, _, state = tiny_run(tmp_path)
+        cfg, _, stream, state = tiny_run(tmp_path)
         p = str(tmp_path / "s.ckpt")
         last = cfg.dataset_classes - 1
-        for seen, bad in (({4, 6, 99}, "[99]"), ({-1, 0}, "[-1]"), ({last + 1}, f"[{last + 1}]")):
+        for seen in ({4, 6, 99}, {-1, 0}, {last + 1}):
             state.seen_classes = seen
             save_checkpoint(state, p)
-            message = rf"seen_classes {re.escape(bad)} are outside 0..{last}"
+            message = rf"seen_classes {re.escape(str(sorted(seen)))} are not \[4, 6\]"
             with pytest.raises(CheckpointError, match=message):
                 load_checkpoint(p)
             for command in (["eval", "--checkpoint", p],
                             ["stream", "--checkpoint", p, "--out", str(tmp_path / "o")]):
                 assert main(command) == 6
                 assert json.loads(capsys.readouterr().err)["error"] == "checkpoint"
-        state.seen_classes = {0, last}
+        state.seen_classes = set(stream.tasks[0].classes)
         save_checkpoint(state, p)
-        assert load_checkpoint(p).state.seen_classes == {0, last}
+        assert load_checkpoint(p).state.seen_classes == {4, 6}
+
+    def test_seen_classes_not_the_task_union_rejected(self, tmp_path, capsys):
+        # every class in range, but not the classes of tasks 1..current_task
+        cfg, _, stream, state = tiny_run(tmp_path)
+        p = str(tmp_path / "u.ckpt")
+        assert stream.tasks[0].classes == (4, 6)
+        for task, seen in ((1, {4, 6, 0}), (1, {4}), (2, {4, 6})):
+            state.current_task, state.seen_classes = task, seen
+            save_checkpoint(state, p)
+            union = re.escape(str(sorted(set().union(*task_classes(cfg)[:task]))))
+            with pytest.raises(CheckpointError, match=rf"are not {union}, the classes of tasks 1"):
+                load_checkpoint(p)
+            for command in (["eval", "--checkpoint", p],
+                            ["stream", "--checkpoint", p, "--out", str(tmp_path / "o")]):
+                assert main(command) == 6
+                assert json.loads(capsys.readouterr().err)["error"] == "checkpoint"
+
+    def test_unseen_reservoir_label_rejected(self, tmp_path, capsys):
+        # a label inside the dataset's classes, of a task not yet streamed
+        _, _, stream, state = tiny_run(tmp_path)
+        p = str(tmp_path / "l.ckpt")
+        unseen = stream.tasks[2].classes[0]
+        state.reservoir.labels[0] = unseen
+        save_checkpoint(state, p)
+        with pytest.raises(CheckpointError, match=rf"reservoir labels \[{unseen}\] are of classes"):
+            load_checkpoint(p)
+        for command in (["eval", "--checkpoint", p],
+                        ["stream", "--checkpoint", p, "--out", str(tmp_path / "o")]):
+            assert main(command) == 6
+            assert json.loads(capsys.readouterr().err)["error"] == "checkpoint"
+
+    def test_check_state_changes_nothing(self, tmp_path):
+        _, _, stream, state = tiny_run(tmp_path)
+        run_stream(state, stream.tasks[1:2])  # the head's velocity buffers exist
+        before, after = str(tmp_path / "before.ckpt"), str(tmp_path / "after.ckpt")
+        save_checkpoint(state, before)
+        check_state(state)
+        save_checkpoint(state, after)
+        assert open(before, "rb").read() == open(after, "rb").read()
 
     def test_malformed_meta_rejected(self, tmp_path, capsys):
         _, _, _, state = tiny_run(tmp_path)

@@ -1,18 +1,19 @@
 """Engine contracts: stream shape, frozen parameters, online-step math."""
 
+import copy
 from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 
+import latentreplay.engine as engine
 from latentreplay.autoencoder import compress, decompress
 from latentreplay.config import RunConfig
 from latentreplay.datasets import load_dataset
 from latentreplay.engine import (
     EngineState,
     Task,
-    TaskStream,
     build_task_stream,
     encode_sample,
     evaluate,
@@ -24,9 +25,10 @@ from latentreplay.engine import (
     online_step,
     run_stream,
     seen_class_record,
+    task_classes,
     _decode_codes,
 )
-from latentreplay.errors import DataError
+from latentreplay.errors import ContractError, DataError
 from latentreplay.metrics import MetricRecord, top_k_accuracy
 from latentreplay.network import build_model, train_offline
 from latentreplay.nn import Tensor, no_grad, softmax_cross_entropy, zero_grads
@@ -82,23 +84,11 @@ class TestTaskStream:
         assert order_a != order_b
         assert order_a == [t.classes for t in build_task_stream(ds, cfg_a).tasks]
 
-    def test_out_of_order_ids_rejected(self):
-        t = Task(2, (0,), np.zeros((1, 3, 16, 16), np.float32), np.zeros(1, np.int64))
-        with pytest.raises(DataError):
-            TaskStream((t,)).validate()
-
-    def test_overlapping_classes_rejected(self):
-        x = np.zeros((1, 3, 16, 16), np.float32)
-        t1 = Task(1, (0, 1), x, np.zeros(1, np.int64))
-        t2 = Task(2, (1, 2), x, np.full(1, 2, np.int64))
-        with pytest.raises(DataError):
-            TaskStream((t1, t2)).validate()
-
-    def test_foreign_label_rejected(self):
-        x = np.zeros((1, 3, 16, 16), np.float32)
-        t1 = Task(1, (0, 1), x, np.full(1, 5, np.int64))
-        with pytest.raises(DataError):
-            TaskStream((t1,)).validate()
+    def test_task_classes_are_the_stream_split(self):
+        cfg = micro_config(class_order_seed=3)
+        stream = build_task_stream(load_dataset(cfg), cfg)
+        assert task_classes(cfg) == [t.classes for t in stream.tasks]
+        assert all(type(c) is int for t in task_classes(cfg) for c in t)
 
 
 class TestInitialize:
@@ -362,6 +352,41 @@ class TestRunStream:
         state = initialize(stream.tasks[0], cfg)
         with pytest.raises(DataError):
             run_stream(state, stream.tasks[2:])
+
+    def test_overlapping_classes_rejected_at_the_boundary(self, micro_run):
+        # a hand-built task 2 that reuses a task-1 class
+        _, _, stream, state = micro_run
+        state, t1, t2 = copy.deepcopy(state), stream.tasks[0], stream.tasks[1]
+        bad = Task(2, (t1.classes[0], t2.classes[0]), t2.images[:3], t2.labels[:3])
+        with pytest.raises(ContractError, match="seen_classes"):
+            run_stream(state, [bad])
+        assert state.global_step == 3
+
+    def test_foreign_label_rejected_at_the_boundary(self, micro_run):
+        # task 2's classes, but its samples carry a label of task 3
+        _, _, stream, state = micro_run
+        state, t2, t3 = copy.deepcopy(state), stream.tasks[1], stream.tasks[2]
+        bad = Task(2, t2.classes, t2.images[:3], np.full(3, t3.classes[0], np.int64))
+        with pytest.raises(ContractError, match=rf"reservoir labels \[{t3.classes[0]}\]"):
+            run_stream(state, [bad])
+
+    def test_count_drift_rejected_at_the_first_boundary(self, micro_run, monkeypatch):
+        real = engine.insert_with_eviction
+
+        def insert_without_count(res, codes, label, rng):
+            counts = res.counts.copy()
+            evicted = real(res, codes, label, rng)
+            res.counts = counts  # the count update skipped
+            return evicted
+
+        _, _, stream, state = micro_run
+        state, t2 = copy.deepcopy(state), stream.tasks[1]
+        monkeypatch.setattr(engine, "insert_with_eviction", insert_without_count)
+        hooked = []
+        short = Task(2, t2.classes, t2.images[:5], t2.labels[:5])
+        with pytest.raises(ContractError, match="counts do not match"):
+            run_stream(state, [short, *stream.tasks[2:]], lambda *args: hooked.append(args))
+        assert state.current_task == 2 and hooked == []
 
     def test_boundary_eval_after_each_task(self, micro_run):
         cfg, ds, _, _ = micro_run
