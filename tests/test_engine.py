@@ -84,6 +84,15 @@ class TestTaskStream:
         assert order_a != order_b
         assert order_a == [t.classes for t in build_task_stream(ds, cfg_a).tasks]
 
+    def test_out_of_order_ids_rejected(self, micro_run):
+        # a hand-built task 3 straight after task 1: refused before any step
+        _, _, stream, state = micro_run
+        state, t3 = copy.deepcopy(state), stream.tasks[2]
+        skipped = Task(3, t3.classes, t3.images[:1], t3.labels[:1])
+        with pytest.raises(DataError, match="task 3 arrived after task 1"):
+            run_stream(state, [skipped])
+        assert state.current_task == 1 and state.global_step == 0
+
     def test_task_classes_are_the_stream_split(self):
         cfg = micro_config(class_order_seed=3)
         stream = build_task_stream(load_dataset(cfg), cfg)
