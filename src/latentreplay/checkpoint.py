@@ -12,20 +12,19 @@ Layout, all integers little-endian:
 Blob names are UTF-8 and unique. The dtype tags are 0 (<f4), 3 (u1) and
 5 (<u2); any other tag is refused.
 
-Every part of the state is a named blob: `model.*` and `acae.*`
-parameters, `optim.<param>.<slot>` moment buffers, `pq.centroids`
-(<f4, shape (s, k, d')), the live reservoir rows as `reservoir.codes`
-(u1, shape (n, s, H, W)) and `reservoir.labels` (<u2, shape (n,)), and
-`meta.json`, a UTF-8 JSON object holding the config text plus what the
-config cannot give: the rng state, the task and step counters, the
-seen classes, the optimizer step count, the frozen digests and the
-metrics emitted so far. This module owns the format only: loading
-checks the blob table, every metadata value's JSON type and the blob
-names, shapes, dtypes and row count the config implies, then maps a
-failed `engine.check_state`, the run's state contract, to
-CheckpointError. load(save(x)) is bit-identical; resuming must
-reproduce an unbroken run exactly. Files of any other version are
-refused.
+This module owns the bytes; `engine.state_arrays` owns the layout. The
+blobs are the arrays it names (`model.*`, `acae.*`, `optim.<param>.<slot>`,
+`pq.centroids`), the live reservoir rows as `reservoir.codes` (u1, shape
+(n, s, H, W)) and `reservoir.labels` (<u2, shape (n,)), and `meta.json`,
+a UTF-8 JSON object holding the config text plus what the config cannot
+give: the rng state, the task and step counters, the seen classes, the
+optimizer step count, the frozen digests and the metrics so far.
+Loading checks the blob table, the metadata's JSON types and the
+reservoir rows, copies each blob into the `engine.blank_state` of the
+stored config, refusing names, dtypes and shapes that differ from its
+`state_arrays`, and maps a failed `engine.check_state`, the run's state
+contract, to CheckpointError. load(save(x)) is bit-identical; resuming
+reproduces an unbroken run exactly. Other versions are refused.
 """
 
 from __future__ import annotations
@@ -39,15 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autoencoder import CompressorParams, compressor_shapes
 from .config import parse_config, serialize_config
-from .engine import EngineState, check_state, online_optim, state_arrays
-from .errors import CheckpointError, ConfigError, ContractError, DataError
+from .engine import EngineState, blank_state, check_state, state_arrays
+from .errors import CheckpointError, ConfigError, ContractError
 from .metrics import MetricRecord
-from .network import SplitModel, in_backbone, param_shapes
-from .nn import Tensor
-from .quantizer import Codebooks
-from .reservoir import Reservoir
 
 MAGIC = b"ACRM"
 VERSION = 2
@@ -193,40 +187,6 @@ def save_checkpoint(
             os.remove(tmp)
 
 
-def _param_blob_shapes(cfg, optim_steps: int) -> dict[str, tuple]:
-    """The `model.*`, `acae.*` and `optim.*` blob names and shapes a config implies.
-
-    The head's velocity buffers exist once the online optimizer has stepped.
-    """
-    net = cfg.net_config()
-    model = param_shapes(net)
-    comp = compressor_shapes(net.feature_channels, cfg.acae_latent_channels)
-    shapes = {f"model.{name}": shape for name, shape in model.items()}
-    shapes.update({f"acae.{name}": shape for name, shape in comp.items()})
-    if optim_steps:
-        shapes.update({
-            f"optim.{name}.velocity": shape
-            for name, shape in model.items()
-            if not in_backbone(name, net.replay_block)
-        })
-    return shapes
-
-
-def _check_params(path: str, arrays: dict, expected: dict) -> None:
-    missing = sorted(expected.keys() - arrays.keys())
-    extra = sorted(arrays.keys() - expected.keys())
-    if missing or extra:
-        raise CheckpointError(
-            f"{path}: parameter blobs do not match the config (missing {missing}, extra {extra})"
-        )
-    for name, shape in expected.items():
-        arr = arrays[name]
-        if arr.dtype != np.dtype("<f4") or arr.shape != shape:
-            raise CheckpointError(
-                f"{path}: blob {name!r} is {arr.dtype}{arr.shape}, the config needs <f4{shape}"
-            )
-
-
 def _read_meta(path: str, blob: np.ndarray) -> dict:
     """The `meta.json` object, with every key `save_checkpoint` writes."""
     try:
@@ -290,20 +250,10 @@ def load_checkpoint(path: str) -> CheckpointBundle:
         cfg = parse_config(meta["config_text"])
     except ConfigError as err:
         raise CheckpointError(f"{path}: stored config does not parse: {err}") from None
-    net = cfg.net_config()
-    s, k = cfg.pq_s, cfg.pq_k
-    code_shape = (s, *net.feature_hw)
+    state = blank_state(cfg, meta["optim_step_count"], _rng_from_json(path, meta["rng"]))
 
-    cents = take("pq.centroids")
-    if cents.dtype != np.dtype("<f4") or cents.shape != (s, k, cfg.acae_latent_channels // s):
-        raise CheckpointError(
-            f"{path}: centroid table {cents.dtype}{cents.shape} does not match the config"
-        )
-    try:
-        books = Codebooks(cents.copy())
-    except DataError as err:  # a non-finite centroid
-        raise CheckpointError(f"{path}: {err}") from None
-
+    res = state.reservoir
+    code_shape = res.codes.shape[1:]
     codes, labels = take("reservoir.codes"), take("reservoir.labels")
     n = len(labels)
     if (
@@ -316,42 +266,31 @@ def load_checkpoint(path: str) -> CheckpointBundle:
             f"{path}: reservoir blobs {codes.dtype}{codes.shape} / {labels.dtype}{labels.shape} "
             f"do not match {n} rows of u1 codes {code_shape} and <u2 labels"
         )
-    if n > cfg.reservoir_capacity:
-        raise CheckpointError(f"{path}: {n} reservoir rows exceed capacity {cfg.reservoir_capacity}")
-    reservoir = Reservoir(cfg.reservoir_capacity, code_shape, cfg.dataset_classes)
-    reservoir.fill(codes, labels)
+    if n > res.capacity:
+        raise CheckpointError(f"{path}: {n} reservoir rows exceed capacity {res.capacity}")
+    res.fill(codes, labels)
 
-    optim = online_optim(cfg)
-    optim.step_count = meta["optim_step_count"]
-    _check_params(path, arrays, _param_blob_shapes(cfg, optim.step_count))
-    model_params = {}
-    acae_params = {}
+    targets = dict(state_arrays(state))
+    missing = sorted(targets.keys() - arrays.keys())
+    extra = sorted(arrays.keys() - targets.keys())
+    if missing or extra:
+        raise CheckpointError(
+            f"{path}: blobs do not match the config (missing {missing}, extra {extra})"
+        )
+    wrong = [
+        f"{name!r} is {arr.dtype}{arr.shape}, the config needs {dst.dtype}{dst.shape}"
+        for name, arr in arrays.items()
+        if (dst := targets[name]).dtype != arr.dtype or dst.shape != arr.shape
+    ]
+    if wrong:
+        raise CheckpointError(f"{path}: blobs do not match the config: {'; '.join(wrong)}")
     for name, arr in arrays.items():
-        group, _, rest = name.partition(".")
-        if group == "model":
-            model_params[rest] = Tensor(arr.copy())
-        elif group == "acae":
-            acae_params[rest] = Tensor(arr.copy())
-        elif group == "optim":
-            pname, key = rest.rsplit(".", 1)
-            optim.slots.setdefault(pname, {})[key] = arr.copy()
-    model = SplitModel(net, model_params)
-    for name in model.head_names():
-        model.params[name].requires_grad = True
+        targets[name][...] = arr
 
-    state = EngineState(
-        config=cfg,
-        model=model,
-        compressor=CompressorParams(cfg.acae_latent_channels, acae_params),
-        books=books,
-        reservoir=reservoir,
-        optim=optim,
-        rng=_rng_from_json(path, meta["rng"]),
-        current_task=meta["current_task"],
-        global_step=meta["global_step"],
-        frozen_digest=dict(meta["frozen_digest"]),
-        seen_classes=set(meta["seen_classes"]),
-    )
+    state.current_task = meta["current_task"]
+    state.global_step = meta["global_step"]
+    state.frozen_digest = dict(meta["frozen_digest"])
+    state.seen_classes = set(meta["seen_classes"])
     try:
         check_state(state)
     except ContractError as err:

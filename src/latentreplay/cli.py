@@ -25,7 +25,7 @@ from .engine import (
     run_stream,
     seen_class_record,
 )
-from .errors import LatentReplayError
+from .errors import ConfigError, LatentReplayError
 from .gradsuite import run_suite
 from .metrics import MetricsLog
 from .reporting import budget_line, emit_metrics, membudget_lines
@@ -61,6 +61,8 @@ def _cmd_init(args) -> int:
 
 
 def _cmd_stream(args) -> int:
+    if args.until_task < 0:
+        raise ConfigError(f"--until-task {args.until_task} is negative")
     bundle = load_checkpoint(args.checkpoint)
     state = bundle.state
     cfg = state.config
@@ -75,10 +77,9 @@ def _cmd_stream(args) -> int:
 
     out_ckpt = args.out_checkpoint or args.checkpoint
     save_checkpoint(state, out_ckpt, config_text=bundle.config_text, records=log.records)
-    code_shape = (state.books.s,) + state.model.config.feature_hw
     jsonl, csv = emit_metrics(
         log.records, args.out, capacity=state.reservoir.capacity,
-        code_shape=code_shape, exemplar_count=len(state.reservoir),
+        code_shape=state.reservoir.codes.shape[1:], exemplar_count=len(state.reservoir),
     )
     print(f"metrics written to {jsonl} and {csv}")
     if log.boundary_top1():
@@ -112,7 +113,10 @@ def _cmd_membudget(args) -> int:
 def _cmd_frozen_study(args) -> int:
     cfg = _load_config(args.config)
     dataset = load_dataset(cfg)
-    blocks = [int(b) for b in args.blocks.split(",")]
+    try:
+        blocks = [int(b) for b in args.blocks.split(",")]
+    except ValueError:
+        raise ConfigError(f"--blocks {args.blocks!r} is not a list of integers") from None
     results = frozen_backbone_study(dataset, cfg, blocks)
     for n in blocks:
         print(f"frozen through block {n}: top1 {results[n]:.4f}")
@@ -120,6 +124,8 @@ def _cmd_frozen_study(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds {args.seeds} is below 1")
     results = run_suite(range(args.seeds))
     worst = max(results, key=lambda r: r.max_rel_err)
     failed = [r for r in results if not r.passed]

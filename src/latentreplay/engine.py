@@ -19,12 +19,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .autoencoder import CompressorParams, build_compressor, compress, decompress, train_compressor
+from .autoencoder import (
+    CompressorParams, build_compressor, compress, compressor_shapes, decompress, train_compressor,
+)
 from .config import RunConfig
 from .datasets import Dataset
 from .errors import ConfigError, ContractError, DataError
 from .metrics import MetricRecord, MetricsLog, top_k_accuracy
-from .network import SplitModel, _block_of, build_model, train_offline
+from .network import SplitModel, _block_of, build_model, param_shapes, train_offline
 from .nn import OptimState, Tensor, no_grad, sgd_step, softmax_cross_entropy, zero_grads
 from .quantizer import Codebooks, pq_decode_batch, pq_encode_batch, train_pq
 from .reservoir import Reservoir, insert_with_eviction, sample_batch
@@ -36,6 +38,7 @@ __all__ = [
     "build_task_stream",
     "EngineState",
     "state_arrays",
+    "blank_state",
     "check_state",
     "forward_batched",
     "train_first_task",
@@ -136,6 +139,31 @@ def state_arrays(state: EngineState) -> list:
         arrays += [(f"optim.{pname}.{key}", buf) for key, buf in sorted(slots.items())]
     arrays.append(("pq.centroids", state.books.centroids))
     return arrays
+
+
+def blank_state(cfg: RunConfig, optim_steps: int, rng: np.random.Generator) -> EngineState:
+    """A zero-filled state with the `state_arrays` of a real one whose online optimizer has
+    stepped `optim_steps` times (trainable head, velocity slots once that count is positive),
+    an empty reservoir and `rng`; a loader fills it in place."""
+    net = cfg.net_config()
+
+    def zeros(shapes: dict) -> dict:
+        return {name: Tensor(np.zeros(shape, dtype=np.float32)) for name, shape in shapes.items()}
+
+    model = SplitModel(net, zeros(param_shapes(net)))
+    optim = online_optim(cfg)
+    optim.step_count = optim_steps
+    for name, p in model.head_params().items():
+        p.requires_grad = True
+        if optim_steps > 0:
+            optim.slot(name, "velocity", p.data.shape)
+    latent, s = cfg.acae_latent_channels, cfg.pq_s
+    return EngineState(
+        config=cfg, model=model, optim=optim, rng=rng,
+        compressor=CompressorParams(latent, zeros(compressor_shapes(net.feature_channels, latent))),
+        books=Codebooks(np.zeros((s, cfg.pq_k, latent // s), dtype=np.float32)),
+        reservoir=Reservoir(cfg.reservoir_capacity, (s, *net.feature_hw), net.num_classes),
+    )
 
 
 def check_state(state: EngineState) -> None:
@@ -412,8 +440,12 @@ def frozen_backbone_study(dataset: Dataset, cfg: RunConfig, blocks) -> dict:
     `split.first_classes` classes, freeze blocks 1..n, train the rest on
     all classes, and report test accuracy. Both phases use the
     `offline.*` settings and the config's seed. n = 0 skips the first
-    phase entirely, which is plain joint training.
+    phase entirely, which is plain joint training. An n outside
+    0..net.num_blocks is a ConfigError before any training.
     """
+    bad = [n for n in blocks if not 0 <= n <= cfg.net_num_blocks]
+    if bad:
+        raise ConfigError(f"blocks {bad} are outside 0..{cfg.net_num_blocks} (net.num_blocks)")
     results = {}
     options = _offline_options(cfg)
     task_mask = dataset.train_labels < cfg.split_first_classes

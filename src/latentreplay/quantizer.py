@@ -184,8 +184,8 @@ def pq_encode_batch(latents: np.ndarray, books: Codebooks) -> np.ndarray:
         raise ShapeError(
             f"latents shape {latents.shape} does not match C'={books.latent_channels}"
         )
-    n, c, h, w = latents.shape
-    vectors = latents.transpose(0, 2, 3, 1).reshape(n * h * w, c).astype(np.float32)
+    n, _, h, w = latents.shape
+    vectors = _positions(latents).astype(np.float32)
     codes = np.empty((books.s, n * h * w), dtype=np.uint8)
     for i in range(books.s):
         sub = vectors[:, i * books.subdim : (i + 1) * books.subdim]

@@ -29,10 +29,10 @@ BUDGET_TABLE = (
 )
 
 
-def budget_line(count: int, shape: tuple, decimals: int = 2, bytes_per_element: int = 1) -> str:
-    mb = as_mb(memory_bytes(count, shape, bytes_per_element))
+def budget_line(count: int, shape: tuple, decimals: int = 2) -> str:
+    mb = as_mb(memory_bytes(count, shape))
     dims = "x".join(str(d) for d in shape)
-    return f"{count} exemplars of {dims} ({bytes_per_element} B/elem) -> {mb:.{decimals}f} MB"
+    return f"{count} exemplars of {dims} (1 B/elem) -> {mb:.{decimals}f} MB"
 
 
 def membudget_lines() -> list[str]:

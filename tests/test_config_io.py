@@ -544,7 +544,7 @@ class TestCheckpoint:
         enc_bias.data = trained
         cents = state.books.centroids
         cents[0, 0, 0], finite = np.nan, cents[0, 0, 0]
-        rejected("non-finite centroid")
+        rejected(r"non-finite values in \['pq.centroids'\]")
         cents[0, 0, 0] = finite
         # velocity buffers must exist exactly when the head has stepped
         run_stream(state, stream.tasks[1:2])
@@ -554,6 +554,58 @@ class TestCheckpoint:
         state.optim.slots.clear()
         save_checkpoint(state, p)
         load_checkpoint(p)
+
+    def test_each_missing_blob_is_named(self, tmp_path, capsys):
+        _, _, stream, state = tiny_run(tmp_path)
+        run_stream(state, stream.tasks[1:2])  # the head's velocity buffers exist
+        p = str(tmp_path / "b.ckpt")
+        save_checkpoint(state, p)
+        good = open(p, "rb").read()
+
+        # name -> (start, end) of each blob, parsed from the documented layout
+        itemsize = {0: 4, 3: 1, 5: 2}
+        (count,) = struct.unpack_from("<I", good, 8)
+        spans, at = {}, 12
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<I", good, at)
+            name = good[at + 4 : at + 4 + name_len].decode()
+            tag = good[at + 4 + name_len]
+            (rank,) = struct.unpack_from("<I", good, at + 5 + name_len)
+            dims = struct.unpack_from(f"<{rank}I", good, at + 9 + name_len)
+            spans[name] = (at, at + 9 + name_len + 4 * rank + math.prod(dims) * itemsize[tag])
+            at = spans[name][1]
+        assert at == len(good) - 4
+
+        def rejected(blobs, message):
+            body = good[:8] + struct.pack("<I", len(blobs)) + b"".join(blobs)
+            open(p, "wb").write(body + struct.pack("<I", zlib.crc32(body)))  # CRC-valid
+            with pytest.raises(CheckpointError, match=message):
+                load_checkpoint(p)
+            assert main(["eval", "--checkpoint", p]) == 6
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "checkpoint" and re.search(message, err["message"])
+
+        slot = "optim.classifier.bias.velocity"
+        for name in ("pq.centroids", "reservoir.codes", "meta.json", slot):
+            kept = [good[a:b] for n, (a, b) in spans.items() if n != name]
+            rejected(kept, f"missing.*{re.escape(name)}")
+        foo = checkpoint._pack_blob("foo", np.zeros(3, dtype=np.uint8))
+        rejected([good[a:b] for a, b in spans.values()] + [foo], r"extra \['foo'\]")
+
+    def test_every_mismatching_blob_is_named(self, tmp_path):
+        cfg, _, stream, state = tiny_run(tmp_path)
+        run_stream(state, stream.tasks[1:2])
+        p = str(tmp_path / "w.ckpt")
+        # a 10-class head under a 12-class config: two parameters and their two velocities
+        save_checkpoint(state, p, config_text=serialize_config(
+            replace(cfg, dataset_classes=12, split_steps=5)))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(p)
+        named = re.findall(r"'([\w.]+)' is float32", str(err.value))
+        assert named == [
+            "model.classifier.bias", "model.classifier.weight",
+            "optim.classifier.bias.velocity", "optim.classifier.weight.velocity",
+        ]
 
     def test_non_finite_parameters_rejected(self, tmp_path, capsys):
         cfg, _, stream, state = tiny_run(tmp_path)
@@ -951,6 +1003,31 @@ class TestCli:
         assert main(["stream", "--checkpoint", ckpt, "--out", str(tmp_path / "out")]) == 3
         assert "non-finite loss" in json.loads(capsys.readouterr().err)["message"]
         assert open(ckpt, "rb").read() == before
+
+    @pytest.mark.parametrize("argv", [
+        ["frozen-study", "--blocks", "1,x"],
+        ["frozen-study", "--blocks", ""],
+        ["frozen-study", "--blocks", "9,-4"],
+        ["gradcheck", "--seeds", "0"],
+        ["gradcheck", "--seeds", "-2"],
+    ])
+    def test_bad_flag_values_are_config_errors(self, argv, tmp_path, capsys):
+        cfgp = tmp_path / "cfg.txt"
+        cfgp.write_text("dataset.per_class = 10\ndataset.test_per_class = 2\noffline.epochs = 1\n")
+        if argv[0] == "frozen-study":
+            argv = argv + ["--config", str(cfgp)]
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+    def test_negative_until_task_is_a_config_error(self, tmp_path, capsys):
+        _, _, _, state = tiny_run(tmp_path)
+        ckpt = str(tmp_path / "run.ckpt")
+        save_checkpoint(state, ckpt)
+        before = open(ckpt, "rb").read()
+        out = tmp_path / "out"
+        assert main(["stream", "--checkpoint", ckpt, "--out", str(out), "--until-task", "-1"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+        assert open(ckpt, "rb").read() == before and not out.exists()
 
     def test_gradcheck_command(self, capsys):
         assert main(["gradcheck", "--seeds", "2"]) == 0

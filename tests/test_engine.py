@@ -28,7 +28,7 @@ from latentreplay.engine import (
     task_classes,
     _decode_codes,
 )
-from latentreplay.errors import ContractError, DataError
+from latentreplay.errors import ConfigError, ContractError, DataError
 from latentreplay.metrics import MetricRecord, top_k_accuracy
 from latentreplay.network import build_model, train_offline
 from latentreplay.nn import Tensor, no_grad, softmax_cross_entropy, zero_grads
@@ -454,7 +454,44 @@ class TestEvaluate:
         assert record == MetricRecord(0, 1, 2, expected["top1"], expected["top5"], True)
 
 
+class TestBlankState:
+    @pytest.mark.parametrize("replay_block", [1, 2, 3])
+    def test_layout_is_that_of_a_real_state(self, replay_block):
+        cfg = RunConfig(
+            dataset_per_class=10, dataset_test_per_class=2, offline_epochs=1, acae_epochs=1,
+            acae_latent_channels=4, pq_k=4, reservoir_capacity=20, online_rehearsal_n=2,
+            net_replay_block=replay_block,
+        )
+        task1, task2 = build_task_stream(load_dataset(cfg), cfg).tasks[:2]
+        state = initialize(task1, cfg)
+        rng = np.random.default_rng(0)
+
+        def layout(s):
+            return [(name, a.dtype, a.shape) for name, a in engine.state_arrays(s)]
+
+        def trainable(s):
+            return sorted(k for k, p in s.model.params.items() if p.requires_grad)
+
+        for steps in (0, 1):
+            if steps:
+                online_step(state, task2.images[0], int(task2.labels[0]))
+            blank = engine.blank_state(cfg, steps, rng)
+            assert layout(blank) == layout(state)
+            assert trainable(blank) == trainable(state)
+            assert blank.optim.step_count == state.optim.step_count == steps
+            assert blank.reservoir.codes.shape == state.reservoir.codes.shape
+            assert len(blank.reservoir) == 0 and blank.rng is rng
+
+
 class TestFrozenBackboneStudy:
+    def test_blocks_outside_the_net_rejected_before_training(self, monkeypatch):
+        cfg = micro_config()
+        ds = load_dataset(cfg)
+        monkeypatch.setattr(engine, "train_offline", lambda *a, **k: pytest.fail("trained"))
+        for blocks in ([0, 4], [9, -4], [-1]):
+            with pytest.raises(ConfigError, match=r"outside 0\.\.3"):
+                frozen_backbone_study(ds, cfg, blocks)
+
     def test_nothing_frozen_equals_joint_training(self):
         cfg = micro_config(dataset_per_class=30, offline_epochs=3)
         ds = load_dataset(cfg)
