@@ -168,12 +168,18 @@ def blank_state(cfg: RunConfig, optim_steps: int, rng: np.random.Generator) -> E
 
 def check_state(state: EngineState) -> None:
     """Raise ContractError at the first run invariant `state` breaks (finite values,
-    `current_task` in 1..T, `seen_classes` the union of tasks 1..current_task, codes below k,
-    only seen classes stored, counts that match the labels, frozen digests); writes nothing."""
+    `global_step` equal to the optimizer's step count and not negative, `current_task` in
+    1..T, `seen_classes` the union of tasks 1..current_task, codes below k, only seen classes
+    stored, counts that match the labels, frozen digests); writes nothing."""
     arrays = state_arrays(state)
     if not np.isfinite(np.concatenate([a.ravel() for _, a in arrays])).all():
         bad = [name for name, a in arrays if not np.isfinite(a).all()]
         raise ContractError(f"non-finite values in {bad}")
+    step, optim_steps = state.global_step, state.optim.step_count
+    if step != optim_steps or step < 0:  # every online_step adds one to both
+        raise ContractError(
+            f"global_step {step} and optimizer step_count {optim_steps} are not one count >= 0"
+        )
     tasks, task = task_classes(state.config), state.current_task
     if not 1 <= task <= len(tasks):
         raise ContractError(f"current_task {task} is outside 1..{len(tasks)}")
@@ -306,17 +312,17 @@ def feature_random_resized_crop(z: np.ndarray, scale: tuple, rng: np.random.Gene
     The window is real-valued, so its area fraction is drawn exactly
     from `scale` with the aspect ratio kept. scale (1, 1) degenerates to
     the identity and constants stay constant (bilinear weights sum to 1).
-    Each map draws its area, top and left in turn, map after map.
+    Each map draws its area, top and left in turn, map after map, in one
+    `rng.random((m, 3))`: the doubles and the generator state after it are
+    those of 3*m scalar `rng.uniform(low, high)` calls, `low + (high - low) * u`.
     """
     m, c, h, w = z.shape
     lo, hi = scale
-    top, left = np.empty(m), np.empty(m)
-    crop_h, crop_w = np.empty(m), np.empty(m)
-    for i in range(m):
-        side = np.sqrt(rng.uniform(lo, hi))
-        crop_h[i], crop_w[i] = side * h, side * w
-        top[i] = rng.uniform(0.0, (h - 1) - (crop_h[i] - 1))
-        left[i] = rng.uniform(0.0, (w - 1) - (crop_w[i] - 1))
+    u = rng.random((m, 3))
+    side = np.sqrt(lo + (hi - lo) * u[:, 0])
+    crop_h, crop_w = side * h, side * w
+    top = ((h - 1) - (crop_h - 1)) * u[:, 1]
+    left = ((w - 1) - (crop_w - 1)) * u[:, 2]
 
     rows = top[:, None] + np.arange(h) * (crop_h[:, None] - 1) / (h - 1)
     cols = left[:, None] + np.arange(w) * (crop_w[:, None] - 1) / (w - 1)

@@ -7,9 +7,18 @@ Ops preserve float64 buffers end to end; see tensor.py for why.
 
 Float order. Each conv2d contraction (forward, weight grad, and input
 grad as the flipped filters times the padded output gradient's patches)
-is one BLAS dgemm over a channel-major (C*K*K, N*Ho*Wo) patch matrix,
-summed in the BLAS library's order, as in linear; that order can depend
-on the matrix size (it does for the 1x1 32 -> 8 conv on 2x2 maps).
+is one BLAS dgemm over a batch-last (C*K*K, Ho*Wo*N) patch matrix, whose
+columns run over (y, x, n) so each patch copy moves Wo*N contiguous
+doubles; it is summed in the BLAS library's order, as in linear, and
+that order can depend on the matrix size (it does for the 1x1 32 -> 8
+conv on 2x2 maps). The forward and the input grad keep their
+contraction order over (c, di, dj) and (o, di, dj): against NCHW
+columns only the columns are permuted. A kernel that sums some columns
+in another order, as OpenBLAS's AVX-512 dgemm does with the ones past
+its last 16-column block, can still move an output by an ulp (of the
+conv shapes tests/test_kernels.py lists, only the 32 -> 8 encoder at
+batch 9, which no workload runs). The weight grad sums the positions in
+(y, x, n) order, which moves it by a few float64 ulps.
 avgpool2 sums each window as ((a + b) + (c + d)), or as
 (((a + b) + c) + d) for a one-column output, numpy's order for
 reshape(...).mean(axis=(3, 5)). Other reductions are numpy's, in its
@@ -19,7 +28,8 @@ coarser, so it moves only if the exact sum lies within those ulps of a
 float32 rounding midpoint. tests/test_kernels.py pins, on every shape
 the shipped workloads run, the same float32 bits as a per-sample matmul
 forward, an einsum weight grad, a per-tap scatter-add input grad and
-numpy's pool and relu, and byte-identical runs under one and two BLAS
+numpy's pool and relu, the float64 bits of the forward and input grad
+of the NCHW-column GEMM, and byte-identical runs under one and two BLAS
 threads.
 """
 
@@ -59,26 +69,26 @@ def _out_dtype(*tensors: Tensor):
 
 
 def _padded(a: np.ndarray, pad: int) -> np.ndarray:
-    """Float64 copy of a (C, N, H, W) array zero-padded by `pad` on each side (cropped if < 0)."""
-    c, n, h, w = a.shape
+    """Float64 copy of a batch-last (C, H, W, N) array, zero-padded by `pad` on each side of
+    H and W (cropped if < 0), as a C-contiguous (C, H + 2*pad, W + 2*pad, N) buffer."""
+    c, h, w, n = a.shape
     i, j = max(pad, 0), max(-pad, 0)
-    out = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=_F64)
-    out[:, :, i : i + h - 2 * j, i : i + w - 2 * j] = a[:, :, j : h - j, j : w - j]
+    out = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=_F64)
+    out[:, i : i + h - 2 * j, i : i + w - 2 * j] = a[:, j : h - j, j : w - j]
     return out
 
 
 def _im2col(xp: np.ndarray, kernel: int) -> np.ndarray:
-    """Extract (C*K*K, N*Ho*Wo) patch columns from a padded channel-major (C, N, H, W) array."""
-    c, n, hp, wp = xp.shape
+    """(C*K*K, Ho*Wo*N) patch columns of a `_padded` buffer; rows in (c, di, dj) order,
+    columns in (y, x, n) order, so each copied run is Wo*N contiguous doubles."""
+    c, hp, wp, n = xp.shape
     ho, wo = hp - kernel + 1, wp - kernel + 1
-    sc, sn, sh, sw = xp.strides
-    patches = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(c, kernel, kernel, n, ho, wo),
-        strides=(sc, sh, sw, sn, sh, sw),
-        writeable=False,
+    sc, sh, sw, sn = xp.strides
+    patches = np.ndarray(
+        (c, kernel, kernel, ho, wo, n), _F64, buffer=xp, offset=0,
+        strides=(sc, sh, sw, sh, sw, sn),
     )
-    return patches.reshape(c * kernel * kernel, n * ho * wo)
+    return patches.reshape(c * kernel * kernel, ho * wo * n)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, pad: int = 0) -> Tensor:
@@ -103,24 +113,24 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, pad: int = 0) -> Tensor:
     if ho < 1 or wo < 1:
         raise ConfigError(f"conv2d output size {ho}x{wo} is not positive")
 
-    # one dgemm over every sample's patch columns; outputs and grads stay NCHW
-    cols = _im2col(_padded(x.data.transpose(1, 0, 2, 3), pad), k)
+    # one dgemm over every sample's batch-last patch columns; outputs and grads stay NCHW
+    cols = _im2col(_padded(x.data.transpose(1, 2, 3, 0), pad), k)
     wmat = weight.data.reshape(o, -1).astype(_F64)
-    out = (wmat @ cols + bias.data.astype(_F64)[:, None]).reshape(o, n, ho, wo)
-    out = out.transpose(1, 0, 2, 3).astype(_out_dtype(x, weight, bias), order="C")
+    out = (wmat @ cols + bias.data.astype(_F64)[:, None]).reshape(o, ho, wo, n)
+    out = out.transpose(3, 0, 1, 2).astype(_out_dtype(x, weight, bias), order="C")
 
     def backward(g):
         go = g.astype(_F64)
+        go_bl = go.transpose(1, 2, 3, 0).reshape(o, ho * wo * n)
         if weight.requires_grad:
-            gw = go.transpose(1, 0, 2, 3).reshape(o, -1) @ cols.T
-            weight.accumulate_grad(gw.reshape(weight.shape))
+            weight.accumulate_grad((go_bl @ cols.T).reshape(weight.shape))
         if bias.requires_grad:
             bias.accumulate_grad(go.reshape(n, o, ho * wo).sum(axis=(0, 2)))
         if x.requires_grad:
             # correlate the flipped filters with go padded by K - 1 - pad
             wflip = wmat.reshape(o, c, k, k)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            gx = wflip.reshape(c, -1) @ _im2col(_padded(go.transpose(1, 0, 2, 3), k - 1 - pad), k)
-            gx = gx.reshape(c, n, h, w).transpose(1, 0, 2, 3)
+            go_cols = _im2col(_padded(go_bl.reshape(o, ho, wo, n), k - 1 - pad), k)
+            gx = (wflip.reshape(c, -1) @ go_cols).reshape(c, h, w, n).transpose(3, 0, 1, 2)
             x.accumulate_grad(gx.astype(x.data.dtype, order="C"))
 
     return Tensor._from_op(out, (x, weight, bias), backward)

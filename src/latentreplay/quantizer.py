@@ -122,7 +122,8 @@ def kmeans_fit(
     centroids = _kmeans_plus_plus(vectors, k, rng)
     assign = _assign(vectors, centroids)
     objective = ((vectors - centroids[assign]) ** 2).sum()
-    for _ in range(iters):
+    previous = None  # the state the previous iteration began with
+    for it in range(iters):
         start = (centroids.copy(), assign.copy())
         # the rows of cluster c, in row order, are grouped[ends[c] : ends[c + 1]]
         grouped = vectors[np.argsort(assign, kind="stable")]
@@ -146,6 +147,16 @@ def kmeans_fit(
             break
         if np.array_equal(new_assign, start[1]) and np.array_equal(centroids, start[0]):
             break  # a fixed point: the deterministic body would repeat this iteration
+        if (
+            previous is not None
+            and np.array_equal(new_assign, previous[1])
+            and np.array_equal(centroids, previous[0])
+        ):
+            # a 2-cycle: the remaining iterations alternate between the two states
+            if (iters - it - 1) % 2:
+                centroids = start[0]
+            break
+        previous = start
         assign, objective = new_assign, new_objective
     return centroids
 

@@ -550,7 +550,7 @@ class TestCheckpoint:
         run_stream(state, stream.tasks[1:2])
         state.optim.slots.pop("classifier.bias")
         rejected("missing")
-        state.optim.step_count = 0
+        state.optim.step_count = state.global_step = 0
         state.optim.slots.clear()
         save_checkpoint(state, p)
         load_checkpoint(p)
@@ -669,6 +669,33 @@ class TestCheckpoint:
         state.seen_classes = set(stream.tasks[0].classes)
         save_checkpoint(state, p)
         assert load_checkpoint(p).state.seen_classes == {4, 6}
+
+    def test_step_counters_out_of_line_rejected(self, tmp_path, capsys):
+        # every online_step adds one to both counters, so they are equal and >= 0
+        _, _, stream, state = tiny_run(tmp_path)
+        p = str(tmp_path / "c.ckpt")
+
+        def rejected(step, optim_steps):
+            state.global_step, state.optim.step_count = step, optim_steps
+            save_checkpoint(state, p)
+            message = f"global_step {step} and optimizer step_count {optim_steps} are not one"
+            with pytest.raises(CheckpointError, match=message):
+                load_checkpoint(p)
+            for command in (["eval", "--checkpoint", p],
+                            ["stream", "--checkpoint", p, "--out", str(tmp_path / "o")]):
+                assert main(command) == 6
+                assert json.loads(capsys.readouterr().err)["error"] == "checkpoint"
+
+        rejected(-5, 0)
+        rejected(10**9, 0)
+        rejected(-5, -5)  # equal, but no state has stepped a negative number of times
+        run_stream(state, stream.tasks[1:2])  # velocity buffers exist once the head has stepped
+        streamed = state.global_step
+        rejected(streamed, streamed + 1)
+        rejected(streamed - 1, streamed)
+        state.global_step = state.optim.step_count = streamed
+        save_checkpoint(state, p)
+        assert load_checkpoint(p).state.global_step == streamed
 
     def test_seen_classes_not_the_task_union_rejected(self, tmp_path, capsys):
         # every class in range, but not the classes of tasks 1..current_task

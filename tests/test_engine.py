@@ -397,6 +397,16 @@ class TestRunStream:
             run_stream(state, [short, *stream.tasks[2:]], lambda *args: hooked.append(args))
         assert state.current_task == 2 and hooked == []
 
+    def test_step_counter_drift_rejected_at_the_first_boundary(self, micro_run):
+        _, _, stream, state = micro_run
+        state, t2 = copy.deepcopy(state), stream.tasks[1]
+        state.optim.step_count += 1  # the optimizer counted one step the stream did not
+        hooked = []
+        short = Task(2, t2.classes, t2.images[:5], t2.labels[:5])
+        with pytest.raises(ContractError, match="global_step 5 and optimizer step_count 6"):
+            run_stream(state, [short, *stream.tasks[2:]], lambda *args: hooked.append(args))
+        assert state.current_task == 2 and hooked == []
+
     def test_boundary_eval_after_each_task(self, micro_run):
         cfg, ds, _, _ = micro_run
         stream = build_task_stream(ds, cfg)
