@@ -2,7 +2,13 @@
 
 All loaders return images as float32 NCHW arrays in [0, 1] and labels as
 int64 vectors, and reject malformed input with DataError rather than
-crashing mid-parse.
+crashing mid-parse. Each builds its float32 images in place: a file
+loader casts the raw pixels once and scales that array, and the
+synthetic generator adds its noise to the gathered class images a block
+of rows at a time. The peak is therefore the output (plus the file's
+bytes) and one block, with no whole-set temporary. `load_dataset` also
+refuses images whose (C, H, W) is not `net.in_shape` and non-finite
+pixels, before any training sees them.
 """
 
 from __future__ import annotations
@@ -33,13 +39,22 @@ class Dataset:
     test_labels: np.ndarray
     num_classes: int
 
-    def check(self) -> None:
-        for images, labels in (
-            (self.train_images, self.train_labels),
-            (self.test_images, self.test_labels),
+    def check(self, in_shape: tuple) -> None:
+        """Raise DataError unless both splits are finite (C, H, W) = `in_shape` images with
+        one label in 0..num_classes-1 each."""
+        for split, images, labels in (
+            ("train", self.train_images, self.train_labels),
+            ("test", self.test_images, self.test_labels),
         ):
             if images.ndim != 4 or images.shape[0] != labels.shape[0]:
                 raise DataError("images must be NCHW with one label per image")
+            if images.shape[1:] != tuple(in_shape):
+                raise DataError(
+                    f"{split} images are {images.shape[1:]}, but net.in_shape is {tuple(in_shape)}"
+                )
+            # min and max propagate NaN and reach any +-inf, without a whole-set mask
+            if images.size and not np.isfinite([images.min(), images.max()]).all():
+                raise DataError(f"non-finite pixel in the {split} images")
             if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
                 raise DataError("label outside 0..num_classes-1")
 
@@ -98,10 +113,10 @@ def load_idx(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray
         raw = raw[:, None, :, :]
     elif raw.ndim != 4:
         raise DataError(f"{images_path}: expected rank 3 or 4 image data, got rank {raw.ndim}")
-    if raw.dtype == np.dtype(">u1"):
-        images = raw.astype(np.float32) / 255.0
-    else:
+    with np.errstate(over="ignore"):  # a value past float32 becomes inf: Dataset.check refuses it
         images = raw.astype(np.float32)
+    if raw.dtype == np.dtype(">u1"):
+        images /= 255.0
     labels_raw = _read_idx(labels_path)
     if labels_raw.ndim != 1:
         raise DataError(f"{labels_path}: labels must be rank 1, got rank {labels_raw.ndim}")
@@ -126,7 +141,8 @@ def load_cifar_bin(path: str) -> tuple[np.ndarray, np.ndarray]:
         )
     records = np.frombuffer(blob, dtype=np.uint8).reshape(-1, _CIFAR_RECORD)
     labels = records[:, 0].astype(np.int64)
-    images = records[:, 1:].reshape(-1, 3, 32, 32).astype(np.float32) / 255.0
+    images = records[:, 1:].reshape(-1, 3, 32, 32).astype(np.float32)
+    images /= 255.0
     return images, labels
 
 
@@ -156,6 +172,9 @@ def _class_params(classes: int, shape: tuple, rng: np.random.Generator):
         amps = rng.uniform(0.35, 1.0, size=channels)
         params.append((centers[c], np.linalg.inv(cov), amps))
     return params
+
+
+_NOISE_BLOCK_ROWS = 256  # a 3x16x16 block's float64 draw is 1.5 MB
 
 
 def gen_synthetic(
@@ -191,15 +210,14 @@ def gen_synthetic(
         bump = np.exp(-0.5 * quad)
         bases[c] = (amps[:, None, None] * bump[None]).astype(np.float32)
 
-    n = classes * per_class
     labels = np.tile(np.arange(classes, dtype=np.int64), per_class)
-    images = bases[labels]
+    images = bases[labels]  # a fresh array, noised in place below
     if noise > 0:
-        jitter = sample_rng.normal(0.0, noise, size=images.shape).astype(np.float32)
-        images = np.clip(images + jitter, 0.0, 1.0)
-    else:
-        images = images.copy()
-    assert images.shape == (n, channels, height, width)
+        # row-order blocks draw the same doubles as one whole-set call
+        for i in range(0, len(images), _NOISE_BLOCK_ROWS):
+            block = images[i : i + _NOISE_BLOCK_ROWS]
+            block += sample_rng.normal(0.0, noise, size=block.shape).astype(np.float32)
+            np.clip(block, 0.0, 1.0, out=block)
     return images, labels
 
 
@@ -210,7 +228,8 @@ def load_dataset(cfg) -> Dataset:
     streams. idx: `dataset.path` is a directory holding
     train-images.idx, train-labels.idx, test-images.idx,
     test-labels.idx. cifar-bin: a directory holding train.bin and
-    test.bin.
+    test.bin. Raises DataError, before any training, for images that
+    are not `net.in_shape` or hold a non-finite pixel.
     """
     if cfg.dataset_kind == "synthetic":
         shape = tuple(cfg.net_in_shape)
@@ -238,5 +257,5 @@ def load_dataset(cfg) -> Dataset:
         ds = Dataset(*train, *test, num_classes=cfg.dataset_classes)
     else:
         raise DataError(f"unknown dataset kind {cfg.dataset_kind!r}")
-    ds.check()
+    ds.check(cfg.net_in_shape)
     return ds

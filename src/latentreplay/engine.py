@@ -89,11 +89,9 @@ def build_task_stream(dataset: Dataset, cfg: RunConfig) -> TaskStream:
     """The tasks of `task_classes(cfg)`; sample order is shuffled per task from the run seed."""
     tasks = []
     for tid, classes in enumerate(task_classes(cfg), start=1):
-        mask = np.isin(dataset.train_labels, classes)
-        images = dataset.train_images[mask]
-        labels = dataset.train_labels[mask]
-        perm = np.random.default_rng((cfg.seed, tid)).permutation(len(labels))
-        tasks.append(Task(tid, classes, images[perm], labels[perm]))
+        rows = np.flatnonzero(np.isin(dataset.train_labels, classes))
+        rows = rows[np.random.default_rng((cfg.seed, tid)).permutation(len(rows))]
+        tasks.append(Task(tid, classes, dataset.train_images[rows], dataset.train_labels[rows]))
     return TaskStream(tuple(tasks))
 
 
@@ -250,7 +248,12 @@ def fit_compressor(
 
 
 def initialize(task1: Task, cfg: RunConfig) -> EngineState:
-    """First-task pipeline: offline net, compressor, quantizer, freeze, memory fill."""
+    """First-task pipeline: offline net, compressor, quantizer, freeze, memory fill.
+
+    Ends with `check_state`, so a task 1 that trains the network to
+    non-finite weights raises ContractError here rather than leaving a
+    checkpoint that nothing can load.
+    """
     model = train_first_task(task1, cfg)
     net = model.config
     latents = forward_batched(model.forward_backbone, task1.images)
@@ -281,6 +284,7 @@ def initialize(task1: Task, cfg: RunConfig) -> EngineState:
         insert_with_eviction(state.reservoir, codes[i], int(task1.labels[i]), state.rng)
 
     state.frozen_digest = frozen_checksums(state)
+    check_state(state)  # no command writes a state that load_checkpoint would refuse
     return state
 
 

@@ -30,7 +30,19 @@ the shipped workloads run, the same float32 bits as a per-sample matmul
 forward, an einsum weight grad, a per-tap scatter-add input grad and
 numpy's pool and relu, the float64 bits of the forward and input grad
 of the NCHW-column GEMM, and byte-identical runs under one and two BLAS
-threads.
+threads and under the OpenBLAS Haswell, Sandybridge and Prescott kernels.
+
+Float32 GEMMs were measured and turned down. Keeping the padded buffer
+and `wmat` in the tensor's float32 makes forward plus backward 0.35-0.77x
+of the float64 time at ten workload shapes (init + stream through the
+CLI, one BLAS thread: 4.5 -> 3.75 s on paper-default, 7.2 -> 5.5 s on
+deep-head, big-memory flat). But an sgemm rounds each partial sum to
+float32, the result's own precision, so each kernel's order shows: on
+the tiny config the checkpoint hashed differently under the default
+kernel (SkylakeX) and under each of Haswell, Sandybridge and Prescott,
+while metrics.jsonl stayed equal; on paper-default, Sandybridge moved
+metrics.jsonl too. The float64 checkpoints are byte-identical under all
+four. Do not retry it without a float32 reduction of fixed order.
 """
 
 from __future__ import annotations

@@ -197,6 +197,21 @@ def idx_bytes(dtype_code, dims, payload):
     return head + payload
 
 
+def write_idx(path, arr, code):
+    """One IDX file of `arr`: big-endian float32 for code 0x0D, unsigned bytes for 0x08."""
+    payload = arr.astype(">f4" if code == 0x0D else ">u1").tobytes()
+    path.write_bytes(idx_bytes(code, arr.shape, payload))
+
+
+def write_idx_dataset(root, ds):
+    """`ds` as the four files of an IDX dataset directory, float32 pixels."""
+    root.mkdir(exist_ok=True)
+    write_idx(root / "train-images.idx", ds.train_images, 0x0D)
+    write_idx(root / "train-labels.idx", ds.train_labels, 0x08)
+    write_idx(root / "test-images.idx", ds.test_images, 0x0D)
+    write_idx(root / "test-labels.idx", ds.test_labels, 0x08)
+
+
 class TestLoadIdx:
     def test_hand_built_pair_round_trips(self, tmp_path):
         images = idx_bytes(0x08, (2, 3, 4), bytes(range(24)))
@@ -340,6 +355,49 @@ class TestGenSynthetic:
     def test_values_stay_in_unit_interval(self):
         x, _ = gen_synthetic(4, 20, (3, 16, 16), seed=1, noise=0.5)
         assert x.min() >= 0.0 and x.max() <= 1.0
+
+
+class TestLoadDataset:
+    CFG = RunConfig(dataset_per_class=4, dataset_test_per_class=2)
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_rejected(self, tmp_path, split, value):
+        ds = load_dataset(self.CFG)
+        images = getattr(ds, f"{split}_images").copy()
+        images[-1, 2, 15, 15] = value
+        write_idx_dataset(tmp_path, replace(ds, **{f"{split}_images": images}))
+        cfg = replace(self.CFG, dataset_kind="idx", dataset_path=str(tmp_path))
+        with pytest.raises(DataError, match=f"non-finite pixel in the {split} images"):
+            load_dataset(cfg)
+
+    def test_float64_pixel_past_float32_rejected(self, tmp_path):
+        # a finite >f8 value that the float32 cast turns into inf
+        ds = load_dataset(self.CFG)
+        write_idx_dataset(tmp_path, ds)
+        train = ds.train_images.astype(np.float64)
+        train[0, 0, 0, 0] = 1e300
+        (tmp_path / "train-images.idx").write_bytes(
+            idx_bytes(0x0E, train.shape, train.astype(">f8").tobytes())
+        )
+        cfg = replace(self.CFG, dataset_kind="idx", dataset_path=str(tmp_path))
+        with pytest.raises(DataError, match="non-finite pixel in the train images"):
+            load_dataset(cfg)
+
+    @pytest.mark.parametrize("in_shape", [(1, 16, 16), (3, 32, 32), (3, 16, 8)])
+    def test_image_shape_must_be_the_net_input(self, tmp_path, in_shape):
+        write_idx_dataset(tmp_path, load_dataset(self.CFG))
+        cfg = replace(self.CFG, dataset_kind="idx", dataset_path=str(tmp_path),
+                      net_in_shape=in_shape)
+        with pytest.raises(DataError, match=r"train images are \(3, 16, 16\), but net.in_shape"):
+            load_dataset(cfg)
+
+    def test_clean_idx_copy_loads_the_same_bytes(self, tmp_path):
+        ds = load_dataset(self.CFG)
+        write_idx_dataset(tmp_path, ds)
+        back = load_dataset(replace(self.CFG, dataset_kind="idx", dataset_path=str(tmp_path)))
+        assert back.train_images.tobytes() == ds.train_images.tobytes()
+        assert back.test_images.tobytes() == ds.test_images.tobytes()
 
 
 def tiny_run(tmp_path, seed=0, **overrides):
@@ -987,36 +1045,30 @@ class TestCli:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # stderr holds the JSON line only
     def test_non_finite_stream_input_exits_3(self, tmp_path, capsys):
-        # an IDX float dataset whose first task-2 training image holds a NaN
+        # init on a clean IDX float dataset, then a NaN in the first task-2
+        # training image: the loader refuses it before `stream` takes a step
         cfg = RunConfig(dataset_per_class=20, dataset_test_per_class=5, offline_epochs=1,
                         acae_epochs=1, pq_k=8, reservoir_capacity=40, online_rehearsal_n=3)
         ds = load_dataset(cfg)
-        task2 = build_task_stream(ds, cfg).tasks[1]
-        train = ds.train_images.copy()
-        in_task2 = np.flatnonzero(np.isin(ds.train_labels, task2.classes))
-        hit = next(i for i in in_task2 if np.array_equal(ds.train_images[i], task2.images[0]))
-        train[hit, 0, 0, 0] = np.nan
-
-        def write_idx(path, arr, code):
-            head = bytes([0, 0, code, arr.ndim]) + struct.pack(f">{arr.ndim}I", *arr.shape)
-            path.write_bytes(head + arr.astype(">f4" if code == 0x0D else ">u1").tobytes())
-
         root = tmp_path / "idx"
-        root.mkdir()
-        write_idx(root / "train-images.idx", train, 0x0D)
-        write_idx(root / "train-labels.idx", ds.train_labels, 0x08)
-        write_idx(root / "test-images.idx", ds.test_images, 0x0D)
-        write_idx(root / "test-labels.idx", ds.test_labels, 0x08)
+        write_idx_dataset(root, ds)
         cfg = replace(cfg, dataset_kind="idx", dataset_path=str(root))
         cfgp = tmp_path / "cfg.txt"
         cfgp.write_text(serialize_config(cfg))
         ckpt = str(tmp_path / "run.ckpt")
         assert main(["init", "--config", str(cfgp), "--out", ckpt]) == 0
         before = open(ckpt, "rb").read()
+
+        task2 = build_task_stream(ds, cfg).tasks[1]
+        train = ds.train_images.copy()
+        in_task2 = np.flatnonzero(np.isin(ds.train_labels, task2.classes))
+        hit = next(i for i in in_task2 if np.array_equal(ds.train_images[i], task2.images[0]))
+        train[hit, 0, 0, 0] = np.nan
+        write_idx(root / "train-images.idx", train, 0x0D)
         capsys.readouterr()
         assert main(["stream", "--checkpoint", ckpt, "--out", str(tmp_path / "out")]) == 3
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "data" and "non-finite value in the input image" in err["message"]
+        assert err["error"] == "data" and "non-finite pixel in the train images" in err["message"]
         assert open(ckpt, "rb").read() == before
 
         # a finite head whose loss is not, on the clean images: the bias
@@ -1030,6 +1082,43 @@ class TestCli:
         assert main(["stream", "--checkpoint", ckpt, "--out", str(tmp_path / "out")]) == 3
         assert "non-finite loss" in json.loads(capsys.readouterr().err)["message"]
         assert open(ckpt, "rb").read() == before
+
+    def test_wrong_image_shape_exits_3_before_training(self, tmp_path, capsys, monkeypatch):
+        # 3x32x32 CIFAR records under the default net.in_shape = 3, 16, 16
+        root = tmp_path / "cifar"
+        root.mkdir()
+        rng = np.random.default_rng(0)
+        for name, n in (("train.bin", 40), ("test.bin", 10)):
+            records = rng.integers(0, 256, size=(n, 3073), dtype=np.uint8)
+            records[:, 0] = np.arange(n) % 10
+            (root / name).write_bytes(records.tobytes())
+        cfgp = tmp_path / "cfg.txt"
+        cfgp.write_text(f"dataset.kind = cifar-bin\ndataset.path = {root}\n")
+        monkeypatch.setattr(latentreplay.engine, "train_first_task", self._no_training)
+        assert main(["init", "--config", str(cfgp), "--out", str(tmp_path / "x.ckpt")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "data" and "but net.in_shape is (3, 16, 16)" in err["message"]
+        assert not (tmp_path / "x.ckpt").exists()
+
+    def test_non_finite_task1_pixel_exits_3_before_training(self, tmp_path, capsys, monkeypatch):
+        # an IDX float dataset with one NaN in a task-1 training image
+        cfg = RunConfig(dataset_per_class=8, dataset_test_per_class=2)
+        ds = load_dataset(cfg)
+        train = ds.train_images.copy()
+        train[np.flatnonzero(np.isin(ds.train_labels, task_classes(cfg)[0]))[3], 1, 4, 5] = np.nan
+        write_idx_dataset(tmp_path / "idx", replace(ds, train_images=train))
+        cfgp = tmp_path / "cfg.txt"
+        cfgp.write_text(serialize_config(replace(cfg, dataset_kind="idx",
+                                                 dataset_path=str(tmp_path / "idx"))))
+        monkeypatch.setattr(latentreplay.engine, "train_first_task", self._no_training)
+        assert main(["init", "--config", str(cfgp), "--out", str(tmp_path / "x.ckpt")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "data" and "non-finite pixel in the train images" in err["message"]
+        assert not (tmp_path / "x.ckpt").exists()
+
+    @staticmethod
+    def _no_training(*args, **kwargs):
+        raise AssertionError("training started on data the loader should have refused")
 
     @pytest.mark.parametrize("argv", [
         ["frozen-study", "--blocks", "1,x"],

@@ -125,6 +125,17 @@ class TestInitialize:
         with pytest.raises(DataError):
             initialize(empty, cfg)
 
+    def test_non_finite_task1_pixel_raises_contract_error(self):
+        # handed straight to initialize, past load_dataset's check: the
+        # bit-mask relu keeps the forward finite, but the weight gradient
+        # carries the NaN into the backbone, and the closing check_state refuses it
+        cfg = micro_config(offline_epochs=1, acae_epochs=1)
+        t1 = build_task_stream(load_dataset(cfg), cfg).tasks[0]
+        images = t1.images.copy()
+        images[5, 0, 7, 7] = np.nan
+        with pytest.raises(ContractError, match="non-finite values in"):
+            initialize(Task(1, t1.classes, images, t1.labels), cfg)
+
     def test_decoded_replay_close_to_uncompressed(self, micro_run):
         # held-out task-1 data through the frozen head: the replay path
         # (compress, quantize, decode) may cost at most 5 points

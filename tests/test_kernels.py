@@ -1,15 +1,19 @@
 """Hot-path kernels against the straightforward code they replaced.
 
 Each reference below is the earlier implementation, kept here only as an
-oracle. The kernels must match it bit for bit (and, for the crop, leave
-the rng in the same state), because the whole run's output depends on
-them. The last test checks that a run does not depend on the BLAS
-thread count, now that both conv gradients go through BLAS.
+oracle. The kernels must match it bit for bit (and, for the crop and the
+synthetic noise, leave the rng in the same state), because the whole
+run's output depends on them. The loaders must also stay within a
+memory bound that the whole-set code they replaced broke. The last tests
+check that a run does not depend on the BLAS thread count or on the
+OpenBLAS kernel, now that both conv gradients go through BLAS.
 """
 
 import os
+import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,14 +22,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latentreplay
-from latentreplay import engine, quantizer
+from latentreplay import datasets, engine, quantizer
 from latentreplay.config import parse_config
-from latentreplay.datasets import load_dataset
+from latentreplay.datasets import gen_synthetic, load_cifar_bin, load_dataset, load_idx
 from latentreplay.engine import feature_random_resized_crop, forward_batched
 from latentreplay.network import build_model
 from latentreplay.nn import Tensor, avgpool2, conv2d, relu
 from latentreplay.quantizer import Codebooks, kmeans_fit, pq_decode_batch, pq_encode_batch
 from test_acceptance import TINY_CONFIG
+from test_config_io import idx_bytes
 
 
 # ------------------------------------------------------------------ conv2d
@@ -501,6 +506,126 @@ def test_batched_crop_matches_per_map_loop(shape, scale):
         assert rng.random() == ref_rng.random()
 
 
+# ----------------------------------------------------------------- loaders
+
+
+def _whole_set_noise(clean, noise, sample_rng):
+    """The synthetic noise as one whole-set draw, float32 cast, add and clip."""
+    if noise > 0:
+        jitter = sample_rng.normal(0.0, noise, size=clean.shape).astype(np.float32)
+        return np.clip(clean + jitter, 0.0, 1.0)
+    return clean.copy()
+
+
+def _sample_rng_spy(monkeypatch):
+    """Record every generator numpy's default_rng makes, by its seed argument."""
+    made, make = {}, np.random.default_rng
+
+    def spy(seed=None):
+        made[seed] = rng = make(seed)
+        return rng
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    return made
+
+
+_BLOCK = datasets._NOISE_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("classes,per_class,shape,seed,noise,stream", [
+    (10, 500, (3, 16, 16), 0, 0.25, 0),  # the big-memory train set
+    (10, 20, (3, 16, 16), 3, 0.25, 1),
+    (4, 37, (1, 8, 8), 1, 0.5, 0),
+    (5, 13, (3, 16, 16), 0, 0.0, 0),
+    (3, 301, (3, 32, 32), 7, 0.25, 0),
+    (2, _BLOCK // 2 + 1, (2, 4, 4), 5, 0.1, 2),  # one row past a block
+    (1, 1, (1, 1, 1), 0, 0.25, 0),
+])
+def test_gen_synthetic_matches_whole_set_noise(classes, per_class, shape, seed, noise, stream,
+                                              monkeypatch):
+    clean, clean_labels = gen_synthetic(classes, per_class, shape, seed=seed, noise=0.0)
+    ref_rng = np.random.default_rng((seed, 1 + stream))
+    ref = _whole_set_noise(clean, noise, ref_rng)
+    made = _sample_rng_spy(monkeypatch)
+    images, labels = gen_synthetic(classes, per_class, shape, seed=seed, noise=noise,
+                                   sample_stream=stream)
+    assert images.dtype == ref.dtype and images.tobytes() == ref.tobytes()
+    assert np.array_equal(labels, clean_labels)
+    assert made[(seed, 1 + stream)].random() == ref_rng.random()
+
+
+def _idx_u1_oracle(images_path):
+    raw = datasets._read_idx(images_path)
+    raw = raw[:, None] if raw.ndim == 3 else raw
+    return raw.astype(np.float32) / 255.0
+
+
+def _cifar_oracle(path):
+    records = np.frombuffer(Path(path).read_bytes(), dtype=np.uint8).reshape(-1, 3073)
+    return records[:, 1:].reshape(-1, 3, 32, 32).astype(np.float32) / 255.0
+
+
+def _u1_idx_pair(tmp_path, dims, seed=0):
+    rng = np.random.default_rng(seed)
+    pixels = rng.permutation(np.resize(np.arange(256, dtype=np.uint8), dims))
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    images.write_bytes(idx_bytes(0x08, dims, pixels.tobytes()))
+    labels.write_bytes(idx_bytes(0x08, dims[:1], bytes(i % 10 for i in range(dims[0]))))
+    return str(images), str(labels)
+
+
+def _cifar_file(tmp_path, n, seed=0):
+    records = np.random.default_rng(seed).integers(0, 256, size=(n, 3073), dtype=np.uint8)
+    records[:, 0] %= 10
+    records[0, 1:257] = np.arange(256)  # every byte value
+    path = tmp_path / "data.bin"
+    path.write_bytes(records.tobytes())
+    return str(path)
+
+
+@pytest.mark.parametrize("dims", [(7, 5, 3), (300, 1, 16, 16), (2, 3, 16, 16)])
+def test_load_idx_u1_matches_divide(tmp_path, dims):
+    images, labels = _u1_idx_pair(tmp_path, dims)
+    x, _ = load_idx(images, labels)
+    ref = _idx_u1_oracle(images)
+    assert x.dtype == ref.dtype and x.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_load_cifar_bin_matches_divide(tmp_path, n):
+    path = _cifar_file(tmp_path, n)
+    x, _ = load_cifar_bin(path)
+    ref = _cifar_oracle(path)
+    assert x.dtype == ref.dtype and x.tobytes() == ref.tobytes()
+
+
+def _traced_peak(fn):
+    """fn's result and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("loader", ["synthetic", "idx-u1", "cifar-bin"])
+def test_loader_peak_is_the_output_plus_the_file(tmp_path, loader):
+    # the whole-set noise draw alone is twice the synthetic output, in float64
+    if loader == "synthetic":
+        call, file_bytes = (lambda: gen_synthetic(10, 500, (3, 16, 16))), 0
+    elif loader == "idx-u1":
+        images, labels = _u1_idx_pair(tmp_path, (5000, 3, 16, 16))
+        call = lambda: load_idx(images, labels)  # noqa: E731
+        file_bytes = os.path.getsize(images) + os.path.getsize(labels)
+    else:
+        path = _cifar_file(tmp_path, 2000)
+        call, file_bytes = (lambda: load_cifar_bin(path)), os.path.getsize(path)
+    (x, y), peak = _traced_peak(call)
+    bound = 1.5 * (x.nbytes + y.nbytes + file_bytes)
+    assert peak <= bound, f"peak {peak / 1e6:.1f} MB > bound {bound / 1e6:.1f} MB"
+
+
 # ------------------------------------------------------------- BLAS threads
 
 
@@ -530,3 +655,81 @@ def test_run_is_identical_under_one_and_two_blas_threads(tmp_path):
         outputs.append((ckpt.read_bytes(), (out / "metrics.jsonl").read_bytes()))
     assert outputs[0][0] == outputs[1][0]
     assert outputs[0][1] == outputs[1][1]
+
+
+# ------------------------------------------------------------- BLAS kernels
+
+
+_CORENAME = """
+import ctypes, numpy
+with open("/proc/self/maps") as maps:
+    libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+getters = ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename")
+for lib in map(ctypes.CDLL, libs):
+    for fn in (getattr(lib, name, None) for name in getters):
+        if fn is not None:
+            fn.argtypes, fn.restype = [], ctypes.c_char_p
+            print(fn().decode())
+            raise SystemExit
+"""
+
+# the CPU flags (as /proc/cpuinfo names them) each forced OpenBLAS kernel executes
+_CORE_FLAGS = {"Haswell": {"avx2", "fma"}, "Sandybridge": {"avx"}, "Prescott": {"pni"}}
+
+
+def _blas_env(coretype):
+    """This environment with one BLAS thread, OpenBLAS `coretype` (None: its own choice) and
+    the package source on PYTHONPATH."""
+    env = dict(os.environ)
+    env.pop("OPENBLAS_CORETYPE", None)
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    src = str(Path(latentreplay.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    return env
+
+
+def _tiny_run_under(coretype, tmp_path):
+    """(OpenBLAS core name, checkpoint bytes, metrics.jsonl bytes) of the tiny config."""
+    env, tag = _blas_env(coretype), coretype or "default"
+    name = subprocess.run([sys.executable, "-c", _CORENAME], env=env, check=True,
+                          capture_output=True, text=True, timeout=60).stdout.strip()
+    cfg, ckpt, out = tmp_path / "cfg.txt", tmp_path / f"{tag}.ckpt", tmp_path / tag
+    cfg.write_text(TINY_CONFIG)
+    subprocess.run([sys.executable, "-c", _RUN, str(cfg), str(ckpt), str(out)],
+                   env=env, check=True, capture_output=True, timeout=600)
+    return name, ckpt.read_bytes(), (out / "metrics.jsonl").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def default_kernel_run(tmp_path_factory):
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip(f"OpenBLAS core types are x86-64 kernels; this is {platform.machine()}")
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    build = blas.get("openblas configuration", "")
+    if "DYNAMIC_ARCH" not in build:
+        pytest.skip(f"numpy's BLAS is not OpenBLAS DYNAMIC_ARCH: {blas.get('name')} {build}")
+    run = _tiny_run_under(None, tmp_path_factory.mktemp("default-kernel"))
+    if not run[0]:
+        pytest.skip("the OpenBLAS library does not report its core name")
+    return run
+
+
+@pytest.mark.parametrize("coretype", sorted(_CORE_FLAGS))
+def test_run_is_identical_under_every_openblas_kernel(coretype, default_kernel_run, tmp_path):
+    try:
+        cpuinfo = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError as err:
+        pytest.skip(f"cannot read the CPU flags: {err}")
+    flags = {f for line in cpuinfo if line.startswith("flags") for f in line.split(":", 1)[1].split()}
+    missing = _CORE_FLAGS[coretype] - flags
+    if missing:
+        pytest.skip(f"this CPU lacks {sorted(missing)}, which the {coretype} kernel executes")
+    default_name, default_ckpt, default_metrics = default_kernel_run
+    name, ckpt, metrics = _tiny_run_under(coretype, tmp_path)
+    if name == default_name:
+        pytest.skip(f"OPENBLAS_CORETYPE={coretype} runs the default kernel {name}")
+    # the checkpoint holds every weight's bits; metrics.jsonl can stay equal when they move
+    assert ckpt == default_ckpt, f"checkpoint bytes differ under {name} from {default_name}"
+    assert metrics == default_metrics, f"metrics.jsonl differs under {name} from {default_name}"
