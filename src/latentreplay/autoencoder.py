@@ -10,7 +10,7 @@ encoder/decoder parameters ever receive optimizer updates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,8 +33,7 @@ from .nn import (
 class CompressorParams:
     """Encoder (C -> C') and decoder (C' -> C) 1x1 conv parameters."""
 
-    latent_channels: int
-    params: dict[str, Tensor] = field(default_factory=dict)
+    params: dict[str, Tensor]
 
     def encoder_params(self) -> dict[str, Tensor]:
         return {k: v for k, v in self.params.items() if k.startswith("enc.")}
@@ -60,7 +59,7 @@ def build_compressor(channels: int, latent_channels: int, seed: int) -> Compress
             f"latent_channels {latent_channels} must be in 1..{channels - 1} (it is a compressor)"
         )
     shapes = compressor_shapes(channels, latent_channels)
-    return CompressorParams(latent_channels, kaiming_params(shapes, np.random.default_rng(seed)))
+    return CompressorParams(kaiming_params(shapes, np.random.default_rng(seed)))
 
 
 def compress(comp: CompressorParams, z: Tensor) -> Tensor:

@@ -34,7 +34,7 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,8 +54,9 @@ _META_KEYS = {
     "config_text": str, "rng": dict, "current_task": int, "global_step": int,
     "seen_classes": list, "optim_step_count": int, "frozen_digest": dict, "records": list,
 }
-# the JSON types allowed for step, task, seen classes, top1, top5, boundary
-_RECORD_TYPES = ((int,), (int,), (int,), (int, float), (int, float), (bool,))
+# a records row holds the MetricRecord fields in order: field name -> JSON types allowed
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
+_RECORD_TYPES = {f.name: _JSON_TYPES[f.type] for f in fields(MetricRecord)}
 
 
 @dataclass
@@ -165,10 +166,7 @@ def save_checkpoint(
         "seen_classes": sorted(state.seen_classes),
         "optim_step_count": state.optim.step_count,
         "frozen_digest": state.frozen_digest,
-        "records": [
-            [r.step, r.task, r.seen_classes, r.top1, r.top5, r.boundary]
-            for r in (records or [])
-        ],
+        "records": [[getattr(r, name) for name in _RECORD_TYPES] for r in (records or [])],
     }
     arrays.append(("meta.json", np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)))
 
@@ -205,11 +203,10 @@ def _read_meta(path: str, blob: np.ndarray) -> dict:
         raise CheckpointError(f"{path}: meta.json 'seen_classes' holds a non-integer")
     for row in meta["records"]:
         if type(row) is not list or len(row) != len(_RECORD_TYPES) or not all(
-            type(v) in types for v, types in zip(row, _RECORD_TYPES)
+            type(v) in types for v, types in zip(row, _RECORD_TYPES.values())
         ):
             raise CheckpointError(
-                f"{path}: meta.json 'records' row {row!r} is not "
-                f"[step, task, seen classes, top1, top5, boundary]"
+                f"{path}: meta.json 'records' row {row!r} is not [{', '.join(_RECORD_TYPES)}]"
             )
     return meta
 

@@ -27,7 +27,7 @@ from .engine import (
 )
 from .errors import ConfigError, LatentReplayError
 from .gradsuite import run_suite
-from .metrics import MetricsLog
+from .metrics import aoc, boundary_top1
 from .reporting import budget_line, emit_metrics, membudget_lines
 
 _EXIT_CODES = {
@@ -72,18 +72,18 @@ def _cmd_stream(args) -> int:
     todo = [t for t in tasks if state.current_task < t.task_id <= until]
 
     hook = partial(seen_class_record, dataset)
-    new = run_stream(state, todo, hook, eval_every=cfg.online_eval_every)
-    log = MetricsLog(bundle.records + new.records)
+    records = bundle.records + run_stream(state, todo, hook, eval_every=cfg.online_eval_every)
 
     out_ckpt = args.out_checkpoint or args.checkpoint
-    save_checkpoint(state, out_ckpt, config_text=bundle.config_text, records=log.records)
+    save_checkpoint(state, out_ckpt, config_text=bundle.config_text, records=records)
     jsonl, csv = emit_metrics(
-        log.records, args.out, capacity=state.reservoir.capacity,
+        records, args.out, capacity=state.reservoir.capacity,
         code_shape=state.reservoir.codes.shape[1:], exemplar_count=len(state.reservoir),
     )
     print(f"metrics written to {jsonl} and {csv}")
-    if log.boundary_top1():
-        print(f"AOC {log.aoc():.4f} LAST {log.last():.4f}")
+    top1 = boundary_top1(records)
+    if top1:
+        print(f"AOC {aoc(top1):.4f} LAST {top1[-1]:.4f}")
     return 0
 
 

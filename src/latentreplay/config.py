@@ -134,6 +134,13 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
+# integer key -> its smallest valid value: 1 for a divisor or a step, 0 for a count
+_LEAST = {
+    "pq.s": 1, "offline.batch_size": 1, "acae.batch_size": 1, "offline.epochs": 0,
+    "acae.epochs": 0, "pq.iters": 0, "online.rehearsal_n": 0, "online.eval_every": 0,
+}
+
+
 def _where(key: str, lines_set: dict[str, int]) -> str:
     return f"line {lines_set[key]}" if key in lines_set else "default"
 
@@ -149,6 +156,10 @@ def validate_config(cfg: RunConfig, lines_set: dict[str, int] | None = None) -> 
         raise ConfigError(
             f"dataset.kind ({where('dataset.kind')}) must be synthetic, idx, or cifar-bin"
         )
+    for key, least in _LEAST.items():
+        value = getattr(cfg, KEYS[key][0])
+        if value < least:
+            raise ConfigError(f"{key} = {value} ({where(key)}) must be at least {least}")
     if cfg.acae_latent_channels % cfg.pq_s != 0:
         raise ConfigError(
             f"acae.latent_channels = {cfg.acae_latent_channels} ({where('acae.latent_channels')}) "

@@ -25,7 +25,7 @@ from .autoencoder import (
 from .config import RunConfig
 from .datasets import Dataset
 from .errors import ConfigError, ContractError, DataError
-from .metrics import MetricRecord, MetricsLog, top_k_accuracy
+from .metrics import MetricRecord, top_k_accuracy
 from .network import SplitModel, _block_of, build_model, param_shapes, train_offline
 from .nn import OptimState, Tensor, no_grad, sgd_step, softmax_cross_entropy, zero_grads
 from .quantizer import Codebooks, pq_decode_batch, pq_encode_batch, train_pq
@@ -158,17 +158,17 @@ def blank_state(cfg: RunConfig, optim_steps: int, rng: np.random.Generator) -> E
     latent, s = cfg.acae_latent_channels, cfg.pq_s
     return EngineState(
         config=cfg, model=model, optim=optim, rng=rng,
-        compressor=CompressorParams(latent, zeros(compressor_shapes(net.feature_channels, latent))),
+        compressor=CompressorParams(zeros(compressor_shapes(net.feature_channels, latent))),
         books=Codebooks(np.zeros((s, cfg.pq_k, latent // s), dtype=np.float32)),
-        reservoir=Reservoir(cfg.reservoir_capacity, (s, *net.feature_hw), net.num_classes),
+        reservoir=Reservoir(cfg.reservoir_capacity, (s, *net.feature_hw)),
     )
 
 
 def check_state(state: EngineState) -> None:
     """Raise ContractError at the first run invariant `state` breaks (finite values,
     `global_step` equal to the optimizer's step count and not negative, `current_task` in
-    1..T, `seen_classes` the union of tasks 1..current_task, codes below k, only seen classes
-    stored, counts that match the labels, frozen digests); writes nothing."""
+    1..T, `seen_classes` the union of tasks 1..current_task, codes below k, stored labels of
+    seen classes only, frozen digests); writes nothing."""
     arrays = state_arrays(state)
     if not np.isfinite(np.concatenate([a.ravel() for _, a in arrays])).all():
         bad = [name for name, a in arrays if not np.isfinite(a).all()]
@@ -189,12 +189,9 @@ def check_state(state: EngineState) -> None:
     top = int(res.codes[: res.size].max(initial=0))
     if top >= k:
         raise ContractError(f"reservoir code {top} out of range for k={k}")
-    unseen = sorted(set(np.flatnonzero(res.counts).tolist()) - seen)
+    unseen = sorted(set(np.flatnonzero(np.bincount(res.labels[: res.size])).tolist()) - seen)
     if unseen:
         raise ContractError(f"reservoir labels {unseen} are of classes not seen by task {task}")
-    live = np.bincount(res.labels[: res.size], minlength=len(res.counts))
-    if not np.array_equal(res.counts, live):
-        raise ContractError("reservoir class counts do not match its labels")
     if frozen_checksums(state) != state.frozen_digest:
         raise ContractError("frozen parameter digests do not match stored values")
 
@@ -273,7 +270,7 @@ def initialize(task1: Task, cfg: RunConfig) -> EngineState:
         model=model,
         compressor=comp,
         books=books,
-        reservoir=Reservoir(cfg.reservoir_capacity, (books.s, *net.feature_hw), net.num_classes),
+        reservoir=Reservoir(cfg.reservoir_capacity, (books.s, *net.feature_hw)),
         optim=online_optim(cfg),
         rng=np.random.default_rng((cfg.seed, 103)),
         seen_classes=set(task1.classes),
@@ -384,20 +381,15 @@ def online_step(state: EngineState, x: np.ndarray, y: int) -> EngineState:
     return state
 
 
-def run_stream(state: EngineState, tasks, eval_hook=None, eval_every: int = 0) -> MetricsLog:
+def run_stream(state: EngineState, tasks, eval_hook=None, eval_every: int = 0) -> list[MetricRecord]:
     """Single pass over tasks 2..T in order; `check_state`, then evaluates at each boundary.
 
     A task's classes join `seen_classes` as it starts.
     `eval_hook(state, task_id, step, boundary)` may return a
     MetricRecord to append, or None. `eval_every` > 0 adds intra-task
-    evaluations every that many steps.
+    evaluations every that many steps. Returns the records in order.
     """
-    log = MetricsLog()
-
-    def maybe_add(record):
-        if record is not None:
-            log.add(record)
-
+    records = []
     for task in tasks:
         if task.task_id != state.current_task + 1:
             raise DataError(
@@ -410,11 +402,11 @@ def run_stream(state: EngineState, tasks, eval_hook=None, eval_every: int = 0) -
         for i in range(n):
             online_step(state, task.images[i], int(task.labels[i]))
             if eval_every and eval_hook is not None and state.global_step % eval_every == 0 and i < n - 1:
-                maybe_add(eval_hook(state, task.task_id, state.global_step, False))
+                records.append(eval_hook(state, task.task_id, state.global_step, False))
         check_state(state)
         if eval_hook is not None:
-            maybe_add(eval_hook(state, task.task_id, state.global_step, True))
-    return log
+            records.append(eval_hook(state, task.task_id, state.global_step, True))
+    return [r for r in records if r is not None]
 
 
 def evaluate(state: EngineState, images: np.ndarray, labels: np.ndarray) -> dict:

@@ -61,75 +61,41 @@ def _suite_config() -> NetConfig:
     )
 
 
+# (name, shapes of the checked inputs, label classes, op). The loss is the cross-entropy of
+# the op's output on one label per row of the first input, or, where the classes are None,
+# its mse against a target drawn like the first input.
+_LAYER_TABLE = (
+    ("conv2d", [(2, 2, 4, 4), (3, 2, 3, 3), (3,)], 3,
+     lambda x, w, b: global_avgpool(conv2d(x, w, b, pad=1))),
+    ("relu", [(3, 5)], 5, relu),
+    ("avgpool2", [(2, 3, 4, 4)], 3, lambda x: global_avgpool(avgpool2(x))),
+    ("global_avgpool", [(2, 4, 4, 4)], 4, global_avgpool),
+    ("linear", [(3, 4), (5, 4), (5,)], 5, linear),
+    ("mse", [(3, 4)], None, lambda x: x),
+    ("softmax_cross_entropy", [(4, 6)], 6, lambda x: x),
+)
+
+
 def layer_checks(seed: int) -> list[CheckResult]:
-    """Finite-difference checks for each op in isolation."""
+    """Finite-difference checks of each `_LAYER_TABLE` op, drawn from one generator in order."""
     rng = np.random.default_rng(seed)
     results = []
+    for name, shapes, classes, op in _LAYER_TABLE:
+        data = [rng.normal(size=shape).astype(np.float32) for shape in shapes]
+        if op is relu:  # keep the relu inputs off the kink
+            near = np.abs(data[0]) < 0.1
+            data[0][near] = np.sign(data[0][near] + 0.05) * 0.2
+        inputs = [Tensor(d, requires_grad=True) for d in data]
+        if classes is None:
+            target = Tensor(rng.normal(size=shapes[0]).astype(np.float32))
+        else:
+            labels = rng.integers(0, classes, size=shapes[0][0])
 
-    x = Tensor(rng.normal(size=(2, 2, 4, 4)).astype(np.float32), requires_grad=True)
-    w = Tensor(rng.normal(size=(3, 2, 3, 3)).astype(np.float32), requires_grad=True)
-    b = Tensor(rng.normal(size=3).astype(np.float32), requires_grad=True)
-    labels = rng.integers(0, 3, size=2)
+        def loss(*ts):
+            out = op(*ts)
+            return mse(out, target) if classes is None else softmax_cross_entropy(out, labels)[0]
 
-    def conv_loss(x, w, b):
-        loss, _ = softmax_cross_entropy(global_avgpool(conv2d(x, w, b, pad=1)), labels)
-        return loss
-
-    results.append(_result("conv2d", seed, conv_loss, [x, w, b]))
-
-    data = rng.normal(size=(3, 5)).astype(np.float32)
-    near = np.abs(data) < 0.1  # keep the relu inputs off the kink
-    data[near] = np.sign(data[near] + 0.05) * 0.2
-    xr = Tensor(data, requires_grad=True)
-    labels_r = rng.integers(0, 5, size=3)
-
-    def relu_loss(xr):
-        loss, _ = softmax_cross_entropy(relu(xr), labels_r)
-        return loss
-
-    results.append(_result("relu", seed, relu_loss, [xr]))
-
-    xp = Tensor(rng.normal(size=(2, 3, 4, 4)).astype(np.float32), requires_grad=True)
-    labels_p = rng.integers(0, 3, size=2)
-
-    def pool_loss(xp):
-        loss, _ = softmax_cross_entropy(global_avgpool(avgpool2(xp)), labels_p)
-        return loss
-
-    results.append(_result("avgpool2", seed, pool_loss, [xp]))
-
-    xg = Tensor(rng.normal(size=(2, 4, 4, 4)).astype(np.float32), requires_grad=True)
-    labels_g = rng.integers(0, 4, size=2)
-
-    def gap_loss(xg):
-        loss, _ = softmax_cross_entropy(global_avgpool(xg), labels_g)
-        return loss
-
-    results.append(_result("global_avgpool", seed, gap_loss, [xg]))
-
-    xl = Tensor(rng.normal(size=(3, 4)).astype(np.float32), requires_grad=True)
-    wl = Tensor(rng.normal(size=(5, 4)).astype(np.float32), requires_grad=True)
-    bl = Tensor(rng.normal(size=5).astype(np.float32), requires_grad=True)
-    labels_l = rng.integers(0, 5, size=3)
-
-    def lin_loss(xl, wl, bl):
-        loss, _ = softmax_cross_entropy(linear(xl, wl, bl), labels_l)
-        return loss
-
-    results.append(_result("linear", seed, lin_loss, [xl, wl, bl]))
-
-    xm = Tensor(rng.normal(size=(3, 4)).astype(np.float32), requires_grad=True)
-    tm = Tensor(rng.normal(size=(3, 4)).astype(np.float32))
-    results.append(_result("mse", seed, lambda a: mse(a, tm), [xm]))
-
-    xs = Tensor(rng.normal(size=(4, 6)).astype(np.float32), requires_grad=True)
-    labels_s = rng.integers(0, 6, size=4)
-
-    def ce_loss(xs):
-        loss, _ = softmax_cross_entropy(xs, labels_s)
-        return loss
-
-    results.append(_result("softmax_cross_entropy", seed, ce_loss, [xs]))
+        results.append(_result(name, seed, loss, inputs))
     return results
 
 
@@ -168,7 +134,7 @@ def compression_loss_check(seed: int) -> CheckResult:
     tensors = [comp.params[k] for k in names]
 
     def f(*ts):
-        local = CompressorParams(comp.latent_channels, dict(zip(names, ts)))
+        local = CompressorParams(dict(zip(names, ts)))
         loss, _ = compression_loss(local, model, z, labels, use_ce=True)
         return loss
 

@@ -1,13 +1,13 @@
 """Task-agnostic evaluation metrics: top-k accuracy, AOC, LAST.
 
 AOC is the arithmetic mean of the per-evaluation-step accuracies over
-all classes seen so far; LAST is the final record's accuracy. Ties in
-the top-k ranking are broken toward the lowest class index.
+all classes seen so far; LAST is the final one, `boundary_top1(records)[-1]`.
+Ties in the top-k ranking are broken toward the lowest class index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,39 +41,22 @@ def aoc(per_step_accuracies) -> float:
     return float(np.mean(np.asarray(values, dtype=np.float64)))
 
 
-def last(per_step_accuracies) -> float:
-    """Accuracy at the final evaluation step."""
-    values = list(per_step_accuracies)
-    if not values:
-        raise DataError("last of an empty accuracy list")
-    return float(values[-1])
-
-
 @dataclass(frozen=True)
 class MetricRecord:
-    """One evaluation point of the stream."""
+    """One evaluation point of the stream.
+
+    The fields, in order, are the keys of a `metrics.jsonl` line and the
+    columns of a checkpoint's records row.
+    """
 
     step: int  # online steps completed when the evaluation ran
     task: int  # most recent task streamed (1-based)
     seen_classes: int
     top1: float
-    top5: float | None = None
+    top5: float
     boundary: bool = True  # False for intra-task cadence evaluations
 
 
-@dataclass
-class MetricsLog:
-    records: list[MetricRecord] = field(default_factory=list)
-
-    def add(self, record: MetricRecord) -> None:
-        self.records.append(record)
-
-    def boundary_top1(self) -> list[float]:
-        """Per-task-boundary accuracies, the AOC/LAST input sequence."""
-        return [r.top1 for r in self.records if r.boundary]
-
-    def aoc(self) -> float:
-        return aoc(self.boundary_top1())
-
-    def last(self) -> float:
-        return last(self.boundary_top1())
+def boundary_top1(records) -> list[float]:
+    """Per-task-boundary accuracies, the AOC/LAST input sequence."""
+    return [r.top1 for r in records if r.boundary]

@@ -13,9 +13,13 @@ every op preserves it; only the finite-difference checker uses this, so
 its central differences are not swamped by float32 rounding. Production
 code never constructs float64 tensors.
 
-Op outputs are not checked for NaN/Inf: ``engine.online_step`` rejects a
-non-finite input image or loss before the head changes, and
-``quantizer.Codebooks`` rejects a non-finite centroid.
+Op outputs are not checked for NaN/Inf. The guards sit where values
+enter or settle: ``datasets.Dataset.check`` refuses a non-finite pixel
+when a dataset loads, ``engine.online_step`` rejects a non-finite input
+image or loss before the head changes, ``quantizer.Codebooks`` rejects a
+non-finite centroid, and ``engine.check_state`` refuses a state with a
+non-finite parameter, optimizer value or centroid after ``initialize``,
+at every task boundary and when a checkpoint loads.
 """
 
 from __future__ import annotations

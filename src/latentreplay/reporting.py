@@ -1,18 +1,19 @@
 """Metrics files and the memory-budget accounting table.
 
-JSONL field order is fixed: step, task, seen_classes, top1, top5,
-boundary. The summary CSV has one data row with columns
-aoc,last,memory_bytes,exemplar_count,exemplar_shape; an empty log
-produces the header only.
+JSONL field order is fixed: the fields of MetricRecord (step, task,
+seen_classes, top1, top5, boundary). The summary CSV has one data row
+with columns aoc,last,memory_bytes,exemplar_count,exemplar_shape; an
+empty log produces the header only.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from dataclasses import asdict
 
-from .metrics import MetricsLog
-from .reservoir import as_mb, memory_bytes
+from .metrics import aoc, boundary_top1
+from .reservoir import CODE_BYTES, as_mb, memory_bytes
 
 CSV_HEADER = "aoc,last,memory_bytes,exemplar_count,exemplar_shape"
 
@@ -32,7 +33,7 @@ BUDGET_TABLE = (
 def budget_line(count: int, shape: tuple, decimals: int = 2) -> str:
     mb = as_mb(memory_bytes(count, shape))
     dims = "x".join(str(d) for d in shape)
-    return f"{count} exemplars of {dims} (1 B/elem) -> {mb:.{decimals}f} MB"
+    return f"{count} exemplars of {dims} ({CODE_BYTES} B/elem) -> {mb:.{decimals}f} MB"
 
 
 def membudget_lines() -> list[str]:
@@ -44,8 +45,7 @@ def emit_metrics(records, out_dir: str, *, capacity: int, code_shape: tuple, exe
     """Write metrics.jsonl and summary.csv; returns both paths.
 
     AOC and LAST are computed over boundary records only, matching the
-    per-task accuracy sequence. memory_bytes uses one byte per stored
-    element (the codes are bytes).
+    per-task accuracy sequence.
     """
     os.makedirs(out_dir, exist_ok=True)
     jsonl_path = os.path.join(out_dir, "metrics.jsonl")
@@ -53,22 +53,15 @@ def emit_metrics(records, out_dir: str, *, capacity: int, code_shape: tuple, exe
 
     with open(jsonl_path, "w") as fh:
         for r in records:
-            fh.write(json.dumps({
-                "step": r.step,
-                "task": r.task,
-                "seen_classes": r.seen_classes,
-                "top1": r.top1,
-                "top5": r.top5,
-                "boundary": r.boundary,
-            }) + "\n")
+            fh.write(json.dumps(asdict(r)) + "\n")
 
-    log = MetricsLog(records)
+    top1 = boundary_top1(records)
     with open(csv_path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
-        if log.boundary_top1():
-            mem = memory_bytes(capacity, code_shape, 1)
+        if top1:
+            mem = memory_bytes(capacity, code_shape)
             dims = "x".join(str(d) for d in code_shape)
-            fh.write(f"{log.aoc()},{log.last()},{mem},{exemplar_count},{dims}\n")
+            fh.write(f"{aoc(top1)},{top1[-1]},{mem},{exemplar_count},{dims}\n")
     return jsonl_path, csv_path
 
 

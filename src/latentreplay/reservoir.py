@@ -2,16 +2,17 @@
 
 The memory is two preallocated arrays: `codes[capacity, s, H, W]` of
 uint8 PQ codes and `labels[capacity]`. Rows `0..size-1` are live, in
-insertion order; `counts[c]` is the number of live rows of class c.
+insertion order. Class counts are not stored: eviction counts the live
+labels when the memory is full.
 
 Eviction targets the most-populated class: among classes tied at the
 maximum count one is chosen uniformly (ties in ascending label order),
 then a uniform member of that class, in row order, is removed. Later
 rows shift down one and the new row goes last. Rehearsal sampling draws
 row indices uniformly, without replacement. Memory
-accounting is exact integer byte arithmetic; megabytes are decimal
-(10^6 bytes), the convention the stored-size bookkeeping is built
-around.
+accounting is exact integer byte arithmetic at CODE_BYTES per stored
+element (the codes are bytes); megabytes are decimal (10^6 bytes), the
+convention the stored-size bookkeeping is built around.
 """
 
 from __future__ import annotations
@@ -20,15 +21,16 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 
+CODE_BYTES = 1  # bytes per stored element: the codes are uint8
+
 
 class Reservoir:
-    def __init__(self, capacity: int, code_shape: tuple, num_classes: int):
+    def __init__(self, capacity: int, code_shape: tuple):
         if capacity < 1:
             raise ConfigError("reservoir capacity must be positive")
         self.capacity = capacity
         self.codes = np.zeros((capacity, *code_shape), dtype=np.uint8)
         self.labels = np.zeros(capacity, dtype=np.int64)
-        self.counts = np.zeros(num_classes, dtype=np.int64)
         self.size = 0
 
     def __len__(self) -> int:
@@ -39,7 +41,6 @@ class Reservoir:
         n = len(labels)
         self.codes[:n] = codes
         self.labels[:n] = labels
-        self.counts = np.bincount(labels, minlength=len(self.counts))
         self.size = n
 
 
@@ -52,17 +53,16 @@ def insert_with_eviction(
     """
     evicted = None
     if res.size == res.capacity:
-        tied = np.flatnonzero(res.counts == res.counts.max())
+        counts = np.bincount(res.labels[: res.size])
+        tied = np.flatnonzero(counts == counts.max())
         evicted = int(tied[int(rng.integers(len(tied)))])
         members = np.flatnonzero(res.labels[: res.size] == evicted)
         victim = int(members[int(rng.integers(len(members)))])
         res.codes[victim:-1] = res.codes[victim + 1 :]
         res.labels[victim:-1] = res.labels[victim + 1 :]
-        res.counts[evicted] -= 1
         res.size -= 1
     res.codes[res.size] = codes
     res.labels[res.size] = label
-    res.counts[label] += 1
     res.size += 1
     return evicted
 
@@ -77,11 +77,11 @@ def sample_batch(res: Reservoir, n: int, rng: np.random.Generator) -> np.ndarray
     return rng.choice(size, size=n, replace=False)
 
 
-def memory_bytes(count: int, shape: tuple, bytes_per_element: int = 1) -> int:
-    """count * prod(shape) * bytes_per_element, exact."""
-    if count < 1 or bytes_per_element < 1 or any(d < 1 for d in shape):
-        raise DataError("memory_bytes needs positive count, dims, and element size")
-    total = count * bytes_per_element
+def memory_bytes(count: int, shape: tuple) -> int:
+    """count * prod(shape) * CODE_BYTES, exact."""
+    if count < 1 or any(d < 1 for d in shape):
+        raise DataError("memory_bytes needs positive count and dims")
+    total = count * CODE_BYTES
     for d in shape:
         total *= d
     return total

@@ -30,7 +30,7 @@ from latentreplay.engine import (
     train_first_task,
 )
 from latentreplay.gradsuite import run_suite
-from latentreplay.metrics import aoc, top_k_accuracy
+from latentreplay.metrics import aoc, boundary_top1, top_k_accuracy
 from latentreplay.nn import Tensor, no_grad
 from latentreplay.quantizer import pq_decode_batch, pq_encode_batch, reconstruction_mse, train_pq
 from latentreplay.reporting import BUDGET_TABLE, budget_line
@@ -48,7 +48,7 @@ _ELAPSED: dict = {}
 @dataclass
 class StreamRun:
     state: object
-    log: object
+    log: list  # the run_stream records
     init_sums: dict
     streamed: int
 
@@ -101,7 +101,7 @@ def finetune_run():
 def test_criterion_01_memory_accounting(capsys):
     t0 = perf_counter()
     for count, shape, shown, decimals in BUDGET_TABLE:
-        mb = memory_bytes(count, shape, 1) / 1e6
+        mb = memory_bytes(count, shape) / 1e6
         assert f"{mb:.{decimals}f}" == shown
         assert budget_line(count, shape, decimals).endswith(f"{shown} MB")
     assert main(["membudget"]) == 0
@@ -185,15 +185,17 @@ def test_criterion_07_desk_scale_directions(mid_runs, last_runs, finetune_run):
     last_cfg = RunConfig(net_replay_block=3, reservoir_capacity=2000)
     mid_code = (mid_cfg.pq_s,) + mid_cfg.net_config().feature_hw
     last_code = (last_cfg.pq_s,) + last_cfg.net_config().feature_hw
-    assert memory_bytes(mid_cfg.reservoir_capacity, mid_code, 1) == memory_bytes(
-        last_cfg.reservoir_capacity, last_code, 1
+    assert memory_bytes(mid_cfg.reservoir_capacity, mid_code) == memory_bytes(
+        last_cfg.reservoir_capacity, last_code
     )
 
     # (a) rehearsal beats plain finetuning by at least ten points
-    assert mid_runs[0].log.last() >= finetune_run.log.last() + 0.10
+    assert boundary_top1(mid_runs[0].log)[-1] >= boundary_top1(finetune_run.log)[-1] + 0.10
 
     # (b) intermediate-block replay holds up against last-block replay
-    wins = sum(mid_runs[s].log.last() >= last_runs[s].log.last() for s in SEEDS)
+    wins = sum(
+        boundary_top1(mid_runs[s].log)[-1] >= boundary_top1(last_runs[s].log)[-1] for s in SEEDS
+    )
     assert wins >= 3
 
     assert _ELAPSED["mid"] + _ELAPSED["last"] + _ELAPSED["finetune"] <= 600.0

@@ -35,7 +35,7 @@ def identity_compressor(channels: int) -> CompressorParams:
         "dec.weight": Tensor(eye.copy(), requires_grad=True),
         "dec.bias": Tensor(np.zeros(channels, dtype=np.float32), requires_grad=True),
     }
-    return CompressorParams(channels, params)
+    return CompressorParams(params)
 
 
 def small_model(seed=0, replay_block=1):

@@ -73,6 +73,13 @@ def valid_configs(draw):
         acae_latent_channels=latent,
         online_crop_min_area=lo,
         online_crop_max_area=draw(st.floats(lo, 1.0)),
+        offline_batch_size=draw(st.integers(1, 2**40)),
+        acae_batch_size=draw(st.integers(1, 2**40)),
+        offline_epochs=draw(st.integers(0, 2**40)),
+        acae_epochs=draw(st.integers(0, 2**40)),
+        pq_iters=draw(st.integers(0, 2**40)),
+        online_rehearsal_n=draw(st.integers(0, 2**40)),
+        online_eval_every=draw(st.integers(0, 2**40)),
     )
     return RunConfig(**values)
 
@@ -425,7 +432,6 @@ class TestCheckpoint:
         assert back.capacity == res.capacity and len(back) == len(res)
         assert np.array_equal(back.codes, res.codes)
         assert np.array_equal(back.labels, res.labels)
-        assert np.array_equal(back.counts, res.counts)
         assert bundle.state.config == cfg
 
     def test_reservoir_blob_layout(self, tmp_path):
@@ -492,14 +498,14 @@ class TestCheckpoint:
         text = serialize_config(cfg)
 
         hook = partial(seen_class_record, ds)
-        unbroken = run_stream(state, stream.tasks[1:], hook).records
+        unbroken = run_stream(state, stream.tasks[1:], hook)
 
         _, _, _, state2 = tiny_run(tmp_path)
         p = str(tmp_path / "mid.ckpt")
-        first = run_stream(state2, stream.tasks[1:3], hook).records
+        first = run_stream(state2, stream.tasks[1:3], hook)
         save_checkpoint(state2, p, config_text=text, records=first)
         bundle = load_checkpoint(p)
-        rest = run_stream(bundle.state, stream.tasks[3:], hook).records
+        rest = run_stream(bundle.state, stream.tasks[3:], hook)
         assert bundle.records + rest == unbroken
 
     def test_optimizer_and_rng_state_survive(self, tmp_path):
@@ -948,7 +954,7 @@ class TestEmitMetrics:
             self.records(), str(tmp_path), capacity=10, code_shape=(4, 4, 4), exemplar_count=7
         )
         data = open(csv).read().strip().split("\n")[1].split(",")
-        assert int(data[2]) == memory_bytes(10, (4, 4, 4), 1)
+        assert int(data[2]) == memory_bytes(10, (4, 4, 4))
         assert data[3] == "7" and data[4] == "4x4x4"
 
     def test_empty_log_header_only(self, tmp_path):
@@ -980,6 +986,25 @@ class TestCli:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
+
+    @pytest.mark.parametrize("line", [
+        "pq.s = 0", "offline.batch_size = 0", "acae.batch_size = 0", "offline.epochs = -1",
+        "acae.epochs = -1", "pq.iters = -1", "online.rehearsal_n = -1", "online.eval_every = -1",
+    ])
+    def test_out_of_range_count_is_a_config_error_before_any_data(
+        self, line, tmp_path, capsys, monkeypatch
+    ):
+        def no_loading(*args, **kwargs):
+            raise AssertionError("the dataset loaded under a config that should be refused")
+
+        monkeypatch.setattr(latentreplay.cli, "load_dataset", no_loading)
+        p = tmp_path / "bad.txt"
+        p.write_text(f"seed = 1\n{line}\n")
+        code = main(["init", "--config", str(p), "--out", str(tmp_path / "x.ckpt")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and err["message"].startswith(f"{line} (line 2) ")
+        assert not (tmp_path / "x.ckpt").exists()
 
     def test_missing_checkpoint_io_code(self, tmp_path, capsys):
         code = main(["eval", "--checkpoint", str(tmp_path / "nope.ckpt")])

@@ -267,7 +267,7 @@ class TestOnlineStep:
         res = state.reservoir
         return (
             {k: p.data.copy() for k, p in state.model.head_params().items()},
-            res.codes[: res.size].copy(), res.labels[: res.size].copy(), res.counts.copy(),
+            res.codes[: res.size].copy(), res.labels[: res.size].copy(),
             state.global_step, state.optim.step_count,
         )
 
@@ -275,9 +275,9 @@ class TestOnlineStep:
         after = self._untouched_parts(state)
         for k in before[0]:
             assert np.array_equal(after[0][k], before[0][k], equal_nan=True), k
-        for a, b in zip(after[1:4], before[1:4]):
+        for a, b in zip(after[1:3], before[1:3]):
             assert np.array_equal(a, b)
-        assert after[4:] == before[4:]
+        assert after[3:] == before[3:]
 
     def test_non_finite_image_rejected_before_any_update(self):
         cfg = micro_config(offline_epochs=1, acae_epochs=1)
@@ -390,24 +390,6 @@ class TestRunStream:
         with pytest.raises(ContractError, match=rf"reservoir labels \[{t3.classes[0]}\]"):
             run_stream(state, [bad])
 
-    def test_count_drift_rejected_at_the_first_boundary(self, micro_run, monkeypatch):
-        real = engine.insert_with_eviction
-
-        def insert_without_count(res, codes, label, rng):
-            counts = res.counts.copy()
-            evicted = real(res, codes, label, rng)
-            res.counts = counts  # the count update skipped
-            return evicted
-
-        _, _, stream, state = micro_run
-        state, t2 = copy.deepcopy(state), stream.tasks[1]
-        monkeypatch.setattr(engine, "insert_with_eviction", insert_without_count)
-        hooked = []
-        short = Task(2, t2.classes, t2.images[:5], t2.labels[:5])
-        with pytest.raises(ContractError, match="counts do not match"):
-            run_stream(state, [short, *stream.tasks[2:]], lambda *args: hooked.append(args))
-        assert state.current_task == 2 and hooked == []
-
     def test_step_counter_drift_rejected_at_the_first_boundary(self, micro_run):
         _, _, stream, state = micro_run
         state, t2 = copy.deepcopy(state), stream.tasks[1]
@@ -424,11 +406,11 @@ class TestRunStream:
         state = initialize(stream.tasks[0], cfg)
 
         def hook(state, task_id, step, boundary):
-            return MetricRecord(step, task_id, len(state.seen_classes), 0.0, None, boundary)
+            return MetricRecord(step, task_id, len(state.seen_classes), 0.0, 0.0, boundary)
 
-        log = run_stream(state, stream.tasks[1:3], hook)
-        assert [(r.task, r.boundary) for r in log.records] == [(2, True), (3, True)]
-        assert log.records[0].step == len(stream.tasks[1].labels)
+        records = run_stream(state, stream.tasks[1:3], hook)
+        assert [(r.task, r.boundary) for r in records] == [(2, True), (3, True)]
+        assert records[0].step == len(stream.tasks[1].labels)
 
     def test_intra_task_eval_cadence(self, micro_run):
         cfg, ds, _, _ = micro_run
@@ -436,10 +418,10 @@ class TestRunStream:
         state = initialize(stream.tasks[0], cfg)
 
         def hook(state, task_id, step, boundary):
-            return MetricRecord(step, task_id, len(state.seen_classes), 0.0, None, boundary)
+            return MetricRecord(step, task_id, len(state.seen_classes), 0.0, 0.0, boundary)
 
-        log = run_stream(state, stream.tasks[1:2], hook, eval_every=25)
-        steps = [(r.step, r.boundary) for r in log.records]
+        records = run_stream(state, stream.tasks[1:2], hook, eval_every=25)
+        steps = [(r.step, r.boundary) for r in records]
         assert steps == [(25, False), (50, False), (75, False), (80, True)]
 
     def test_identical_seed_identical_log(self):
@@ -449,7 +431,7 @@ class TestRunStream:
             stream = build_task_stream(ds, cfg)
             state = initialize(stream.tasks[0], cfg)
 
-            return run_stream(state, stream.tasks[1:3], partial(seen_class_record, ds)).records
+            return run_stream(state, stream.tasks[1:3], partial(seen_class_record, ds))
 
         a, b = one(), one()
         assert a == b

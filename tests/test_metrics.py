@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from latentreplay.errors import DataError
-from latentreplay.metrics import MetricRecord, MetricsLog, aoc, last, top_k_accuracy
+from latentreplay.metrics import MetricRecord, aoc, boundary_top1, top_k_accuracy
 
 # per-step top-1 columns whose published means are 83.1 and 80.7
 ICARL_STEPS = [99.3, 97.2, 93.5, 91.0, 87.5, 82.1, 77.1, 72.8, 67.1, 63.5]
@@ -87,24 +87,35 @@ class TestAoc:
             aoc([])
 
 
+def boundary_records(top1s):
+    """One boundary record per accuracy, each followed by an intra-task record of accuracy 0."""
+    records = []
+    for task, top1 in enumerate(top1s, start=1):
+        records.append(MetricRecord(10 * task, task, 2 * task, top1, 1.0))
+        records.append(MetricRecord(10 * task + 5, task + 1, 2 * task + 2, 0.0, 0.0, False))
+    return records
+
+
 class TestLast:
+    # LAST is boundary_top1(records)[-1]: the final boundary record's top1
     def test_single_record_identity(self):
-        assert last([5.0]) == 5.0
+        assert boundary_top1(boundary_records([5.0]))[-1] == 5.0
 
     def test_final_element(self):
-        assert last(ICARL_STEPS) == 63.5
-
-    def test_empty_rejected(self):
-        with pytest.raises(DataError):
-            last([])
+        assert boundary_top1(boundary_records(ICARL_STEPS))[-1] == 63.5
 
 
-class TestMetricsLog:
+class TestBoundaryTop1:
     def test_aoc_and_last_use_boundary_records_only(self):
-        log = MetricsLog()
-        log.add(MetricRecord(step=0, task=1, seen_classes=2, top1=0.9))
-        log.add(MetricRecord(step=5, task=2, seen_classes=4, top1=0.1, boundary=False))
-        log.add(MetricRecord(step=10, task=2, seen_classes=4, top1=0.7))
-        assert log.boundary_top1() == [0.9, 0.7]
-        assert abs(log.aoc() - 0.8) < 1e-12
-        assert log.last() == 0.7
+        records = [
+            MetricRecord(step=0, task=1, seen_classes=2, top1=0.9, top5=1.0),
+            MetricRecord(step=5, task=2, seen_classes=4, top1=0.1, top5=0.5, boundary=False),
+            MetricRecord(step=10, task=2, seen_classes=4, top1=0.7, top5=1.0),
+        ]
+        assert boundary_top1(records) == [0.9, 0.7]
+        assert abs(aoc(boundary_top1(records)) - 0.8) < 1e-12
+        assert boundary_top1(records)[-1] == 0.7
+
+    def test_top5_is_required(self):
+        with pytest.raises(TypeError, match="top5"):
+            MetricRecord(0, 1, 2, 0.5)

@@ -19,8 +19,8 @@ from latentreplay.reservoir import (
 SHAPE = (2, 2, 2)
 
 
-def new_res(capacity, num_classes=4, shape=SHAPE):
-    return Reservoir(capacity, shape, num_classes)
+def new_res(capacity, shape=SHAPE):
+    return Reservoir(capacity, shape)
 
 
 def put(res, label, rng, fill=0):
@@ -83,15 +83,6 @@ class TestInsert:
             assert before[evicted] == max(before.values())
             assert len(res) == 6
 
-    def test_counts_match_recount(self):
-        rng = np.random.default_rng(4)
-        res = new_res(capacity=5)
-        for i in range(20):
-            put(res, i % 4, rng)
-            recount = live_counts(res)
-            assert res.counts.tolist() == [recount[c] for c in range(4)]
-            assert res.counts.sum() == len(res)
-
     def test_zero_capacity_rejected(self):
         with pytest.raises(ConfigError):
             new_res(capacity=0)
@@ -145,7 +136,7 @@ class TestSnapshot:
         back = new_res(capacity=5)
         back.fill(res.codes[: len(res)], res.labels[: len(res)].astype("<u2"))
         assert len(back) == len(res)
-        for a, b in ((back.codes, res.codes), (back.labels, res.labels), (back.counts, res.counts)):
+        for a, b in ((back.codes, res.codes), (back.labels, res.labels)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         assert put(back, 0, np.random.default_rng(1)) == put(res, 0, np.random.default_rng(1))
 
@@ -188,7 +179,7 @@ class TestAgainstListReference:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_same_rows_evictions_and_samples(self, capacity, labels, n, seed):
-        res = Reservoir(capacity, (1, 1, 2), 5)
+        res = Reservoir(capacity, (1, 1, 2))
         ref = ListReservoir(capacity)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for i, label in enumerate(labels):
@@ -201,7 +192,6 @@ class TestAgainstListReference:
             assert len(res) == len(ref.rows) <= capacity
             assert res.labels[: len(res)].tolist() == [lab for _, lab in ref.rows]
             assert res.codes[: len(res), 0, 0, 1].tolist() == [m for m, _ in ref.rows]
-            assert res.counts.sum() == len(res)
             picks = sample_batch(res, n, rng)
             assert [int(i) for i in picks] == ref.sample(n, ref_rng)
 
@@ -221,22 +211,19 @@ class TestMemoryAccounting:
 
     @pytest.mark.parametrize("count,shape,shown,decimals", PAIRS)
     def test_published_pairs(self, count, shape, shown, decimals):
-        mb = as_mb(memory_bytes(count, shape, 1))
+        mb = as_mb(memory_bytes(count, shape))
         assert f"{mb:.{decimals}f}" == shown
 
     def test_bytes_exact(self):
-        assert memory_bytes(130_000, (8, 7, 7), 1) == 130_000 * 8 * 49
-        assert memory_bytes(3, (2, 2), 4) == 48
+        assert memory_bytes(130_000, (8, 7, 7)) == 130_000 * 8 * 49
 
     def test_nonpositive_rejected(self):
         with pytest.raises(DataError):
-            memory_bytes(0, (1,), 1)
+            memory_bytes(0, (1,))
         with pytest.raises(DataError):
-            memory_bytes(1, (0, 2), 1)
-        with pytest.raises(DataError):
-            memory_bytes(1, (1,), 0)
+            memory_bytes(1, (0, 2))
 
     def test_preallocated_codes_match_budget(self):
         res = new_res(capacity=3, shape=(4, 8, 8))
         assert res.codes.dtype == np.uint8
-        assert res.codes.nbytes == memory_bytes(3, (4, 8, 8), 1)
+        assert res.codes.nbytes == memory_bytes(3, (4, 8, 8))

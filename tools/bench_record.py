@@ -14,17 +14,18 @@ the loaders built their arrays in place, `big-memory` read 153.3 MB from
 one copy of a commit and 149.2 MB from a copy at a longer path, and
 after, 121.9 MB from both. It runs the unchanged
 `python3 perfbench/run.py --workload all --seed 0` in both copies, ten
-times each, alternating which side runs first, then one traced pass
-(`--trace 1`) of every workload in the change copy. Run nothing else on
-the machine meanwhile. The file holds:
+times each, alternating which side runs first, then one untraced run
+at each further seed of SEEDS on each side, for its `metrics.jsonl`
+hashes, then one traced pass (`--trace 1`) of every workload in the
+change copy. Run nothing else on the machine meanwhile. The file holds:
 
 - per workload and end-to-end metric of BENCHMARK.json, each side's
   runs, median and quartiles, and the pairs the change won and lost
   (ties count for neither);
 - failed and attempted operations of every run;
 - the environment block of both checkouts and the `metrics.jsonl`
-  sha256 of every workload on both sides, which must be equal when a
-  change claims identical outputs;
+  sha256 of every workload on both sides at every seed of SEEDS, which
+  must be equal when a change claims identical outputs;
 - the traced pass's per-layer metrics, span summary, work counts (conv
   calls per shape among them) and online-step breakdown.
 """
@@ -44,7 +45,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 3600
 PAIRS = 10
-SEED = 0
+SEEDS = (0, 4099)  # the first is timed in PAIRS pairs; the others run once per side for hashes
+SEED = SEEDS[0]
 
 _ENV_SNIPPET = (
     "import json, sys; sys.path.insert(0, 'perfbench'); import run; "
@@ -71,20 +73,20 @@ def _copy_change(dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=git("archive", tree.decode()), check=True)
 
 
-def _bench_all(checkout: Path) -> dict:
+def _bench_all(checkout: Path, seed: int = SEED) -> dict:
     """One `--workload all` run: its last line, {correct, attempted, failed, metrics}."""
     return json.loads(_lines(checkout, ["perfbench/run.py", "--workload", "all",
-                                        "--seed", str(SEED)])[-1])
+                                        "--seed", str(seed)])[-1])
 
 
 def _environment(checkout: Path) -> dict:
     return json.loads(_lines(checkout, ["-c", _ENV_SNIPPET, str(SEED)])[-1])
 
 
-def _records_sha256(checkout: Path, env: dict, workload: str) -> str:
+def _records_sha256(checkout: Path, env: dict, workload: str, seed: int) -> str:
     """The metrics.jsonl hash perfbench stored for this source, workload and seed."""
     store = (checkout / ".perfbench" / "records" / env["source_sha256"][:16]
-             / f"{workload}-seed{SEED}.sha256")
+             / f"{workload}-seed{seed}.sha256")
     return store.read_text().strip()
 
 
@@ -134,6 +136,10 @@ def _record(checkouts: dict, out: Path) -> int:
             runs[side].append(_bench_all(checkouts[side]))
             print(f"pair {i + 1}/{PAIRS} {side}: failed {runs[side][-1]['failed']}", flush=True)
 
+    for seed in SEEDS[1:]:
+        for side, path in checkouts.items():
+            print(f"seed {seed} {side}: failed {_bench_all(path, seed)['failed']}", flush=True)
+
     env = {side: _environment(path) for side, path in checkouts.items()}
     record = {
         "command": f"python3 perfbench/run.py --workload all --seed {SEED}",
@@ -144,7 +150,8 @@ def _record(checkouts: dict, out: Path) -> int:
         "ops": {side: [{"attempted": r["attempted"], "failed": r["failed"]} for r in side_runs]
                 for side, side_runs in runs.items()},
         "metrics_jsonl_sha256": {
-            side: {w: _records_sha256(path, env[side], w) for w in workloads}
+            side: {str(seed): {w: _records_sha256(path, env[side], w, seed) for w in workloads}
+                   for seed in SEEDS}
             for side, path in checkouts.items()
         },
         "end_to_end": _summary(runs, spec, workloads),
