@@ -5,7 +5,8 @@ channels down to C' < C; the decoder is a 1x1 convolution back up to C.
 Spatial dimensions are untouched. Training minimizes reconstruction MSE
 plus (optionally) the cross-entropy of the frozen classifier head run on
 the reconstruction, the two terms summed unweighted. Only the
-encoder/decoder parameters ever receive optimizer updates.
+encoder/decoder parameters train: `train_compressor` names them alone
+in its `nn.training` scope, so the backbone and head stay constants.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .nn import (
     no_grad,
     relu,
     softmax_cross_entropy,
+    training,
     zero_grads,
 )
 
@@ -81,18 +83,18 @@ def compression_loss(
 ) -> tuple[Tensor, Tensor]:
     """Reconstruction MSE, plus frozen-head CE on the reconstruction.
 
-    Returns (total loss, reconstruction). The head must be frozen: its
-    parameters may not require gradients while this loss is assembled.
+    Returns (total loss, reconstruction). The head must be frozen: a
+    `training` scope that names a head parameter is a ContractError.
     """
     for name in model.head_names():
         if model.params[name].requires_grad:
             raise ContractError(f"head parameter {name} must be frozen during compressor training")
     zhat = decompress(comp, compress(comp, z))
-    recon = mse(zhat, z.detach() if z.requires_grad else z)
+    recon = mse(zhat, z)
     if not use_ce:
         return recon, zhat
     logits = model.forward_head(zhat)
-    ce, _ = softmax_cross_entropy(logits, labels)
+    ce = softmax_cross_entropy(logits, labels)
     return ce + recon, zhat
 
 
@@ -117,10 +119,7 @@ def train_compressor(
     m = features.shape[0]
     if m == 0:
         raise DataError("train_compressor called with an empty feature set")
-    prev_flags = {k: p.requires_grad for k, p in model.params.items()}
-    model.set_trainable(model.params, False)
     state = OptimState(lr=lr)
-    train_params = comp.params
 
     def dataset_mse() -> float:
         total = 0.0
@@ -132,17 +131,14 @@ def train_compressor(
         return total / m
 
     history = [dataset_mse()]
-    try:
+    with training(comp.params):
         for _ in range(epochs):
             order = rng.permutation(m)
             for start in range(0, m, batch_size):
                 idx = order[start : start + batch_size]
                 loss, _ = compression_loss(comp, model, Tensor(features[idx]), labels[idx], use_ce)
-                zero_grads(train_params)
+                zero_grads(comp.params)
                 loss.backward()
-                adam_step(train_params, state)
+                adam_step(comp.params, state)
             history.append(dataset_mse())
-    finally:
-        for k, p in model.params.items():
-            p.requires_grad = prev_flags[k]
     return history

@@ -7,7 +7,8 @@ freezes everything up to and including the quantizer, and fills the
 replay memory. The online phase then consumes tasks 2..T one sample at
 a time: each incoming sample is compressed to codes, a rehearsal batch
 is decoded alongside it, and a single SGD step updates the head.
-Nothing below the split point ever changes after initialization;
+Frozen means no `nn.training` scope names a parameter below the split
+after initialization (`online_step` names the head's alone);
 `frozen_checksums` makes that auditable.
 """
 
@@ -27,7 +28,7 @@ from .datasets import Dataset
 from .errors import ConfigError, ContractError, DataError
 from .metrics import MetricRecord, top_k_accuracy
 from .network import SplitModel, _block_of, build_model, param_shapes, train_offline
-from .nn import OptimState, Tensor, no_grad, sgd_step, softmax_cross_entropy, zero_grads
+from .nn import OptimState, Tensor, no_grad, sgd_step, softmax_cross_entropy, training, zero_grads
 from .quantizer import Codebooks, pq_decode_batch, pq_encode_batch, train_pq
 from .reservoir import Reservoir, insert_with_eviction, sample_batch
 
@@ -141,8 +142,8 @@ def state_arrays(state: EngineState) -> list:
 
 def blank_state(cfg: RunConfig, optim_steps: int, rng: np.random.Generator) -> EngineState:
     """A zero-filled state with the `state_arrays` of a real one whose online optimizer has
-    stepped `optim_steps` times (trainable head, velocity slots once that count is positive),
-    an empty reservoir and `rng`; a loader fills it in place."""
+    stepped `optim_steps` times (head velocity slots once that count is positive), an empty
+    reservoir and `rng`; a loader fills it in place."""
     net = cfg.net_config()
 
     def zeros(shapes: dict) -> dict:
@@ -151,9 +152,8 @@ def blank_state(cfg: RunConfig, optim_steps: int, rng: np.random.Generator) -> E
     model = SplitModel(net, zeros(param_shapes(net)))
     optim = online_optim(cfg)
     optim.step_count = optim_steps
-    for name, p in model.head_params().items():
-        p.requires_grad = True
-        if optim_steps > 0:
+    if optim_steps > 0:
+        for name, p in model.head_params().items():
             optim.slot(name, "velocity", p.data.shape)
     latent, s = cfg.acae_latent_channels, cfg.pq_s
     return EngineState(
@@ -259,12 +259,6 @@ def initialize(task1: Task, cfg: RunConfig) -> EngineState:
     with no_grad():
         encoded = compress(comp, Tensor(latents)).data
     books = train_pq(encoded, s=cfg.pq_s, k=cfg.pq_k, iters=cfg.pq_iters, seed=cfg.seed + 2)
-
-    for p in model.backbone_params().values():
-        p.requires_grad = False
-    for p in comp.params.values():
-        p.requires_grad = False
-
     state = EngineState(
         config=cfg,
         model=model,
@@ -368,12 +362,13 @@ def online_step(state: EngineState, x: np.ndarray, y: int) -> EngineState:
 
     head = state.model.head_params()
     zero_grads(head)
-    logits = state.model.forward_head(Tensor(feats))
-    with np.errstate(divide="ignore", invalid="ignore"):  # a non-finite loss is reported below
-        loss, _ = softmax_cross_entropy(logits, labels)
-    if not np.isfinite(loss.data):
-        raise DataError(f"non-finite loss {float(loss.data)} at step {state.global_step}")
-    loss.backward()
+    with training(head):
+        logits = state.model.forward_head(Tensor(feats))
+        with np.errstate(divide="ignore", invalid="ignore"):  # a non-finite loss is reported below
+            loss = softmax_cross_entropy(logits, labels)
+        if not np.isfinite(loss.data):
+            raise DataError(f"non-finite loss {float(loss.data)} at step {state.global_step}")
+        loss.backward()
     sgd_step(head, state.optim)
 
     insert_with_eviction(res, current, y, state.rng)

@@ -85,7 +85,7 @@ def layer_checks(seed: int) -> list[CheckResult]:
         if op is relu:  # keep the relu inputs off the kink
             near = np.abs(data[0]) < 0.1
             data[0][near] = np.sign(data[0][near] + 0.05) * 0.2
-        inputs = [Tensor(d, requires_grad=True) for d in data]
+        inputs = [Tensor(d) for d in data]
         if classes is None:
             target = Tensor(rng.normal(size=shapes[0]).astype(np.float32))
         else:
@@ -93,7 +93,7 @@ def layer_checks(seed: int) -> list[CheckResult]:
 
         def loss(*ts):
             out = op(*ts)
-            return mse(out, target) if classes is None else softmax_cross_entropy(out, labels)[0]
+            return mse(out, target) if classes is None else softmax_cross_entropy(out, labels)
 
         results.append(_result(name, seed, loss, inputs))
     return results
@@ -112,8 +112,7 @@ def classification_loss_check(seed: int) -> CheckResult:
 
     def f(*ts):
         local = SplitModel(cfg, dict(zip(names, ts)))
-        loss, _ = softmax_cross_entropy(local.forward(Tensor(x)), labels)
-        return loss
+        return softmax_cross_entropy(local.forward(Tensor(x)), labels)
 
     return _result("classification_loss", seed, f, tensors, COMPOSITION_EPS)
 
@@ -122,7 +121,6 @@ def compression_loss_check(seed: int) -> CheckResult:
     """Check the compressor loss (frozen-head CE + reconstruction MSE)."""
     cfg = _suite_config()
     model = build_model(cfg, seed)
-    model.set_trainable(model.params, False)
     rng = np.random.default_rng(seed + 20_000)
     x = rng.normal(size=(2, *cfg.in_shape)).astype(np.float32)
     labels = rng.integers(0, cfg.num_classes, size=2)

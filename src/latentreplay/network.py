@@ -25,6 +25,7 @@ from .nn import (
     relu,
     sgd_step,
     softmax_cross_entropy,
+    training,
     zero_grads,
 )
 
@@ -88,10 +89,6 @@ class SplitModel:
     def head_params(self) -> dict[str, Tensor]:
         return {k: self.params[k] for k in self.head_names()}
 
-    def set_trainable(self, names, trainable: bool) -> None:
-        for k in names:
-            self.params[k].requires_grad = trainable
-
     def _block(self, z: Tensor, idx: int) -> Tensor:
         p = self.params
         z = relu(conv2d(z, p[f"block{idx}.conv1.weight"], p[f"block{idx}.conv1.bias"], pad=1))
@@ -142,7 +139,7 @@ def param_shapes(config: NetConfig) -> dict[str, tuple]:
 
 
 def kaiming_params(shapes: dict[str, tuple], rng: np.random.Generator) -> dict[str, Tensor]:
-    """Trainable float32 parameters: zero biases, fan-in normal weights, drawn in table order."""
+    """Float32 parameters: zero biases, fan-in normal weights, drawn in table order."""
     params = {}
     for name, shape in shapes.items():
         if name.endswith(".bias"):
@@ -150,7 +147,7 @@ def kaiming_params(shapes: dict[str, tuple], rng: np.random.Generator) -> dict[s
         else:
             std = np.sqrt(2.0 / math.prod(shape[1:]))
             data = rng.normal(0.0, std, size=shape).astype(np.float32)
-        params[name] = Tensor(data, requires_grad=True)
+        params[name] = Tensor(data)
     return params
 
 
@@ -203,12 +200,9 @@ def train_offline(
         raise DataError("label outside the configured class range")
     names = list(model.params) if trainable is None else list(trainable)
     train_params = {k: model.params[k] for k in names}
-    prev_flags = {k: p.requires_grad for k, p in model.params.items()}
-    for k, p in model.params.items():
-        p.requires_grad = k in train_params
     state = OptimState(lr=lr, momentum=momentum)
     epoch_losses = []
-    try:
+    with training(train_params):
         for _ in range(epochs):
             order = rng.permutation(m)
             total = 0.0
@@ -218,13 +212,10 @@ def train_offline(
                 if augment:
                     xb = augment_images(xb, rng)
                 logits = model.forward(Tensor(xb))
-                loss, _ = softmax_cross_entropy(logits, labels[idx])
+                loss = softmax_cross_entropy(logits, labels[idx])
                 zero_grads(train_params)
                 loss.backward()
                 sgd_step(train_params, state)
                 total += float(loss.data) * len(idx)
             epoch_losses.append(total / m)
-    finally:
-        for k, p in model.params.items():
-            p.requires_grad = prev_flags[k]
     return epoch_losses

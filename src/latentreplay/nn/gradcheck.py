@@ -1,6 +1,7 @@
 """Central finite-difference gradient checker.
 
-The analytic gradient is taken from the regular float32 backward pass.
+The analytic gradient is taken from the regular float32 backward pass,
+inside `training(inputs)`, so the inputs are constants again afterwards.
 The numeric side re-evaluates the function on float64 copies of the
 inputs, because at eps = 1e-3 the difference of two float32 forward
 passes is dominated by rounding noise rather than by the derivative.
@@ -19,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ops import record_relu_masks
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, no_grad, training
 
 
 @dataclass(frozen=True)
@@ -42,10 +43,11 @@ def finite_diff_report(
     """
     for t in inputs:
         t.zero_grad()
-    loss = fn(*inputs)
-    if loss.data.size != 1:
-        raise ValueError("finite_diff_report needs a scalar-valued function")
-    loss.backward()
+    with training(inputs):
+        loss = fn(*inputs)
+        if loss.data.size != 1:
+            raise ValueError("finite_diff_report needs a scalar-valued function")
+        loss.backward()
     analytic = [
         np.zeros_like(t.data, dtype=np.float64) if t.grad is None else t.grad.astype(np.float64)
         for t in inputs

@@ -228,11 +228,11 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return Tensor._from_op(out, (x, weight, bias), backward)
 
 
-def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> tuple[Tensor, np.ndarray]:
-    """Mean cross-entropy over a batch.
+def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean cross-entropy over a batch, as a float64 zero-dim tensor on the tape.
 
-    Returns the scalar loss (a float64 zero-dim tensor on the tape) and
-    the logit gradient (softmax - one_hot) / N as a plain array.
+    Its backward routes (softmax - one_hot) / N to the logits; that
+    gradient is reached only through the tape.
     """
     if logits.ndim != 2:
         raise ShapeError(f"logits must be (N, C), got {logits.shape}")
@@ -257,8 +257,7 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> tuple[Tensor, n
         if logits.requires_grad:
             logits.accumulate_grad(float(g) * grad)
 
-    out = Tensor._from_op(np.float64(loss), (logits,), backward)
-    return out, grad.astype(logits.data.dtype)
+    return Tensor._from_op(np.float64(loss), (logits,), backward)
 
 
 def mse(pred: Tensor, target: Tensor) -> Tensor:

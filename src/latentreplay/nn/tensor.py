@@ -13,6 +13,11 @@ every op preserves it; only the finite-difference checker uses this, so
 its central differences are not swamped by float32 rounding. Production
 code never constructs float64 tensors.
 
+``training(params)`` lets the named tensors take gradients inside its
+block and clears their flags on exit, even by exception: every loop
+that takes gradients names what it trains, and outside such a block
+every parameter is a constant. ``no_grad()`` records no tape at all.
+
 Op outputs are not checked for NaN/Inf. The guards sit where values
 enter or settle: ``datasets.Dataset.check`` refuses a non-finite pixel
 when a dataset loads, ``engine.online_step`` rejects a non-finite input
@@ -43,6 +48,19 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
+
+
+@contextmanager
+def training(params):
+    """Let `params` (tensors, or a name -> tensor dict) take gradients inside the block."""
+    tensors = list(params.values() if isinstance(params, dict) else params)
+    for t in tensors:
+        t.requires_grad = True
+    try:
+        yield
+    finally:
+        for t in tensors:
+            t.requires_grad = False
 
 
 class Tensor:
@@ -124,9 +142,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), dtype=self.data.dtype)
 
     def __add__(self, other: "Tensor") -> "Tensor":
         if not isinstance(other, Tensor):

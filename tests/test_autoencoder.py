@@ -15,7 +15,7 @@ from latentreplay.autoencoder import (
 )
 from latentreplay.errors import ConfigError, ContractError, DataError
 from latentreplay.network import NetConfig, build_model, train_offline
-from latentreplay.nn import Tensor, no_grad
+from latentreplay.nn import Tensor, no_grad, training
 
 
 def param_digest(params) -> str:
@@ -76,7 +76,6 @@ class TestShapes:
 class TestLoss:
     def test_identity_compressor_reduces_to_ce_only(self):
         model = small_model()
-        model.set_trainable(model.params, False)
         comp = identity_compressor(8)
         rng = np.random.default_rng(0)
         with no_grad():
@@ -87,12 +86,11 @@ class TestLoss:
         with no_grad():
             from latentreplay.nn import softmax_cross_entropy
 
-            ce_only, _ = softmax_cross_entropy(model.forward_head(z), labels)
+            ce_only = softmax_cross_entropy(model.forward_head(z), labels)
         assert abs(float(loss.data) - float(ce_only.data)) < 1e-5
 
     def test_use_ce_off_is_plain_mse(self):
         model = small_model()
-        model.set_trainable(model.params, False)
         comp = build_compressor(8, 2, seed=3)
         rng = np.random.default_rng(1)
         with no_grad():
@@ -103,7 +101,6 @@ class TestLoss:
 
     def test_use_ce_off_ignores_labels(self):
         model = small_model()
-        model.set_trainable(model.params, False)
         comp = build_compressor(8, 2, seed=3)
         rng = np.random.default_rng(1)
         with no_grad():
@@ -116,7 +113,7 @@ class TestLoss:
         model = small_model()
         comp = build_compressor(8, 2, seed=0)
         z = Tensor(np.zeros((1, 8, 8, 8), dtype=np.float32))
-        with pytest.raises(ContractError):
+        with training(model.head_params()), pytest.raises(ContractError):
             compression_loss(comp, model, z, np.array([0]))
 
     @pytest.mark.parametrize("seed", range(5))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import latentreplay.engine as engine
+from latentreplay.checkpoint import load_checkpoint, save_checkpoint
 from latentreplay.autoencoder import compress, decompress
 from latentreplay.config import RunConfig
 from latentreplay.datasets import load_dataset
@@ -18,6 +19,7 @@ from latentreplay.engine import (
     encode_sample,
     evaluate,
     feature_random_resized_crop,
+    fit_compressor,
     forward_batched,
     frozen_backbone_study,
     frozen_checksums,
@@ -31,7 +33,7 @@ from latentreplay.engine import (
 from latentreplay.errors import ConfigError, ContractError, DataError
 from latentreplay.metrics import MetricRecord, top_k_accuracy
 from latentreplay.network import build_model, train_offline
-from latentreplay.nn import Tensor, no_grad, softmax_cross_entropy, zero_grads
+from latentreplay.nn import Tensor, no_grad, softmax_cross_entropy, training, zero_grads
 from latentreplay.quantizer import pq_decode_batch, pq_encode_batch
 
 
@@ -325,13 +327,12 @@ class TestOnlineStep:
             scratch.params[k].data = (
                 before[k].copy() if k in before else state.model.params[k].data.copy()
             )
-            scratch.params[k].requires_grad = k in before
         head = scratch.head_params()
         zero_grads(head)
-        loss, _ = softmax_cross_entropy(
-            scratch.forward_head(Tensor(zhat)), np.array([y], np.int64)
-        )
-        loss.backward()
+        with training(head):
+            softmax_cross_entropy(
+                scratch.forward_head(Tensor(zhat)), np.array([y], np.int64)
+            ).backward()
         for k, p in state.model.head_params().items():
             expected = before[k] - lr * head[k].grad.astype(np.float32)
             assert np.array_equal(p.data, expected), k
@@ -472,18 +473,60 @@ class TestBlankState:
         def layout(s):
             return [(name, a.dtype, a.shape) for name, a in engine.state_arrays(s)]
 
-        def trainable(s):
-            return sorted(k for k, p in s.model.params.items() if p.requires_grad)
-
         for steps in (0, 1):
             if steps:
                 online_step(state, task2.images[0], int(task2.labels[0]))
             blank = engine.blank_state(cfg, steps, rng)
             assert layout(blank) == layout(state)
-            assert trainable(blank) == trainable(state)
             assert blank.optim.step_count == state.optim.step_count == steps
             assert blank.reservoir.codes.shape == state.reservoir.codes.shape
             assert len(blank.reservoir) == 0 and blank.rng is rng
+
+
+def _trainable(state: EngineState) -> list:
+    """Names of the model and compressor parameters that take gradients now."""
+    params = [*state.model.params.items(), *state.compressor.params.items()]
+    return [name for name, p in params if p.requires_grad]
+
+
+class TestTrainingScope:
+    """Outside a `training` scope every parameter is a constant."""
+
+    def test_no_parameter_trains_after_initialize_blank_state_or_load(self, micro_run, tmp_path):
+        cfg, _, _, state = micro_run
+        assert _trainable(state) == []
+        for steps in (0, 1):
+            assert _trainable(engine.blank_state(cfg, steps, np.random.default_rng(0))) == []
+        path = str(tmp_path / "run.ckpt")
+        save_checkpoint(state, path)
+        assert _trainable(load_checkpoint(path).state) == []
+
+    def test_no_parameter_trains_after_online_step(self, micro_run):
+        _, _, stream, state = micro_run
+        state, task2 = copy.deepcopy(state), stream.tasks[1]
+        online_step(state, task2.images[0], int(task2.labels[0]))
+        assert _trainable(state) == []
+
+    def test_no_parameter_trains_after_a_rejected_loss(self, micro_run):
+        _, _, stream, state = micro_run
+        state, task2 = copy.deepcopy(state), stream.tasks[1]
+        state.model.params["classifier.bias"].data[0] = np.inf
+        with pytest.raises(DataError, match="non-finite loss"):
+            online_step(state, task2.images[0], int(task2.labels[0]))
+        assert _trainable(state) == []
+
+    def test_no_parameter_trains_after_offline_or_compressor_training(self, micro_run):
+        cfg, _, stream, _ = micro_run
+        task1 = stream.tasks[0]
+        model = build_model(cfg.net_config(), seed=0)
+        for trainable in (None, model.head_names()):
+            train_offline(model, task1.images[:8], task1.labels[:8], epochs=1, lr=0.01,
+                          rng=np.random.default_rng(0), trainable=trainable)
+            assert [k for k, p in model.params.items() if p.requires_grad] == []
+        latents = forward_batched(model.forward_backbone, task1.images[:8])
+        comp = fit_compressor(model, latents, task1.labels[:8], replace(cfg, acae_epochs=1))
+        params = [*model.params.values(), *comp.params.values()]
+        assert not any(p.requires_grad for p in params)
 
 
 class TestFrozenBackboneStudy:

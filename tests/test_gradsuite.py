@@ -46,7 +46,7 @@ def test_checker_catches_a_wrong_gradient():
     labels = rng.integers(0, 2, size=3)
 
     def bad(x, w, b):
-        loss, _ = softmax_cross_entropy(linear(x, w, b), labels)
+        loss = softmax_cross_entropy(linear(x, w, b), labels)
         return loss
 
     report = finite_diff_report(bad, [x, w, b])
@@ -55,7 +55,7 @@ def test_checker_catches_a_wrong_gradient():
     # halve the analytic gradient by doubling the numeric side: scale the
     # loss only in float64 mode, which the numeric evaluations use
     def dishonest(x, w, b):
-        loss, _ = softmax_cross_entropy(linear(x, w, b), labels)
+        loss = softmax_cross_entropy(linear(x, w, b), labels)
         if x.data.dtype == np.float64:
             return loss + loss
         return loss

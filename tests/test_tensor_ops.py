@@ -14,6 +14,7 @@ from latentreplay.nn import (
     mse,
     relu,
     softmax_cross_entropy,
+    training,
 )
 
 
@@ -173,26 +174,37 @@ class TestLinear:
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits(self):
-        loss, _ = softmax_cross_entropy(Tensor(np.zeros((4, 10), dtype=np.float32)), np.zeros(4, dtype=np.int64))
+        loss = softmax_cross_entropy(Tensor(np.zeros((4, 10), dtype=np.float32)), np.zeros(4, dtype=np.int64))
         assert abs(float(loss.data) - np.log(10.0)) < 1e-6
 
     def test_confident_correct(self):
         logits = np.zeros((1, 5), dtype=np.float32)
         logits[0, 2] = 50.0
-        loss, _ = softmax_cross_entropy(Tensor(logits), np.array([2]))
+        loss = softmax_cross_entropy(Tensor(logits), np.array([2]))
         assert float(loss.data) < 1e-6
 
     def test_out_of_range_label(self):
         with pytest.raises(DataError):
             softmax_cross_entropy(Tensor(np.zeros((2, 3), dtype=np.float32)), np.array([0, 3]))
 
-    def test_returned_gradient_matches_backward(self):
-        rng = np.random.default_rng(7)
-        logits = Tensor(rng.normal(size=(5, 4)).astype(np.float32), requires_grad=True)
-        labels = rng.integers(0, 4, size=5)
-        loss, grad = softmax_cross_entropy(logits, labels)
-        loss.backward()
-        assert np.allclose(grad, logits.grad, atol=1e-7)
+
+class TestTraining:
+    def test_named_tensors_take_gradients_inside_the_block_only(self):
+        w = Tensor(np.ones((2, 3), dtype=np.float32))
+        b = Tensor(np.zeros(2, dtype=np.float32))
+        x = Tensor(np.ones((1, 3), dtype=np.float32))
+        with training({"w": w}):
+            assert w.requires_grad and not b.requires_grad
+            linear(x, w, b).backward(np.ones((1, 2), dtype=np.float32))
+        assert not w.requires_grad
+        assert np.array_equal(w.grad, np.ones((2, 3), dtype=np.float32)) and b.grad is None
+        assert linear(x, w, b)._backward_fn is None  # constants again: no tape
+
+    def test_flags_cleared_when_the_block_raises(self):
+        ts = [Tensor(np.zeros(2, dtype=np.float32)) for _ in range(2)]
+        with pytest.raises(DataError), training(ts):
+            raise DataError("boom")
+        assert not any(t.requires_grad for t in ts)
 
 
 class TestFiniteDifferences:
@@ -207,7 +219,7 @@ class TestFiniteDifferences:
         labels = rng.integers(0, 2, size=3)
 
         def f(x, w, b):
-            loss, _ = softmax_cross_entropy(linear(x, w, b), labels)
+            loss = softmax_cross_entropy(linear(x, w, b), labels)
             return loss
 
         assert finite_diff_report(f, [x, w, b]).max_rel_err <= 1e-3
@@ -221,7 +233,7 @@ class TestFiniteDifferences:
         labels = rng.integers(0, 3, size=2)
 
         def f(x, w, b):
-            loss, _ = softmax_cross_entropy(global_avgpool(conv2d(x, w, b, pad=1)), labels)
+            loss = softmax_cross_entropy(global_avgpool(conv2d(x, w, b, pad=1)), labels)
             return loss
 
         assert finite_diff_report(f, [x, w, b]).max_rel_err <= 1e-3
@@ -235,7 +247,7 @@ class TestFiniteDifferences:
         labels = rng.integers(0, 6, size=4)
 
         def f(x):
-            loss, _ = softmax_cross_entropy(relu(x), labels)
+            loss = softmax_cross_entropy(relu(x), labels)
             return loss
 
         assert finite_diff_report(f, [x]).max_rel_err <= 1e-3
@@ -247,7 +259,7 @@ class TestFiniteDifferences:
         labels = rng.integers(0, 3, size=2)
 
         def f(x):
-            loss, _ = softmax_cross_entropy(global_avgpool(avgpool2(x)), labels)
+            loss = softmax_cross_entropy(global_avgpool(avgpool2(x)), labels)
             return loss
 
         assert finite_diff_report(f, [x]).max_rel_err <= 1e-3
