@@ -8,6 +8,7 @@ and the line it was set on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -134,11 +135,24 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
-# integer key -> its smallest valid value: 1 for a divisor or a step, 0 for a count
+# key -> its smallest valid value, of every entry for a list: 1 for a divisor, a step, a size
+# or a count that must hold something, 0 for a count that may be zero or for the noise level
 _LEAST = {
-    "pq.s": 1, "offline.batch_size": 1, "acae.batch_size": 1, "offline.epochs": 0,
-    "acae.epochs": 0, "pq.iters": 0, "online.rehearsal_n": 0, "online.eval_every": 0,
+    "pq.s": 1, "offline.batch_size": 1, "acae.batch_size": 1, "acae.latent_channels": 1,
+    "reservoir.capacity": 1, "dataset.per_class": 1, "dataset.test_per_class": 1,
+    "net.channels": 1, "net.in_shape": 1, "offline.epochs": 0, "acae.epochs": 0,
+    "pq.iters": 0, "online.rehearsal_n": 0, "online.eval_every": 0, "dataset.noise": 0,
 }
+MAX_CLASSES = 65536  # checkpoints store reservoir labels as u2
+
+
+def _render(value) -> str:
+    """A value as a config file spells it."""
+    if isinstance(value, tuple):
+        return ", ".join(str(v) for v in value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
 
 
 def _where(key: str, lines_set: dict[str, int]) -> str:
@@ -156,10 +170,21 @@ def validate_config(cfg: RunConfig, lines_set: dict[str, int] | None = None) -> 
         raise ConfigError(
             f"dataset.kind ({where('dataset.kind')}) must be synthetic, idx, or cifar-bin"
         )
+    for key, (name, typ) in KEYS.items():
+        if typ is float and not math.isfinite(getattr(cfg, name)):
+            raise ConfigError(f"{key} = {getattr(cfg, name)} ({where(key)}) must be finite")
     for key, least in _LEAST.items():
         value = getattr(cfg, KEYS[key][0])
-        if value < least:
-            raise ConfigError(f"{key} = {value} ({where(key)}) must be at least {least}")
+        if min(value if isinstance(value, tuple) else (value,), default=least) < least:
+            each = " in every entry" if isinstance(value, tuple) else ""
+            raise ConfigError(
+                f"{key} = {_render(value)} ({where(key)}) must be at least {least}{each}"
+            )
+    if cfg.dataset_classes > MAX_CLASSES:
+        raise ConfigError(
+            f"dataset.classes = {cfg.dataset_classes} ({where('dataset.classes')}) must be at "
+            f"most {MAX_CLASSES}: checkpoints store labels as u2"
+        )
     if cfg.acae_latent_channels % cfg.pq_s != 0:
         raise ConfigError(
             f"acae.latent_channels = {cfg.acae_latent_channels} ({where('acae.latent_channels')}) "
@@ -207,14 +232,8 @@ def serialize_config(cfg: RunConfig) -> str:
     for key in sorted(KEYS):
         field_name, typ = KEYS[key]
         value = getattr(cfg, field_name)
-        if typ is tuple:
-            rendered = ", ".join(str(v) for v in value)
-        elif typ is bool:
-            rendered = "true" if value else "false"
-        else:
-            rendered = str(value)
         if typ is str and ("#" in value or value != value.strip()
                            or value.splitlines() not in ([], [value])):
             raise ConfigError(f"{key} = {value!r} cannot be written to a config file")
-        out.append(f"{key} = {rendered}")
+        out.append(f"{key} = {_render(value)}")
     return "\n".join(out) + "\n"

@@ -48,6 +48,10 @@ class NetConfig:
             raise ConfigError(f"channels has {len(self.channels)} entries for {b} blocks")
         if len(self.in_shape) != 3:
             raise ConfigError(f"in_shape must be C, H, W, got {self.in_shape}")
+        if min(self.channels) < 1 or min(self.in_shape) < 1:
+            raise ConfigError(
+                f"channels {self.channels} and in_shape {self.in_shape} need every entry >= 1"
+            )
         c, h, w = self.in_shape
         if h % (2**b) != 0 or w % (2**b) != 0:
             raise ConfigError(f"input {h}x{w} is not divisible by 2^{b}")

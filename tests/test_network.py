@@ -41,6 +41,12 @@ class TestNetConfig:
         with pytest.raises(ConfigError):
             NetConfig(num_blocks=2, channels=(16, 32, 64), in_shape=(3, 32, 32)).validate()
 
+    @pytest.mark.parametrize("shape", [dict(channels=(0, 32, 64)), dict(in_shape=(3, 0, 0)),
+                                       dict(in_shape=(0, 32, 32))])
+    def test_entry_below_one_rejected(self, shape):
+        with pytest.raises(ConfigError, match="every entry >= 1"):
+            NetConfig(**shape).validate()
+
 
 class TestBuildModel:
     def test_same_seed_bit_identical(self):
