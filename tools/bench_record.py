@@ -22,6 +22,12 @@ change copy. Run nothing else on the machine meanwhile. The file holds:
 - per workload and end-to-end metric of BENCHMARK.json, each side's
   runs, median and quartiles, and the pairs the change won and lost
   (ties count for neither);
+- per workload and metric, `past_bound`: whether the change's median is
+  worse than the parent's by more than the metric's BENCHMARK.json
+  `bound` (a fraction of the parent's median), and `parent_spread`: the
+  parent's own (q3 - q1) / median, None for a zero median. A metric past
+  its bound fails the benchmark; one whose move is within the parent's
+  spread cannot be told from noise;
 - failed and attempted operations of every run;
 - the environment block of both checkouts and the `metrics.jsonl`
   sha256 of every workload on both sides at every seed of SEEDS, which
@@ -106,6 +112,11 @@ def _summary(runs: dict, spec: dict, workloads: list) -> dict:
             diffs = [sign * (c - p) for p, c in zip(values["parent"], values["change"])]
             row["change_won"] = sum(d > 0 for d in diffs)
             row["change_lost"] = sum(d < 0 for d in diffs)
+            parent, change = row["parent"], row["change"]
+            worse = -sign * (change["median"] - parent["median"])
+            row["past_bound"] = bool(worse > metric["bound"] * abs(parent["median"]))
+            row["parent_spread"] = ((parent["q3"] - parent["q1"]) / parent["median"]
+                                    if parent["median"] else None)
             rows[metric["name"]] = row
     return out
 
@@ -161,9 +172,12 @@ def _record(checkouts: dict, out: Path) -> int:
 
     for workload, rows in record["end_to_end"].items():
         for name, row in rows.items():
+            spread = row["parent_spread"]
             print(f"{workload:>14}  {name:<20} {row['parent']['median']:>12.6g} -> "
                   f"{row['change']['median']:<12.6g} {row['unit']:<6} "
-                  f"won {row['change_won']} lost {row['change_lost']} of {PAIRS}")
+                  f"won {row['change_won']} lost {row['change_lost']} of {PAIRS}  "
+                  f"spread {'-' if spread is None else f'{spread:.1%}'}"
+                  f"{'  PAST BOUND' if row['past_bound'] else ''}")
     failed = sum(r["failed"] for side_runs in runs.values() for r in side_runs)
     return 0 if failed == 0 else 1
 
