@@ -136,12 +136,14 @@ def parse_config(text: str) -> RunConfig:
 
 
 # key -> its smallest valid value, of every entry for a list: 1 for a divisor, a step, a size
-# or a count that must hold something, 0 for a count that may be zero or for the noise level
+# or a count that must hold something; 0 for a count that may be zero, a seed (numpy takes no
+# negative one) or the noise level
 _LEAST = {
     "pq.s": 1, "offline.batch_size": 1, "acae.batch_size": 1, "acae.latent_channels": 1,
     "reservoir.capacity": 1, "dataset.per_class": 1, "dataset.test_per_class": 1,
     "net.channels": 1, "net.in_shape": 1, "offline.epochs": 0, "acae.epochs": 0,
     "pq.iters": 0, "online.rehearsal_n": 0, "online.eval_every": 0, "dataset.noise": 0,
+    "seed": 0, "class_order_seed": 0,
 }
 MAX_CLASSES = 65536  # checkpoints store reservoir labels as u2
 
@@ -171,8 +173,9 @@ def validate_config(cfg: RunConfig, lines_set: dict[str, int] | None = None) -> 
             f"dataset.kind ({where('dataset.kind')}) must be synthetic, idx, or cifar-bin"
         )
     for key, (name, typ) in KEYS.items():
-        if typ is float and not math.isfinite(getattr(cfg, name)):
-            raise ConfigError(f"{key} = {getattr(cfg, name)} ({where(key)}) must be finite")
+        value = getattr(cfg, name)
+        if typ is float and not math.isfinite(value):
+            raise ConfigError(f"{key} = {value} ({where(key)}) must be finite")
     for key, least in _LEAST.items():
         value = getattr(cfg, KEYS[key][0])
         if min(value if isinstance(value, tuple) else (value,), default=least) < least:

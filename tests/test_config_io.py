@@ -73,6 +73,8 @@ def valid_configs(draw):
         acae_latent_channels=latent,
         online_crop_min_area=lo,
         online_crop_max_area=draw(st.floats(lo, 1.0)),
+        seed=draw(st.integers(0, 2**40)),
+        class_order_seed=draw(st.integers(0, 2**40)),
         dataset_noise=draw(st.floats(0.0, allow_infinity=False)),
         reservoir_capacity=draw(st.integers(1, 2**40)),
         dataset_per_class=draw(st.integers(1, 2**40)),
@@ -997,7 +999,7 @@ class TestCli:
         "reservoir.capacity = 0", "dataset.per_class = 0", "dataset.test_per_class = 0",
         "acae.latent_channels = 0", "net.in_shape = 3, 0, 0", "net.channels = 0, 16, 32",
         "dataset.classes = 70000", "dataset.noise = -0.5", "online.lr = nan", "offline.lr = inf",
-        "acae.lr = -inf", "online.momentum = nan",
+        "acae.lr = -inf", "online.momentum = nan", "seed = -1", "class_order_seed = -1",
     ])
     def test_out_of_range_count_is_a_config_error_before_any_data(
         self, line, tmp_path, capsys, monkeypatch
