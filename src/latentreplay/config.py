@@ -122,6 +122,8 @@ def parse_config(text: str) -> RunConfig:
         key, value = key.strip(), value.strip()
         if key not in KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in lines_set:
+            raise ConfigError(f"line {lineno}: {key} is already set on line {lines_set[key]}")
         field_name, typ = KEYS[key]
         try:
             parsed = _PARSERS[typ](value)
@@ -145,6 +147,10 @@ _LEAST = {
     "pq.iters": 0, "online.rehearsal_n": 0, "online.eval_every": 0, "dataset.noise": 0,
     "seed": 0, "class_order_seed": 0,
 }
+# key -> (test, rule) of the float keys that no run can work outside of
+_RANGES = {key: (lambda v: v > 0, "above 0") for key in ("offline.lr", "acae.lr", "online.lr")}
+_RANGES.update({key: (lambda v: 0 <= v < 1, "in [0, 1)")
+                for key in ("offline.momentum", "online.momentum")})
 MAX_CLASSES = 65536  # checkpoints store reservoir labels as u2
 
 
@@ -183,6 +189,10 @@ def validate_config(cfg: RunConfig, lines_set: dict[str, int] | None = None) -> 
             raise ConfigError(
                 f"{key} = {_render(value)} ({where(key)}) must be at least {least}{each}"
             )
+    for key, (ok, rule) in _RANGES.items():
+        value = getattr(cfg, KEYS[key][0])
+        if not ok(value):
+            raise ConfigError(f"{key} = {value} ({where(key)}) must be {rule}")
     if cfg.dataset_classes > MAX_CLASSES:
         raise ConfigError(
             f"dataset.classes = {cfg.dataset_classes} ({where('dataset.classes')}) must be at "

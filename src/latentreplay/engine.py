@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -59,10 +59,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Task:
+    """Task `task_id`: its classes and its `rows` of `dataset`'s train split in stream order;
+    `images` and `labels` are gathered on first read and then kept."""
+
     task_id: int
     classes: tuple
-    images: np.ndarray  # stream order
-    labels: np.ndarray
+    dataset: Dataset = field(repr=False)
+    rows: np.ndarray
+
+    @cached_property
+    def images(self) -> np.ndarray:
+        return self.dataset.train_images[self.rows]
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        return self.dataset.train_labels[self.rows]
 
 
 @dataclass(frozen=True)
@@ -87,12 +98,13 @@ def task_classes(cfg: RunConfig) -> list:
 
 
 def build_task_stream(dataset: Dataset, cfg: RunConfig) -> TaskStream:
-    """The tasks of `task_classes(cfg)`; sample order is shuffled per task from the run seed."""
+    """The tasks of `task_classes(cfg)` as row indices (no image is copied here); sample order
+    is shuffled per task from the run seed."""
     tasks = []
     for tid, classes in enumerate(task_classes(cfg), start=1):
         rows = np.flatnonzero(np.isin(dataset.train_labels, classes))
         rows = rows[np.random.default_rng((cfg.seed, tid)).permutation(len(rows))]
-        tasks.append(Task(tid, classes, dataset.train_images[rows], dataset.train_labels[rows]))
+        tasks.append(Task(tid, classes, dataset, rows))
     return TaskStream(tuple(tasks))
 
 
@@ -367,7 +379,8 @@ def online_step(state: EngineState, x: np.ndarray, y: int) -> EngineState:
         with np.errstate(divide="ignore", invalid="ignore"):  # a non-finite loss is reported below
             loss = softmax_cross_entropy(logits, labels)
         if not np.isfinite(loss.data):
-            raise DataError(f"non-finite loss {float(loss.data)} at step {state.global_step}")
+            raise DataError(f"non-finite loss {float(loss.data)} at step {state.global_step} "
+                            "(the data, or an online.lr too large)")
         loss.backward()
     sgd_step(head, state.optim)
 

@@ -4,8 +4,10 @@ A Tensor wraps a numpy array (float32 for data, float64 allowed for
 zero-dim reduction outputs) plus an optional gradient buffer of the same
 shape. Operations in :mod:`latentreplay.nn.ops` build a backward tape by
 recording parent tensors and a closure that routes the incoming gradient
-to them; ``Tensor.backward()`` walks the tape in reverse topological
-order. Forward passes are pure: the same inputs always produce
+to them; ``Tensor.backward()`` walks the tape once, in reverse
+topological order, and frees it as it goes, so the patch matrices a
+closure holds die within the call, not when the next forward replaces
+the graph. Forward passes are pure: the same inputs always produce
 bit-identical outputs.
 
 Passing ``dtype=np.float64`` keeps the buffer in double precision and
@@ -118,7 +120,8 @@ class Tensor:
             self.grad = self.grad + g.astype(self.data.dtype, copy=False)
 
     def backward(self, grad: np.ndarray | None = None) -> None:
-        """Backpropagate from this tensor through the recorded tape."""
+        """Backpropagate from this tensor through the recorded tape, freeing it as it goes:
+        each node keeps its data and gradient only, so a second call reaches no parameter."""
         if grad is None:
             if self.data.size != 1:
                 raise ShapeError("backward() without a seed gradient needs a scalar")
@@ -142,6 +145,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
+            node._parents, node._backward_fn = (), None
 
     def __add__(self, other: "Tensor") -> "Tensor":
         if not isinstance(other, Tensor):

@@ -1,7 +1,8 @@
-"""tools/bench_record.py: the bound and spread fields of its summary."""
+"""tools/bench_record.py: its summary's bound and spread fields, and each run's child usage."""
 
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -41,3 +42,22 @@ def test_parent_spread_is_the_interquartile_range_over_the_median():
     row = _row("step_ms_p50", [1.0, 2.0, 3.0, 4.0, 5.0], [3.0] * 5)
     assert row["parent_spread"] == pytest.approx((4.0 - 2.0) / 3.0)
     assert _row("step_ms_p50", [0.0] * 3, [0.0] * 3)["parent_spread"] is None
+
+
+def test_each_run_stores_its_childrens_faults_and_system_time(monkeypatch):
+    usage = iter([(100, 1.0), (350, 1.25), (350, 1.25), (400, 1.5)])
+
+    def getrusage(who):
+        assert who == bench_record.resource.RUSAGE_CHILDREN
+        faults, sys_s = next(usage)
+        return SimpleNamespace(ru_minflt=faults, ru_stime=sys_s)
+
+    monkeypatch.setattr(bench_record.resource, "getrusage", getrusage)
+    monkeypatch.setattr(bench_record, "_lines", lambda checkout, args: ['{"failed": 0}'])
+    runs = [bench_record._bench_all(Path(".")) for _ in range(2)]
+    assert [r["child"] for r in runs] == [{"minor_faults": 250, "sys_s": 0.25},
+                                         {"minor_faults": 50, "sys_s": 0.25}]
+    usage = bench_record._child_usage({"parent": runs, "change": runs[:1]})
+    assert usage["parent"]["median"] == {"minor_faults": 150.0, "sys_s": 0.25}
+    assert usage["change"] == {"runs": [runs[0]["child"]],
+                               "median": {"minor_faults": 250.0, "sys_s": 0.25}}

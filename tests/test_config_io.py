@@ -86,6 +86,11 @@ def valid_configs(draw):
         pq_iters=draw(st.integers(0, 2**40)),
         online_rehearsal_n=draw(st.integers(0, 2**40)),
         online_eval_every=draw(st.integers(0, 2**40)),
+        offline_lr=draw(st.floats(0.0, exclude_min=True, allow_infinity=False)),
+        acae_lr=draw(st.floats(0.0, exclude_min=True, allow_infinity=False)),
+        online_lr=draw(st.floats(0.0, exclude_min=True, allow_infinity=False)),
+        offline_momentum=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        online_momentum=draw(st.floats(0.0, 1.0, exclude_max=True)),
     )
     return RunConfig(**values)
 
@@ -101,6 +106,10 @@ class TestParseConfig:
     def test_unknown_key_names_key_and_line(self):
         with pytest.raises(ConfigError, match=r"line 2.*'pq\.banana'"):
             parse_config("seed = 1\npq.banana = 2\n")
+
+    def test_key_set_twice_names_both_lines(self):
+        with pytest.raises(ConfigError, match=r"line 3: pq\.k is already set on line 1"):
+            parse_config("pq.k = 64\nseed = 1\npq.k = 16\n")
 
     def test_type_error_names_key_and_line(self):
         with pytest.raises(ConfigError, match=r"line 1.*seed.*integer"):
@@ -1000,6 +1009,8 @@ class TestCli:
         "acae.latent_channels = 0", "net.in_shape = 3, 0, 0", "net.channels = 0, 16, 32",
         "dataset.classes = 70000", "dataset.noise = -0.5", "online.lr = nan", "offline.lr = inf",
         "acae.lr = -inf", "online.momentum = nan", "seed = -1", "class_order_seed = -1",
+        "offline.lr = 0.0", "acae.lr = -0.5", "online.lr = -0.5", "offline.momentum = 1.0",
+        "online.momentum = -0.1", "online.momentum = 1.5",
     ])
     def test_out_of_range_count_is_a_config_error_before_any_data(
         self, line, tmp_path, capsys, monkeypatch
@@ -1009,7 +1020,7 @@ class TestCli:
 
         monkeypatch.setattr(latentreplay.cli, "load_dataset", no_loading)
         p = tmp_path / "bad.txt"
-        p.write_text(f"seed = 1\n{line}\n")
+        p.write_text(f"# the line under test is line 2\n{line}\n")
         code = main(["init", "--config", str(p), "--out", str(tmp_path / "x.ckpt")])
         assert code == 2
         err = json.loads(capsys.readouterr().err)

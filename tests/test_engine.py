@@ -88,12 +88,47 @@ class TestTaskStream:
 
     def test_out_of_order_ids_rejected(self, micro_run):
         # a hand-built task 3 straight after task 1: refused before any step
-        _, _, stream, state = micro_run
+        _, ds, stream, state = micro_run
         state, t3 = copy.deepcopy(state), stream.tasks[2]
-        skipped = Task(3, t3.classes, t3.images[:1], t3.labels[:1])
+        skipped = Task(3, t3.classes, ds, t3.rows[:1])
         with pytest.raises(DataError, match="task 3 arrived after task 1"):
             run_stream(state, [skipped])
         assert state.current_task == 1 and state.global_step == 0
+
+    @pytest.mark.parametrize("overrides", [{}, dict(seed=3, class_order_seed=5, split_steps=2)])
+    def test_tasks_gather_the_shuffled_rows_of_their_classes(self, overrides):
+        cfg = micro_config(**overrides)
+        ds = load_dataset(cfg)
+        for task in build_task_stream(ds, cfg).tasks:
+            rows = np.flatnonzero(np.isin(ds.train_labels, task.classes))
+            rows = rows[np.random.default_rng((cfg.seed, task.task_id)).permutation(len(rows))]
+            assert np.array_equal(task.rows, rows)
+            for got, want in ((task.images, ds.train_images[rows]),
+                              (task.labels, ds.train_labels[rows])):
+                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+    def test_reading_ids_classes_or_slicing_gathers_nothing(self):
+        cfg = micro_config()
+        ds = load_dataset(cfg)
+        reads = {"images": 0, "labels": 0}
+
+        def counted(name):
+            class Counted(np.ndarray):
+                def __getitem__(self, key):
+                    reads[name] += 1
+                    return np.asarray(super().__getitem__(key))
+
+            return getattr(ds, f"train_{name}").view(Counted)
+
+        stream = build_task_stream(replace(ds, train_images=counted("images")), cfg)
+        assert reads["images"] == 0
+        stream = build_task_stream(replace(ds, train_labels=counted("labels")), cfg)
+        reads["labels"] = 0  # the class masks read the labels once per task
+        assert [t.task_id for t in stream.tasks[1:]] == [2, 3, 4, 5]
+        assert [c for t in stream.tasks for c in t.classes]
+        assert reads == {"images": 0, "labels": 0}
+        task = stream.tasks[1]
+        assert task.labels is task.labels and reads["labels"] == 1  # gathered once, then kept
 
     def test_task_classes_are_the_stream_split(self):
         cfg = micro_config(class_order_seed=3)
@@ -123,7 +158,7 @@ class TestInitialize:
 
     def test_empty_task_rejected(self):
         cfg = micro_config()
-        empty = Task(1, (0, 1), np.zeros((0, 3, 16, 16), np.float32), np.zeros(0, np.int64))
+        empty = Task(1, (0, 1), load_dataset(cfg), np.zeros(0, np.int64))
         with pytest.raises(DataError):
             initialize(empty, cfg)
 
@@ -132,11 +167,12 @@ class TestInitialize:
         # bit-mask relu keeps the forward finite, but the weight gradient
         # carries the NaN into the backbone, and the closing check_state refuses it
         cfg = micro_config(offline_epochs=1, acae_epochs=1)
-        t1 = build_task_stream(load_dataset(cfg), cfg).tasks[0]
-        images = t1.images.copy()
-        images[5, 0, 7, 7] = np.nan
+        ds = load_dataset(cfg)
+        t1 = build_task_stream(ds, cfg).tasks[0]
+        images = ds.train_images.copy()
+        images[t1.rows[5], 0, 7, 7] = np.nan
         with pytest.raises(ContractError, match="non-finite values in"):
-            initialize(Task(1, t1.classes, images, t1.labels), cfg)
+            initialize(Task(1, t1.classes, replace(ds, train_images=images), t1.rows), cfg)
 
     def test_decoded_replay_close_to_uncompressed(self, micro_run):
         # held-out task-1 data through the frozen head: the replay path
@@ -302,7 +338,7 @@ class TestOnlineStep:
         task2 = stream.tasks[1]
         state.model.params["classifier.bias"].data[0] = np.inf
         before = self._untouched_parts(state)
-        with pytest.raises(DataError, match="non-finite loss"):
+        with pytest.raises(DataError, match=r"non-finite loss .*online\.lr"):
             online_step(state, task2.images[0], int(task2.labels[0]))
         self._assert_untouched(state, before)
 
@@ -376,27 +412,28 @@ class TestRunStream:
 
     def test_overlapping_classes_rejected_at_the_boundary(self, micro_run):
         # a hand-built task 2 that reuses a task-1 class
-        _, _, stream, state = micro_run
+        _, ds, stream, state = micro_run
         state, t1, t2 = copy.deepcopy(state), stream.tasks[0], stream.tasks[1]
-        bad = Task(2, (t1.classes[0], t2.classes[0]), t2.images[:3], t2.labels[:3])
+        bad = Task(2, (t1.classes[0], t2.classes[0]), ds, t2.rows[:3])
         with pytest.raises(ContractError, match="seen_classes"):
             run_stream(state, [bad])
         assert state.global_step == 3
 
     def test_foreign_label_rejected_at_the_boundary(self, micro_run):
         # task 2's classes, but its samples carry a label of task 3
-        _, _, stream, state = micro_run
+        _, ds, stream, state = micro_run
         state, t2, t3 = copy.deepcopy(state), stream.tasks[1], stream.tasks[2]
-        bad = Task(2, t2.classes, t2.images[:3], np.full(3, t3.classes[0], np.int64))
+        foreign = np.full_like(ds.train_labels, t3.classes[0])
+        bad = Task(2, t2.classes, replace(ds, train_labels=foreign), t2.rows[:3])
         with pytest.raises(ContractError, match=rf"reservoir labels \[{t3.classes[0]}\]"):
             run_stream(state, [bad])
 
     def test_step_counter_drift_rejected_at_the_first_boundary(self, micro_run):
-        _, _, stream, state = micro_run
+        _, ds, stream, state = micro_run
         state, t2 = copy.deepcopy(state), stream.tasks[1]
         state.optim.step_count += 1  # the optimizer counted one step the stream did not
         hooked = []
-        short = Task(2, t2.classes, t2.images[:5], t2.labels[:5])
+        short = Task(2, t2.classes, ds, t2.rows[:5])
         with pytest.raises(ContractError, match="global_step 5 and optimizer step_count 6"):
             run_stream(state, [short, *stream.tasks[2:]], lambda *args: hooked.append(args))
         assert state.current_task == 2 and hooked == []

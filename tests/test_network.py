@@ -1,11 +1,15 @@
 """Split-CNN construction, composition, and step-1 training."""
 
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
 from latentreplay.errors import ConfigError, DataError
 from latentreplay.network import NetConfig, SplitModel, build_model, train_offline
-from latentreplay.nn import Tensor, no_grad
+from latentreplay.nn import Tensor, no_grad, softmax_cross_entropy, training
 
 
 def make_blobs(rng, n_per_class, centers, dim_shape, spread=0.3):
@@ -182,3 +186,56 @@ class TestTrainOffline:
         )
         for k, before in frozen_before.items():
             assert np.array_equal(model.params[k].data, before)
+
+
+class TestTapeLifetime:
+    """backward frees the tape it walks, so no loop carries one batch's tape into the next."""
+
+    CFG = NetConfig(in_shape=(3, 16, 16))
+
+    def batch(self, n, seed=0):
+        rng = np.random.default_rng(seed)
+        x = rng.random((n, *self.CFG.in_shape), dtype=np.float32)
+        return x, rng.integers(0, self.CFG.num_classes, n)
+
+    def test_backward_leaves_no_patch_matrix_reachable(self):
+        model = build_model(self.CFG, seed=0)
+        x, y = self.batch(16)
+        with training(model.params):
+            logits = model.forward(Tensor(x))
+            loss = softmax_cross_entropy(logits, y)
+            held, stack, seen = [], [loss], set()
+            while stack:  # the float64 arrays the tape's closures hold: conv patch matrices
+                node = stack.pop()
+                if id(node) not in seen:
+                    seen.add(id(node))
+                    stack.extend(node._parents)
+                    cells = node._backward_fn.__closure__ if node._backward_fn else None
+                    held += [weakref.ref(c.cell_contents) for c in cells or ()
+                             if isinstance(c.cell_contents, np.ndarray)
+                             and c.cell_contents.dtype == np.float64 and c.cell_contents.ndim == 2]
+            assert len(held) >= self.CFG.num_blocks
+            loss.backward()
+        gc.collect()
+        assert [ref for ref in held if ref() is not None] == []
+        assert all(p.grad is not None for p in model.params.values())
+
+    def test_two_batches_peak_near_one_batch_tape(self):
+        # at 1.3x the tape one forward records, the second batch's forward cannot
+        # start while the first batch's tape is alive (2.2x when it was)
+        x, y = self.batch(32)
+        model = build_model(self.CFG, seed=0)
+        tracemalloc.start()
+        try:
+            with training(model.params):
+                loss = softmax_cross_entropy(model.forward(Tensor(x[:16])), y[:16])
+                tape = tracemalloc.get_traced_memory()[0]
+            del loss
+            model = build_model(self.CFG, seed=0)
+            tracemalloc.reset_peak()
+            train_offline(model, x, y, epochs=1, lr=0.01, batch_size=16, augment=False,
+                          rng=np.random.default_rng(0))
+            two = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert two <= 1.3 * tape, (tape, two)

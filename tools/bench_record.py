@@ -29,6 +29,10 @@ change copy. Run nothing else on the machine meanwhile. The file holds:
   its bound fails the benchmark; one whose move is within the parent's
   spread cannot be told from noise;
 - failed and attempted operations of every run;
+- per side, the minor page faults and system seconds of each timed run's
+  child processes (`getrusage(RUSAGE_CHILDREN)` deltas) and their
+  medians: the page-fault cost of freed and re-mapped buffers shows
+  here, not in the timings;
 - the environment block of both checkouts and the `metrics.jsonl`
   sha256 of every workload on both sides at every seed of SEEDS, which
   must be equal when a change claims identical outputs;
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import shutil
 import subprocess
 import sys
@@ -80,9 +85,25 @@ def _copy_change(dest: Path) -> None:
 
 
 def _bench_all(checkout: Path, seed: int = SEED) -> dict:
-    """One `--workload all` run: its last line, {correct, attempted, failed, metrics}."""
-    return json.loads(_lines(checkout, ["perfbench/run.py", "--workload", "all",
-                                        "--seed", str(seed)])[-1])
+    """One `--workload all` run: its last line, {correct, attempted, failed, metrics}, plus
+    `child`, the minor faults and system seconds its processes took."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    result = json.loads(_lines(checkout, ["perfbench/run.py", "--workload", "all",
+                                          "--seed", str(seed)])[-1])
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    result["child"] = {"minor_faults": after.ru_minflt - before.ru_minflt,
+                       "sys_s": after.ru_stime - before.ru_stime}
+    return result
+
+
+def _child_usage(runs: dict) -> dict:
+    """Per side, each run's `child` usage and the median of each of its fields."""
+    out = {}
+    for side, side_runs in runs.items():
+        rows = [r["child"] for r in side_runs]
+        out[side] = {"runs": rows, "median": {key: float(np.median([row[key] for row in rows]))
+                                              for key in rows[0]}}
+    return out
 
 
 def _environment(checkout: Path) -> dict:
@@ -166,6 +187,7 @@ def _record(checkouts: dict, out: Path) -> int:
             for side, path in checkouts.items()
         },
         "end_to_end": _summary(runs, spec, workloads),
+        "child_usage": _child_usage(runs),
         "trace": {w: _trace(checkouts["change"], w) for w in workloads},
     }
     out.write_text(json.dumps(record, indent=1) + "\n")
@@ -178,6 +200,10 @@ def _record(checkouts: dict, out: Path) -> int:
                   f"won {row['change_won']} lost {row['change_lost']} of {PAIRS}  "
                   f"spread {'-' if spread is None else f'{spread:.1%}'}"
                   f"{'  PAST BOUND' if row['past_bound'] else ''}")
+    for side, usage in record["child_usage"].items():
+        med = usage["median"]
+        print(f"{side:>14}  child minor faults {med['minor_faults']:.0f}, "
+              f"system {med['sys_s']:.2f} s (median per run)")
     failed = sum(r["failed"] for side_runs in runs.values() for r in side_runs)
     return 0 if failed == 0 else 1
 
