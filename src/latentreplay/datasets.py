@@ -258,4 +258,6 @@ def load_dataset(cfg) -> Dataset:
     else:
         raise DataError(f"unknown dataset kind {cfg.dataset_kind!r}")
     ds.check(cfg.net_in_shape)
+    for array in (ds.train_images, ds.train_labels, ds.test_images, ds.test_labels):
+        array.flags.writeable = False  # read-only: a Task hands out its rows as views
     return ds

@@ -57,19 +57,37 @@ __all__ = [
 ]
 
 
+class _Rows:
+    """`array[rows]` that gathers only the rows an index names; an int reads one row, a view.
+    A task offers it as `images` because `perfbench/run.py` reads `task.images[i]`."""
+
+    def __init__(self, array: np.ndarray, rows: np.ndarray):
+        self.array, self.rows = array, rows
+        self.shape, self.dtype = (len(rows), *array.shape[1:]), array.dtype
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, key):
+        return self.array[self.rows[key]]
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.array[self.rows], dtype=dtype)
+
+
 @dataclass(frozen=True)
 class Task:
     """Task `task_id`: its classes and its `rows` of `dataset`'s train split in stream order;
-    `images` and `labels` are gathered on first read and then kept."""
+    `images` reads those rows as indexed and keeps no copy, `labels` is gathered once and kept."""
 
     task_id: int
     classes: tuple
     dataset: Dataset = field(repr=False)
     rows: np.ndarray
 
-    @cached_property
-    def images(self) -> np.ndarray:
-        return self.dataset.train_images[self.rows]
+    @property
+    def images(self) -> _Rows:
+        return _Rows(self.dataset.train_images, self.rows)
 
     @cached_property
     def labels(self) -> np.ndarray:
@@ -98,8 +116,8 @@ def task_classes(cfg: RunConfig) -> list:
 
 
 def build_task_stream(dataset: Dataset, cfg: RunConfig) -> TaskStream:
-    """The tasks of `task_classes(cfg)` as row indices (no image is copied here); sample order
-    is shuffled per task from the run seed."""
+    """The tasks of `task_classes(cfg)` as row indices; no image is copied here, nor later
+    by a task (`Task`). Sample order is shuffled per task from the run seed."""
     tasks = []
     for tid, classes in enumerate(task_classes(cfg), start=1):
         rows = np.flatnonzero(np.isin(dataset.train_labels, classes))

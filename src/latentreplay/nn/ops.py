@@ -32,6 +32,11 @@ numpy's pool and relu, the float64 bits of the forward and input grad
 of the NCHW-column GEMM, and byte-identical runs under one and two BLAS
 threads and under the OpenBLAS Haswell, Sandybridge and Prescott kernels.
 
+Tape. A conv's backward keeps its input, not its float64 patch matrix
+(18 times as large at K = 3), which glibc mapped and faulted in afresh
+for every batch the tape kept it; the weight grad builds it again (same
+bits) and drops it before the input grad, and a frozen conv builds none.
+
 Float32 GEMMs were measured and turned down. Keeping the padded buffer
 and `wmat` in the tensor's float32 makes forward plus backward 0.35-0.77x
 of the float64 time at ten workload shapes (init + stream through the
@@ -125,17 +130,17 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, pad: int = 0) -> Tensor:
     if ho < 1 or wo < 1:
         raise ConfigError(f"conv2d output size {ho}x{wo} is not positive")
 
-    # one dgemm over every sample's batch-last patch columns; outputs and grads stay NCHW
-    cols = _im2col(_padded(x.data.transpose(1, 2, 3, 0), pad), k)
+    # one dgemm per use of the batch-last patch columns, built for it; outputs and grads stay NCHW
+    x_bl = x.data.transpose(1, 2, 3, 0)
     wmat = weight.data.reshape(o, -1).astype(_F64)
-    out = (wmat @ cols + bias.data.astype(_F64)[:, None]).reshape(o, ho, wo, n)
-    out = out.transpose(3, 0, 1, 2).astype(_out_dtype(x, weight, bias), order="C")
+    out = wmat @ _im2col(_padded(x_bl, pad), k) + bias.data.astype(_F64)[:, None]
+    out = out.reshape(o, ho, wo, n).transpose(3, 0, 1, 2).astype(_out_dtype(x, weight, bias), order="C")
 
     def backward(g):
         go = g.astype(_F64)
         go_bl = go.transpose(1, 2, 3, 0).reshape(o, ho * wo * n)
         if weight.requires_grad:
-            weight.accumulate_grad((go_bl @ cols.T).reshape(weight.shape))
+            weight.accumulate_grad((go_bl @ _im2col(_padded(x_bl, pad), k).T).reshape(weight.shape))
         if bias.requires_grad:
             bias.accumulate_grad(go.reshape(n, o, ho * wo).sum(axis=(0, 2)))
         if x.requires_grad:

@@ -61,3 +61,17 @@ def test_each_run_stores_its_childrens_faults_and_system_time(monkeypatch):
     assert usage["parent"]["median"] == {"minor_faults": 150.0, "sys_s": 0.25}
     assert usage["change"] == {"runs": [runs[0]["child"]],
                                "median": {"minor_faults": 250.0, "sys_s": 0.25}}
+
+
+def test_child_usage_counts_pairs_and_the_parents_spread_as_a_metric_does():
+    def runs(faults):
+        return [{"child": {"minor_faults": f, "sys_s": 0.5}} for f in faults]
+
+    parent, change = [100, 200, 300, 400, 500], [50, 250, 100, 400, 90]
+    usage = bench_record._child_usage({"parent": runs(parent), "change": runs(change)})
+    assert usage["paired"]["minor_faults"] == {"change_won": 3, "change_lost": 1,
+                                               "parent_spread": pytest.approx(200 / 300)}
+    assert usage["paired"]["sys_s"] == {"change_won": 0, "change_lost": 0, "parent_spread": 0.0}
+    # fewer faults win, as a lower-is-better metric's smaller value does
+    row = _row("step_ms_p50", parent, change)
+    assert {k: row[k] for k in usage["paired"]["minor_faults"]} == usage["paired"]["minor_faults"]

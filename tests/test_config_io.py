@@ -1010,7 +1010,7 @@ class TestCli:
         "dataset.classes = 70000", "dataset.noise = -0.5", "online.lr = nan", "offline.lr = inf",
         "acae.lr = -inf", "online.momentum = nan", "seed = -1", "class_order_seed = -1",
         "offline.lr = 0.0", "acae.lr = -0.5", "online.lr = -0.5", "offline.momentum = 1.0",
-        "online.momentum = -0.1", "online.momentum = 1.5",
+        "online.momentum = -0.1", "online.momentum = 1.5", "pq.k = 0", "pq.k = 257",
     ])
     def test_out_of_range_count_is_a_config_error_before_any_data(
         self, line, tmp_path, capsys, monkeypatch

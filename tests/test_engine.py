@@ -103,9 +103,16 @@ class TestTaskStream:
             rows = np.flatnonzero(np.isin(ds.train_labels, task.classes))
             rows = rows[np.random.default_rng((cfg.seed, task.task_id)).permutation(len(rows))]
             assert np.array_equal(task.rows, rows)
-            for got, want in ((task.images, ds.train_images[rows]),
-                              (task.labels, ds.train_labels[rows])):
-                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+            images, want = task.images, ds.train_images[rows]
+            assert (len(images), images.shape, images.dtype) == (len(want), want.shape, want.dtype)
+            reads = [(np.asarray(images), want), (task.labels, ds.train_labels[rows])]
+            reads += [(images[key], want[key]) for key in (
+                0, -1, np.int64(len(rows) // 2), slice(3, 9), slice(None, None, -3),
+                np.array([5, 0, 5, len(rows) - 1]), np.array([], dtype=np.intp),
+            )]
+            for got, ref in reads:
+                assert type(got) is np.ndarray
+                assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
 
     def test_reading_ids_classes_or_slicing_gathers_nothing(self):
         cfg = micro_config()
@@ -129,6 +136,29 @@ class TestTaskStream:
         assert reads == {"images": 0, "labels": 0}
         task = stream.tasks[1]
         assert task.labels is task.labels and reads["labels"] == 1  # gathered once, then kept
+
+    def test_no_task_holds_an_image_array_after_init_and_stream(self):
+        cfg = micro_config(dataset_per_class=8, offline_epochs=1, acae_epochs=1)
+        ds = load_dataset(cfg)
+        stream = build_task_stream(ds, cfg)
+        run_stream(initialize(stream.tasks[0], cfg), stream.tasks[1:])
+        for task in stream.tasks:
+            held = {k: v for k, v in vars(task).items() if isinstance(v, np.ndarray)}
+            assert sorted(held) == ["labels", "rows"], sorted(held)  # 8 B a row each
+            assert all(v.ndim == 1 and v.base is None for v in held.values())
+
+    def test_loaded_arrays_are_read_only_and_a_task_row_cannot_be_written(self):
+        cfg = micro_config(offline_epochs=1, acae_epochs=1)
+        ds = load_dataset(cfg)
+        assert not any(a.flags.writeable for a in
+                       (ds.train_images, ds.train_labels, ds.test_images, ds.test_labels))
+        stream = build_task_stream(ds, cfg)
+        state = initialize(stream.tasks[0], cfg)
+        task2 = stream.tasks[1]
+        with pytest.raises(ValueError, match="read-only"):
+            task2.images[0][...] = 0
+        online_step(state, task2.images[0], int(task2.labels[0]))
+        assert state.global_step == 1
 
     def test_task_classes_are_the_stream_split(self):
         cfg = micro_config(class_order_seed=3)

@@ -31,8 +31,9 @@ change copy. Run nothing else on the machine meanwhile. The file holds:
 - failed and attempted operations of every run;
 - per side, the minor page faults and system seconds of each timed run's
   child processes (`getrusage(RUSAGE_CHILDREN)` deltas) and their
-  medians: the page-fault cost of freed and re-mapped buffers shows
-  here, not in the timings;
+  medians, and for each of the two, the pairs the change won and lost
+  and the parent's spread, as for a metric: the page-fault cost of
+  freed and re-mapped buffers shows here, not in the timings;
 - the environment block of both checkouts and the `metrics.jsonl`
   sha256 of every workload on both sides at every seed of SEEDS, which
   must be equal when a change claims identical outputs;
@@ -96,13 +97,27 @@ def _bench_all(checkout: Path, seed: int = SEED) -> dict:
     return result
 
 
+def _paired(values: dict, better: str) -> dict:
+    """The pairs the change won and lost (ties count for neither) and the parent's own
+    (q3 - q1) / median, None for a zero median, from each side's runs in pair order."""
+    sign = -1.0 if better == "lower" else 1.0
+    diffs = [sign * (c - p) for p, c in zip(values["parent"], values["change"])]
+    q1, med, q3 = np.percentile(values["parent"], [25, 50, 75])
+    return {"change_won": sum(d > 0 for d in diffs), "change_lost": sum(d < 0 for d in diffs),
+            "parent_spread": float((q3 - q1) / med) if med else None}
+
+
 def _child_usage(runs: dict) -> dict:
-    """Per side, each run's `child` usage and the median of each of its fields."""
+    """Per side, each run's `child` usage and the median of each of its fields; under
+    `paired`, each field's pairs won and lost and the parent's spread (fewer is better)."""
     out = {}
     for side, side_runs in runs.items():
         rows = [r["child"] for r in side_runs]
         out[side] = {"runs": rows, "median": {key: float(np.median([row[key] for row in rows]))
                                               for key in rows[0]}}
+    out["paired"] = {key: _paired({side: [row[key] for row in out[side]["runs"]] for side in runs},
+                                  "lower")
+                     for key in out["parent"]["median"]}
     return out
 
 
@@ -129,15 +144,13 @@ def _summary(runs: dict, spec: dict, workloads: list) -> dict:
             for side, vals in values.items():
                 q1, med, q3 = np.percentile(vals, [25, 50, 75])
                 row[side] = {"median": med, "q1": q1, "q3": q3, "runs": vals}
-            sign = -1.0 if metric["better"] == "lower" else 1.0
-            diffs = [sign * (c - p) for p, c in zip(values["parent"], values["change"])]
-            row["change_won"] = sum(d > 0 for d in diffs)
-            row["change_lost"] = sum(d < 0 for d in diffs)
+            paired = _paired(values, metric["better"])
+            row["change_won"], row["change_lost"] = paired["change_won"], paired["change_lost"]
             parent, change = row["parent"], row["change"]
+            sign = -1.0 if metric["better"] == "lower" else 1.0
             worse = -sign * (change["median"] - parent["median"])
             row["past_bound"] = bool(worse > metric["bound"] * abs(parent["median"]))
-            row["parent_spread"] = ((parent["q3"] - parent["q1"]) / parent["median"]
-                                    if parent["median"] else None)
+            row["parent_spread"] = paired["parent_spread"]
             rows[metric["name"]] = row
     return out
 
@@ -200,10 +213,13 @@ def _record(checkouts: dict, out: Path) -> int:
                   f"won {row['change_won']} lost {row['change_lost']} of {PAIRS}  "
                   f"spread {'-' if spread is None else f'{spread:.1%}'}"
                   f"{'  PAST BOUND' if row['past_bound'] else ''}")
-    for side, usage in record["child_usage"].items():
-        med = usage["median"]
-        print(f"{side:>14}  child minor faults {med['minor_faults']:.0f}, "
-              f"system {med['sys_s']:.2f} s (median per run)")
+    usage = record["child_usage"]
+    for key, paired in usage["paired"].items():
+        spread = paired["parent_spread"]
+        print(f"{'child usage':>14}  {key:<20} {usage['parent']['median'][key]:>12.6g} -> "
+              f"{usage['change']['median'][key]:<12.6g} {'':<6} "
+              f"won {paired['change_won']} lost {paired['change_lost']} of {PAIRS}  "
+              f"spread {'-' if spread is None else f'{spread:.1%}'}")
     failed = sum(r["failed"] for side_runs in runs.values() for r in side_runs)
     return 0 if failed == 0 else 1
 
