@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError
-from .network import SplitModel, kaiming_params
+from .network import SplitModel, check_finite, kaiming_params
 from .nn import (
     OptimState,
     Tensor,
@@ -114,7 +114,8 @@ def train_compressor(
 
     The returned history has epochs + 1 entries: index 0 is the MSE of
     the untrained compressor, so callers can verify training helped.
-    Backbone and head parameters are bit-identical before and after.
+    Backbone and head parameters are bit-identical before and after. A
+    loss or a final parameter that is not finite raises DataError naming `acae.lr`.
     """
     m = features.shape[0]
     if m == 0:
@@ -131,14 +132,16 @@ def train_compressor(
         return total / m
 
     history = [dataset_mse()]
-    with training(comp.params):
-        for _ in range(epochs):
+    with training(comp.params), np.errstate(all="ignore"):  # non-finite values raise below
+        for epoch in range(epochs):
             order = rng.permutation(m)
             for start in range(0, m, batch_size):
                 idx = order[start : start + batch_size]
                 loss, _ = compression_loss(comp, model, Tensor(features[idx]), labels[idx], use_ce)
+                check_finite(f"compressor loss in epoch {epoch + 1}", [loss.data], "acae.lr")
                 zero_grads(comp.params)
                 loss.backward()
                 adam_step(comp.params, state)
             history.append(dataset_mse())
+    check_finite("compressor weights", [p.data for p in comp.params.values()], "acae.lr")
     return history

@@ -1,15 +1,18 @@
 """Run configuration: key=value text format with documented defaults.
 
 One `key = value` pair per line, '#' starts a comment, blank lines are
-ignored. Keys are dotted and flat (no sections). Unknown keys, type
-mismatches, and constraint violations raise ConfigError naming the key
-and the line it was set on.
+ignored. Keys are dotted and flat (no sections). Unknown keys, a key set
+twice, type mismatches and constraint violations raise ConfigError naming
+the key and the line it was set on, before any data loads. `_DOMAINS`
+holds the interval of every numeric key (of each entry of a list key);
+`validate_config` checks it, then the rules that tie keys together.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass, fields
+from math import inf
 
 from .errors import ConfigError
 from .network import NetConfig
@@ -95,17 +98,12 @@ def _parse_int_tuple(raw: str) -> tuple:
 _PARSERS = {int: int, float: float, str: str, bool: _parse_bool, tuple: _parse_int_tuple}
 _TYPE_NAMES = {int: "integer", float: "number", str: "string", bool: "boolean", tuple: "integer list"}
 
-# dotted config key -> (dataclass field, python type)
-KEYS: dict[str, tuple[str, type]] = {}
-for f in fields(RunConfig):
-    prefixes = ("dataset_", "split_", "net_", "offline_", "acae_", "pq_", "online_", "reservoir_")
-    for p in prefixes:
-        if f.name.startswith(p):
-            key = p[:-1] + "." + f.name[len(p):]
-            break
-    else:
-        key = f.name
-    KEYS[key] = (f.name, f.type if isinstance(f.type, type) else type(getattr(RunConfig(), f.name)))
+_SECTIONS = ("dataset", "split", "net", "offline", "acae", "pq", "online", "reservoir")
+# dotted config key ("<section>.<rest>" of a "<section>_<rest>" field) -> (field, type of default)
+KEYS: dict[str, tuple[str, type]] = {
+    f.name.replace("_", ".", 1) if f.name.split("_")[0] in _SECTIONS else f.name:
+    (f.name, type(getattr(RunConfig(), f.name))) for f in fields(RunConfig)
+}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -137,21 +135,24 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
-# key -> its smallest valid value, of every entry for a list: 1 for a divisor, a step, a size
-# or a count that must hold something; 0 for a count that may be zero, a seed (numpy takes no
-# negative one) or the noise level
-_LEAST = {
-    "pq.s": 1, "offline.batch_size": 1, "acae.batch_size": 1, "acae.latent_channels": 1,
-    "reservoir.capacity": 1, "dataset.per_class": 1, "dataset.test_per_class": 1,
-    "net.channels": 1, "net.in_shape": 1, "offline.epochs": 0, "acae.epochs": 0,
-    "pq.iters": 0, "online.rehearsal_n": 0, "online.eval_every": 0, "dataset.noise": 0,
-    "seed": 0, "class_order_seed": 0,
+# key -> (least, most, brackets) of its value, of every entry for a list key; the brackets
+# spell the interval, "(" or ")" for an open bound. NaN fails every comparison, and a finite
+# or open bound refuses +-inf, so each float key is finite.
+_DOMAINS = {
+    **dict.fromkeys(("seed", "class_order_seed", "offline.epochs", "acae.epochs", "pq.iters",
+                     "online.rehearsal_n", "online.eval_every"), (0, inf, "[)")),
+    **dict.fromkeys(("dataset.per_class", "dataset.test_per_class", "split.first_classes",
+                     "split.steps", "net.num_blocks", "net.replay_block", "net.channels",
+                     "net.in_shape", "offline.batch_size", "acae.latent_channels",
+                     "acae.batch_size", "pq.s", "reservoir.capacity"), (1, inf, "[)")),
+    "dataset.classes": (2, 65536, "[]"),  # the checkpoint's reservoir.labels blob is u2
+    "pq.k": (1, 256, "[]"),  # a code is one byte
+    "dataset.noise": (0.0, inf, "[)"),
+    **dict.fromkeys(("offline.lr", "acae.lr", "online.lr"), (0.0, inf, "()")),
+    **dict.fromkeys(("offline.momentum", "online.momentum"), (0.0, 1.0, "[)")),
+    **dict.fromkeys(("online.crop_min_area", "online.crop_max_area"), (0.0, 1.0, "(]")),
 }
-# key -> (test, rule) of the float keys that no run can work outside of
-_RANGES = {key: (lambda v: v > 0, "above 0") for key in ("offline.lr", "acae.lr", "online.lr")}
-_RANGES.update({key: (lambda v: 0 <= v < 1, "in [0, 1)")
-                for key in ("offline.momentum", "online.momentum")})
-MAX_CLASSES = 65536  # checkpoints store reservoir labels as u2
+_HOLDS = {"(": operator.lt, "[": operator.le, ")": operator.lt, "]": operator.le}
 
 
 def _render(value) -> str:
@@ -163,63 +164,45 @@ def _render(value) -> str:
     return str(value)
 
 
-def _where(key: str, lines_set: dict[str, int]) -> str:
-    return f"line {lines_set[key]}" if key in lines_set else "default"
-
-
 def validate_config(cfg: RunConfig, lines_set: dict[str, int] | None = None) -> None:
-    """Cross-field constraint checks; errors name every key involved."""
+    """The `_DOMAINS` check of each key, then the cross-field checks; errors name every key
+    involved and the line it was set on."""
     lines_set = lines_set or {}
 
     def where(key: str) -> str:
-        return _where(key, lines_set)
+        return f"line {lines_set[key]}" if key in lines_set else "default"
 
     if cfg.dataset_kind not in ("synthetic", "idx", "cifar-bin"):
         raise ConfigError(
             f"dataset.kind ({where('dataset.kind')}) must be synthetic, idx, or cifar-bin"
         )
-    for key, (name, typ) in KEYS.items():
-        value = getattr(cfg, name)
-        if typ is float and not math.isfinite(value):
-            raise ConfigError(f"{key} = {value} ({where(key)}) must be finite")
-    for key, least in _LEAST.items():
+    for key, (least, most, brackets) in _DOMAINS.items():
         value = getattr(cfg, KEYS[key][0])
-        if min(value if isinstance(value, tuple) else (value,), default=least) < least:
+        if not all(_HOLDS[brackets[0]](least, v) and _HOLDS[brackets[1]](v, most)
+                   for v in (value if isinstance(value, tuple) else (value,))):
             each = " in every entry" if isinstance(value, tuple) else ""
-            raise ConfigError(
-                f"{key} = {_render(value)} ({where(key)}) must be at least {least}{each}"
-            )
-    for key, (ok, rule) in _RANGES.items():
-        value = getattr(cfg, KEYS[key][0])
-        if not ok(value):
-            raise ConfigError(f"{key} = {value} ({where(key)}) must be {rule}")
-    if cfg.dataset_classes > MAX_CLASSES:
-        raise ConfigError(
-            f"dataset.classes = {cfg.dataset_classes} ({where('dataset.classes')}) must be at "
-            f"most {MAX_CLASSES}: checkpoints store labels as u2"
-        )
+            raise ConfigError(f"{key} = {_render(value)} ({where(key)}) must be in "
+                              f"{brackets[0]}{least}, {most}{brackets[1]}{each}")
     if cfg.acae_latent_channels % cfg.pq_s != 0:
         raise ConfigError(
             f"acae.latent_channels = {cfg.acae_latent_channels} ({where('acae.latent_channels')}) "
             f"is not divisible by pq.s = {cfg.pq_s} ({where('pq.s')})"
         )
-    if not (1 <= cfg.pq_k <= 256):
-        raise ConfigError(f"pq.k = {cfg.pq_k} ({where('pq.k')}) must be in 1..256")
-    if cfg.split_first_classes < 1 or cfg.split_first_classes >= cfg.dataset_classes:
+    if cfg.split_first_classes >= cfg.dataset_classes:
         raise ConfigError(
             f"split.first_classes = {cfg.split_first_classes} ({where('split.first_classes')}) "
-            f"must be in 1..{cfg.dataset_classes - 1} (dataset.classes, {where('dataset.classes')})"
+            f"must be below dataset.classes = {cfg.dataset_classes} ({where('dataset.classes')})"
         )
     rest = cfg.dataset_classes - cfg.split_first_classes
-    if cfg.split_steps < 1 or rest % cfg.split_steps != 0:
+    if rest % cfg.split_steps != 0:
         raise ConfigError(
             f"split.steps = {cfg.split_steps} ({where('split.steps')}) must divide the "
             f"{rest} classes left after split.first_classes ({where('split.first_classes')})"
         )
-    if not (0.0 < cfg.online_crop_min_area <= cfg.online_crop_max_area <= 1.0):
+    if cfg.online_crop_min_area > cfg.online_crop_max_area:
         raise ConfigError(
-            f"online.crop_min_area ({where('online.crop_min_area')}) and online.crop_max_area "
-            f"({where('online.crop_max_area')}) must satisfy 0 < min <= max <= 1"
+            f"online.crop_min_area ({where('online.crop_min_area')}) must not exceed "
+            f"online.crop_max_area ({where('online.crop_max_area')})"
         )
     try:
         cfg.net_config().validate()

@@ -277,10 +277,14 @@ def fit_compressor(
 def initialize(task1: Task, cfg: RunConfig) -> EngineState:
     """First-task pipeline: offline net, compressor, quantizer, freeze, memory fill.
 
-    Ends with `check_state`, so a task 1 that trains the network to
-    non-finite weights raises ContractError here rather than leaving a
-    checkpoint that nothing can load.
+    A `pq.k` above the count of task 1's position vectors, which k-means
+    fits it to, is a ConfigError before any training. Ends with `check_state`,
+    so no command writes a state that `load_checkpoint` would refuse.
     """
+    n, (h, w) = len(task1.labels), cfg.net_config().feature_hw
+    if 0 < n * h * w < cfg.pq_k:  # an empty task is train_first_task's DataError
+        raise ConfigError(f"pq.k = {cfg.pq_k} is above the {n * h * w} position vectors of "
+                          f"task 1 ({n} samples of a {h}x{w} replay map)")
     model = train_first_task(task1, cfg)
     net = model.config
     latents = forward_batched(model.forward_backbone, task1.images)
@@ -305,7 +309,7 @@ def initialize(task1: Task, cfg: RunConfig) -> EngineState:
         insert_with_eviction(state.reservoir, codes[i], int(task1.labels[i]), state.rng)
 
     state.frozen_digest = frozen_checksums(state)
-    check_state(state)  # no command writes a state that load_checkpoint would refuse
+    check_state(state)
     return state
 
 
@@ -335,8 +339,8 @@ def feature_random_resized_crop(z: np.ndarray, scale: tuple, rng: np.random.Gene
     """Crop a random sub-window of each (C, H, W) map in z and bilinearly resize it back to H x W.
 
     The window is real-valued, so its area fraction is drawn exactly
-    from `scale` with the aspect ratio kept. scale (1, 1) degenerates to
-    the identity and constants stay constant (bilinear weights sum to 1).
+    from `scale` with the aspect ratio kept. scale (1, 1) degenerates to the identity,
+    constants stay constant (bilinear weights sum to 1), a 1-pixel side reads that pixel.
     Each map draws its area, top and left in turn, map after map, in one
     `rng.random((m, 3))`: the doubles and the generator state after it are
     those of 3*m scalar `rng.uniform(low, high)` calls, `low + (high - low) * u`.
@@ -349,8 +353,8 @@ def feature_random_resized_crop(z: np.ndarray, scale: tuple, rng: np.random.Gene
     top = ((h - 1) - (crop_h - 1)) * u[:, 1]
     left = ((w - 1) - (crop_w - 1)) * u[:, 2]
 
-    rows = top[:, None] + np.arange(h) * (crop_h[:, None] - 1) / (h - 1)
-    cols = left[:, None] + np.arange(w) * (crop_w[:, None] - 1) / (w - 1)
+    rows = top[:, None] + np.arange(h) * (crop_h[:, None] - 1) / max(h - 1, 1)
+    cols = left[:, None] + np.arange(w) * (crop_w[:, None] - 1) / max(w - 1, 1)
     r0 = np.clip(np.floor(rows).astype(np.int64), 0, h - 1)
     c0 = np.clip(np.floor(cols).astype(np.int64), 0, w - 1)
     r1 = np.minimum(r0 + 1, h - 1)

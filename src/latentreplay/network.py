@@ -195,7 +195,8 @@ def train_offline(
     """Multi-epoch SGD over shuffled data; returns per-epoch mean losses.
 
     `trainable` restricts updates to a subset of parameter names (all by
-    default); the forward pass always uses the full network.
+    default); the forward pass always uses the full network. A loss or
+    a final parameter that is not finite raises DataError naming `offline.lr`.
     """
     m = images.shape[0]
     if m == 0:
@@ -206,8 +207,8 @@ def train_offline(
     train_params = {k: model.params[k] for k in names}
     state = OptimState(lr=lr, momentum=momentum)
     epoch_losses = []
-    with training(train_params):
-        for _ in range(epochs):
+    with training(train_params), np.errstate(all="ignore"):  # non-finite values raise below
+        for epoch in range(epochs):
             order = rng.permutation(m)
             total = 0.0
             for start in range(0, m, batch_size):
@@ -217,9 +218,17 @@ def train_offline(
                     xb = augment_images(xb, rng)
                 logits = model.forward(Tensor(xb))
                 loss = softmax_cross_entropy(logits, labels[idx])
+                check_finite(f"offline loss in epoch {epoch + 1}", [loss.data], "offline.lr")
                 zero_grads(train_params)
                 loss.backward()
                 sgd_step(train_params, state)
                 total += float(loss.data) * len(idx)
             epoch_losses.append(total / m)
+    check_finite("offline-trained weights", [p.data for p in train_params.values()], "offline.lr")
     return epoch_losses
+
+
+def check_finite(what: str, arrays, setting: str) -> None:
+    """Raise DataError, blaming the data or a too large `setting`, unless every array is finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise DataError(f"non-finite {what} (the data, or an {setting} too large)")

@@ -20,9 +20,12 @@ import latentreplay
 from latentreplay import checkpoint
 from latentreplay.checkpoint import load_checkpoint, save_checkpoint
 from latentreplay.cli import main
-from latentreplay.config import KEYS, RunConfig, parse_config, serialize_config, validate_config
+from latentreplay.config import (
+    _DOMAINS, KEYS, RunConfig, parse_config, serialize_config, validate_config,
+)
 from latentreplay.datasets import gen_synthetic, load_cifar_bin, load_dataset, load_idx
 from latentreplay.engine import (
+    blank_state,
     build_task_stream,
     check_state,
     frozen_backbone_study,
@@ -32,65 +35,57 @@ from latentreplay.engine import (
     seen_class_record,
     task_classes,
 )
-from latentreplay.errors import CheckpointError, ConfigError, DataError
+from latentreplay.errors import CheckpointError, ConfigError, DataError, LatentReplayError
 from latentreplay.metrics import MetricRecord, aoc
 from latentreplay.reporting import BUDGET_TABLE, emit_metrics, membudget_lines, read_metrics
 from latentreplay.reservoir import memory_bytes
 
 
-_BY_TYPE = {
-    int: st.integers(-(2**40), 2**40),
-    float: st.floats(allow_nan=False, allow_infinity=False),
-    bool: st.booleans(),
-    str: st.text(),
-}
+_BY_TYPE = {bool: st.booleans(), str: st.text()}
+
+
+def in_domain(key, most=2**40):
+    """A strategy for `key`'s values (each entry's, for a list key) in its `_DOMAINS` interval,
+    an integer one capped at `most`."""
+    least, top, brackets = _DOMAINS[key]
+    if isinstance(least, int):
+        return st.integers(least, min(top, most))
+    return st.floats(least, None if math.isinf(top) else top, allow_nan=False,
+                     allow_infinity=False, exclude_min=brackets[0] == "(",
+                     exclude_max=brackets[1] == ")" and not math.isinf(top))
 
 
 @st.composite
 def valid_configs(draw):
-    """RunConfigs that pass validate_config, every unconstrained field drawn by type."""
-    values = {name: draw(_BY_TYPE[typ]) for name, typ in KEYS.values() if typ in _BY_TYPE}
-    blocks = draw(st.integers(1, 4))
-    channels = tuple(draw(st.lists(st.integers(2, 64), min_size=blocks, max_size=blocks)))
-    replay_block = draw(st.integers(1, blocks))
-    s = draw(st.integers(1, channels[replay_block - 1] - 1))
-    latent = s * draw(st.integers(1, (channels[replay_block - 1] - 1) // s))
-    classes = draw(st.integers(2, 40))
-    first = draw(st.integers(1, classes - 1))
+    """RunConfigs that pass validate_config: each key drawn from its `_DOMAINS` interval, the
+    keys that a cross-field rule ties together drawn to satisfy it."""
+    values = {KEYS[key][0]: draw(in_domain(key)) for key in _DOMAINS
+              if key not in ("net.channels", "net.in_shape")}
+    values.update({name: draw(_BY_TYPE[typ]) for name, typ in KEYS.values() if typ in _BY_TYPE})
+    blocks = draw(in_domain("net.num_blocks", 4))
+    channels = draw(st.lists(in_domain("net.channels", 64), min_size=blocks, max_size=blocks))
+    replay_block = draw(in_domain("net.replay_block", blocks))
+    # the replay block needs room for a narrower latent below it
+    feat = channels[replay_block - 1] = draw(in_domain("net.channels", 64).filter(lambda c: c > 1))
+    s = draw(in_domain("pq.s", feat - 1))
+    classes = draw(in_domain("dataset.classes"))
+    first = draw(in_domain("split.first_classes", classes - 1))
     rest = classes - first
-    lo = draw(st.floats(0.0, 1.0, exclude_min=True))
+    lo = draw(in_domain("online.crop_min_area"))
     values.update(
         dataset_kind=draw(st.sampled_from(["synthetic", "idx", "cifar-bin"])),
         dataset_classes=classes,
         split_first_classes=first,
         split_steps=draw(st.sampled_from([d for d in range(1, rest + 1) if rest % d == 0])),
         net_num_blocks=blocks,
-        net_channels=channels,
-        net_in_shape=tuple(draw(st.integers(1, 4)) * m for m in (1, 2**blocks, 2**blocks)),
+        net_channels=tuple(channels),
+        net_in_shape=(draw(in_domain("net.in_shape", 4)),
+                      *(draw(st.integers(1, 4)) * 2**blocks for _ in range(2))),
         net_replay_block=replay_block,
         pq_s=s,
-        pq_k=draw(st.integers(1, 256)),
-        acae_latent_channels=latent,
+        acae_latent_channels=s * draw(st.integers(1, (feat - 1) // s)),
         online_crop_min_area=lo,
-        online_crop_max_area=draw(st.floats(lo, 1.0)),
-        seed=draw(st.integers(0, 2**40)),
-        class_order_seed=draw(st.integers(0, 2**40)),
-        dataset_noise=draw(st.floats(0.0, allow_infinity=False)),
-        reservoir_capacity=draw(st.integers(1, 2**40)),
-        dataset_per_class=draw(st.integers(1, 2**40)),
-        dataset_test_per_class=draw(st.integers(1, 2**40)),
-        offline_batch_size=draw(st.integers(1, 2**40)),
-        acae_batch_size=draw(st.integers(1, 2**40)),
-        offline_epochs=draw(st.integers(0, 2**40)),
-        acae_epochs=draw(st.integers(0, 2**40)),
-        pq_iters=draw(st.integers(0, 2**40)),
-        online_rehearsal_n=draw(st.integers(0, 2**40)),
-        online_eval_every=draw(st.integers(0, 2**40)),
-        offline_lr=draw(st.floats(0.0, exclude_min=True, allow_infinity=False)),
-        acae_lr=draw(st.floats(0.0, exclude_min=True, allow_infinity=False)),
-        online_lr=draw(st.floats(0.0, exclude_min=True, allow_infinity=False)),
-        offline_momentum=draw(st.floats(0.0, 1.0, exclude_max=True)),
-        online_momentum=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        online_crop_max_area=draw(st.floats(lo, _DOMAINS["online.crop_max_area"][1])),
     )
     return RunConfig(**values)
 
@@ -987,6 +982,117 @@ class TestBudgetLines:
         assert shown == [f"{mb} MB" for _, _, mb, _ in BUDGET_TABLE]
 
 
+def domain_edges(key):
+    """(inside, outside) at each bound of `key` in `_DOMAINS`: a closed bound and the value one
+    past it, or an open bound and the value one inside it, the next integer or float (the
+    largest float, for an open inf); an integer key has no edge at inf."""
+    least, most, brackets = _DOMAINS[key]
+    is_int = isinstance(least, int)
+
+    def toward(value, way):
+        return value + way if is_int else math.nextafter(value, way * math.inf)
+
+    pairs = []
+    for bound, is_open, out in ((least, brackets[0] == "(", -1), (most, brackets[1] == ")", 1)):
+        if not (is_int and math.isinf(bound)):
+            pairs.append((toward(bound, -out), bound) if is_open else (bound, toward(bound, out)))
+    return pairs
+
+
+def key_value(key, value, base):
+    """`value` as `key`'s setting: `base`'s list with its first entry replaced, for a list key."""
+    default = getattr(base, KEYS[key][0])
+    return (value, *default[1:]) if isinstance(default, tuple) else value
+
+
+def config_line(key, value):
+    return f"{key} = {', '.join(map(str, value)) if isinstance(value, tuple) else value}"
+
+
+# each value one past a bound of the table, and nan, inf and -inf for every float key, after
+# the values refused before the table existed
+OUT_OF_DOMAIN = list(dict.fromkeys([
+    "pq.s = 0", "offline.batch_size = 0", "acae.batch_size = 0", "offline.epochs = -1",
+    "acae.epochs = -1", "pq.iters = -1", "online.rehearsal_n = -1", "online.eval_every = -1",
+    "reservoir.capacity = 0", "dataset.per_class = 0", "dataset.test_per_class = 0",
+    "acae.latent_channels = 0", "net.in_shape = 3, 0, 0", "net.channels = 0, 16, 32",
+    "dataset.classes = 70000", "dataset.noise = -0.5", "online.lr = nan", "offline.lr = inf",
+    "acae.lr = -inf", "online.momentum = nan", "seed = -1", "class_order_seed = -1",
+    "offline.lr = 0.0", "acae.lr = -0.5", "online.lr = -0.5", "offline.momentum = 1.0",
+    "online.momentum = -0.1", "online.momentum = 1.5", "pq.k = 0", "pq.k = 257",
+    *(config_line(key, key_value(key, outside, RunConfig()))
+      for key in _DOMAINS for _, outside in domain_edges(key)),
+    *(f"{key} = {v}" for key, (least, _, _) in _DOMAINS.items() if isinstance(least, float)
+      for v in ("nan", "inf", "-inf")),
+]))
+
+# 4 samples a class of 1x8x8 images, channels 2,4,4 and one epoch: the replay map is 2x2, and
+# task 1 has 32 position vectors
+SWEEP_BASE = RunConfig(
+    dataset_classes=4, split_first_classes=2, split_steps=2, dataset_per_class=4,
+    dataset_test_per_class=1, net_in_shape=(1, 8, 8), net_channels=(2, 4, 4), offline_epochs=1,
+    acae_epochs=1, acae_latent_channels=2, pq_s=2, pq_k=8, pq_iters=2, reservoir_capacity=8,
+    online_rehearsal_n=2,
+)
+# what an edge of a key needs set beside it, on SWEEP_BASE, to meet the cross-field rules
+_BESIDE = {
+    "dataset.classes": dict(split_first_classes=1, split_steps=1),
+    "split.first_classes": dict(split_steps=1),
+    "net.num_blocks": dict(net_channels=(4,), net_replay_block=1),
+    "net.replay_block": dict(acae_latent_channels=1, pq_s=1),
+    "acae.latent_channels": dict(pq_s=1),
+    "online.crop_max_area": dict(online_crop_min_area=math.nextafter(0.0, 1.0)),
+}
+# (key, settings): each in-domain bound on SWEEP_BASE, then each cross-field edge; 65536
+# classes, whose evaluation alone would hold 65536 x 65536 float32 logits, is
+# TestDomainSweep's checkpoint round trip instead
+IN_DOMAIN = [
+    *((key, {KEYS[key][0]: key_value(key, inside, SWEEP_BASE), **_BESIDE.get(key, {})})
+      for key in _DOMAINS for inside, _ in domain_edges(key)
+      if (key, inside) != ("dataset.classes", 65536)),
+    ("net.replay_block", dict(net_replay_block=3)),  # replay block = num_blocks, a 1x1 map
+    ("net.replay_block", dict(net_replay_block=3, net_in_shape=(1, 8, 16))),  # a 1x2 map
+    ("split.first_classes", dict(split_first_classes=3, split_steps=1)),  # classes - 1
+    ("online.crop_min_area", dict(online_crop_min_area=0.5, online_crop_max_area=0.5)),
+    ("acae.latent_channels", dict(acae_latent_channels=3, pq_s=1)),  # feature channels - 1
+]
+
+
+class TestDomainSweep:
+    @pytest.mark.parametrize("key, settings", IN_DOMAIN,
+                             ids=[f"{key}:{settings}" for key, settings in IN_DOMAIN])
+    def test_each_in_domain_edge_runs_or_names_its_key(self, key, settings, tmp_path):
+        cfg = replace(SWEEP_BASE, **settings)
+        assert parse_config(serialize_config(cfg)) == cfg  # the config itself is accepted
+        path = str(tmp_path / "run.ckpt")
+        try:
+            ds = load_dataset(cfg)
+            tasks = build_task_stream(ds, cfg).tasks
+            state = initialize(tasks[0], cfg)
+            records = run_stream(state, tasks[1:], partial(seen_class_record, ds))
+            save_checkpoint(state, path, records=records)
+            back = load_checkpoint(path)
+        except LatentReplayError as err:  # any other exception fails the test
+            assert key in str(err)
+            return
+        save_checkpoint(back.state, str(tmp_path / "again.ckpt"), records=back.records)
+        assert (tmp_path / "again.ckpt").read_bytes() == Path(path).read_bytes()
+
+    def test_most_classes_round_trip_the_largest_label(self, tmp_path):
+        cfg = replace(SWEEP_BASE, dataset_classes=65536, split_first_classes=65535, split_steps=1)
+        assert parse_config(serialize_config(cfg)) == cfg
+        state = blank_state(cfg, 0, np.random.default_rng(0))
+        res = state.reservoir
+        res.fill(np.ones((1, *res.codes.shape[1:]), np.uint8), np.array([65535]))
+        state.current_task, state.seen_classes = 2, set(range(65536))
+        state.frozen_digest = frozen_checksums(state)
+        path = str(tmp_path / "run.ckpt")
+        save_checkpoint(state, path)
+        back = load_checkpoint(path).state.reservoir
+        assert back.labels[: back.size].tolist() == [65535]
+        assert np.array_equal(back.codes[: back.size], res.codes[:1])
+
+
 class TestCli:
     def test_membudget_prints_reference_pairs(self, capsys):
         assert main(["membudget"]) == 0
@@ -1002,16 +1108,7 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
 
-    @pytest.mark.parametrize("line", [
-        "pq.s = 0", "offline.batch_size = 0", "acae.batch_size = 0", "offline.epochs = -1",
-        "acae.epochs = -1", "pq.iters = -1", "online.rehearsal_n = -1", "online.eval_every = -1",
-        "reservoir.capacity = 0", "dataset.per_class = 0", "dataset.test_per_class = 0",
-        "acae.latent_channels = 0", "net.in_shape = 3, 0, 0", "net.channels = 0, 16, 32",
-        "dataset.classes = 70000", "dataset.noise = -0.5", "online.lr = nan", "offline.lr = inf",
-        "acae.lr = -inf", "online.momentum = nan", "seed = -1", "class_order_seed = -1",
-        "offline.lr = 0.0", "acae.lr = -0.5", "online.lr = -0.5", "offline.momentum = 1.0",
-        "online.momentum = -0.1", "online.momentum = 1.5", "pq.k = 0", "pq.k = 257",
-    ])
+    @pytest.mark.parametrize("line", OUT_OF_DOMAIN)
     def test_out_of_range_count_is_a_config_error_before_any_data(
         self, line, tmp_path, capsys, monkeypatch
     ):
@@ -1025,6 +1122,25 @@ class TestCli:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config" and err["message"].startswith(f"{line} (line 2) ")
+        assert not (tmp_path / "x.ckpt").exists()
+
+    @pytest.mark.parametrize("key", ["offline.lr", "acae.lr"])
+    def test_huge_training_lr_exits_3_naming_the_key_before_k_means(
+        self, key, tmp_path, capsys, monkeypatch
+    ):
+        def no_kmeans(*args, **kwargs):
+            raise AssertionError("k-means ran on features of a training gone non-finite")
+
+        monkeypatch.setattr(latentreplay.quantizer, "kmeans_fit", no_kmeans)
+        cfgp = tmp_path / "cfg.txt"
+        cfgp.write_text(
+            "dataset.per_class = 20\ndataset.test_per_class = 5\n"
+            "offline.epochs = 2\nacae.epochs = 4\npq.k = 8\n"
+            f"reservoir.capacity = 40\nonline.rehearsal_n = 3\n{key} = 1e308\n"
+        )
+        assert main(["init", "--config", str(cfgp), "--out", str(tmp_path / "x.ckpt")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "data" and f"an {key} too large" in err["message"]
         assert not (tmp_path / "x.ckpt").exists()
 
     def test_missing_checkpoint_io_code(self, tmp_path, capsys):

@@ -192,17 +192,32 @@ class TestInitialize:
         with pytest.raises(DataError):
             initialize(empty, cfg)
 
-    def test_non_finite_task1_pixel_raises_contract_error(self):
+    def test_non_finite_task1_pixel_raises_data_error(self):
         # handed straight to initialize, past load_dataset's check: the
-        # bit-mask relu keeps the forward finite, but the weight gradient
-        # carries the NaN into the backbone, and the closing check_state refuses it
+        # bit-mask relu keeps the forward and so every loss finite, but the
+        # weight gradient carries the NaN into the backbone, and offline
+        # training refuses the weights it ends with, before the compressor
         cfg = micro_config(offline_epochs=1, acae_epochs=1)
         ds = load_dataset(cfg)
         t1 = build_task_stream(ds, cfg).tasks[0]
         images = ds.train_images.copy()
         images[t1.rows[5], 0, 7, 7] = np.nan
-        with pytest.raises(ContractError, match="non-finite values in"):
+        with pytest.raises(DataError, match=r"non-finite offline-trained weights .*offline\.lr"):
             initialize(Task(1, t1.classes, replace(ds, train_images=images), t1.rows), cfg)
+
+    def test_pq_k_above_task1_position_vectors_is_a_config_error_before_training(
+        self, monkeypatch
+    ):
+        # 2 classes x 4 samples, each a 4x4 map at block 2 of a 16x16 input: 128 vectors
+        cfg = micro_config(dataset_per_class=4, pq_k=129)
+        task1 = build_task_stream(load_dataset(cfg), cfg).tasks[0]
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started under a pq.k that k-means cannot fit")
+
+        monkeypatch.setattr(engine, "train_first_task", no_training)
+        with pytest.raises(ConfigError, match=r"pq\.k = 129 is above the 128 position vectors"):
+            initialize(task1, cfg)
 
     def test_decoded_replay_close_to_uncompressed(self, micro_run):
         # held-out task-1 data through the frozen head: the replay path
@@ -289,6 +304,21 @@ class TestFeatureCrop:
         z = rng.normal(size=shape).astype(np.float32)
         for _ in range(10):
             assert feature_random_resized_crop(z[None], (0.64, 1.0), rng).shape == (1, *shape)
+
+    def test_one_pixel_map_crops_to_itself(self):
+        rng = np.random.default_rng(5)
+        z = rng.normal(size=(3, 4, 1, 1)).astype(np.float32)
+        for _ in range(10):
+            out = feature_random_resized_crop(z, (0.1, 1.0), rng)
+            assert np.allclose(out, z, rtol=1e-6, atol=0)
+
+    def test_one_by_two_map_stays_finite_and_in_range(self):
+        rng = np.random.default_rng(6)
+        z = rng.normal(size=(3, 4, 1, 2)).astype(np.float32)
+        for _ in range(10):
+            out = feature_random_resized_crop(z, (0.1, 1.0), rng)
+            assert np.isfinite(out).all()
+            assert out.min() >= z.min() - 1e-6 and out.max() <= z.max() + 1e-6
 
     def test_output_within_input_range(self):
         # bilinear interpolation cannot overshoot the input extremes
