@@ -17,8 +17,9 @@ blobs are the arrays it names (`model.*`, `acae.*`, `optim.<param>.<slot>`,
 `pq.centroids`), the live reservoir rows as `reservoir.codes` (u1, shape
 (n, s, H, W)) and `reservoir.labels` (<u2, shape (n,)), and `meta.json`,
 a UTF-8 JSON object holding the config text plus what the config cannot
-give: the rng state, the task and step counters, the seen classes, the
-optimizer step count, the frozen digests and the metrics so far.
+give: the rng state, the task counter, the seen classes, the step count
+(under `global_step` and `optim_step_count`, which must agree), the
+frozen digests and the metrics so far.
 Loading checks the blob table, the metadata's JSON types and the
 reservoir rows, copies each blob into the `engine.blank_state` of the
 stored config, refusing names, dtypes and shapes that differ from its
@@ -199,6 +200,9 @@ def _read_meta(path: str, blob: np.ndarray) -> dict:
     for key, typ in _META_KEYS.items():
         if type(meta[key]) is not typ:
             raise CheckpointError(f"{path}: meta.json {key!r} is not a JSON {typ.__name__}")
+    if meta["global_step"] != meta["optim_step_count"]:  # one count, stored under two keys
+        raise CheckpointError(f"{path}: meta.json global_step {meta['global_step']} and "
+                              f"optim_step_count {meta['optim_step_count']} differ")
     if any(type(c) is not int for c in meta["seen_classes"]):
         raise CheckpointError(f"{path}: meta.json 'seen_classes' holds a non-integer")
     for row in meta["records"]:
@@ -285,7 +289,6 @@ def load_checkpoint(path: str) -> CheckpointBundle:
         targets[name][...] = arr
 
     state.current_task = meta["current_task"]
-    state.global_step = meta["global_step"]
     state.frozen_digest = dict(meta["frozen_digest"])
     state.seen_classes = set(meta["seen_classes"])
     try:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, parse_config
@@ -53,7 +52,7 @@ def _cmd_init(args) -> int:
     stream = build_task_stream(dataset, cfg)
     print("class order:", " ".join(str(c) for t in stream.tasks for c in t.classes))
     state = initialize(stream.tasks[0], cfg)
-    records = [seen_class_record(dataset, state, 1, 0)]
+    records = [seen_class_record(dataset, state)]
     save_checkpoint(state, args.out, records=records)
     print(f"checkpoint written to {args.out}")
     print(f"task 1 top1 {records[0].top1:.4f}")
@@ -70,9 +69,7 @@ def _cmd_stream(args) -> int:
     tasks = build_task_stream(dataset, cfg).tasks
     until = args.until_task if args.until_task else len(tasks)
     todo = [t for t in tasks if state.current_task < t.task_id <= until]
-
-    hook = partial(seen_class_record, dataset)
-    records = bundle.records + run_stream(state, todo, hook, eval_every=cfg.online_eval_every)
+    records = bundle.records + run_stream(state, todo, dataset)
 
     out_ckpt = args.out_checkpoint or args.checkpoint
     save_checkpoint(state, out_ckpt, config_text=bundle.config_text, records=records)
@@ -90,7 +87,7 @@ def _cmd_stream(args) -> int:
 def _cmd_eval(args) -> int:
     state = load_checkpoint(args.checkpoint).state
     dataset = load_dataset(state.config)
-    record = seen_class_record(dataset, state, state.current_task, state.global_step)
+    record = seen_class_record(dataset, state)
     print(json.dumps({
         "task": record.task,
         "seen_classes": record.seen_classes,

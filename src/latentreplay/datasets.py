@@ -216,7 +216,8 @@ def gen_synthetic(
         # row-order blocks draw the same doubles as one whole-set call
         for i in range(0, len(images), _NOISE_BLOCK_ROWS):
             block = images[i : i + _NOISE_BLOCK_ROWS]
-            block += sample_rng.normal(0.0, noise, size=block.shape).astype(np.float32)
+            with np.errstate(over="ignore"):  # noise past float32 becomes inf: the clip maps it
+                block += sample_rng.normal(0.0, noise, size=block.shape).astype(np.float32)
             np.clip(block, 0.0, 1.0, out=block)
     return images, labels
 

@@ -26,7 +26,7 @@ from .autoencoder import (
 from .config import RunConfig
 from .datasets import Dataset
 from .errors import ConfigError, ContractError, DataError
-from .metrics import MetricRecord, top_k_accuracy
+from .metrics import MetricRecord, top_k_accuracy, top_k_hits
 from .network import SplitModel, _block_of, build_model, param_shapes, train_offline
 from .nn import OptimState, Tensor, no_grad, sgd_step, softmax_cross_entropy, training, zero_grads
 from .quantizer import Codebooks, pq_decode_batch, pq_encode_batch, train_pq
@@ -136,9 +136,13 @@ class EngineState:
     optim: OptimState
     rng: np.random.Generator
     current_task: int = 1
-    global_step: int = 0
     frozen_digest: dict = field(default_factory=dict)
     seen_classes: set = field(default_factory=set)
+
+    @property
+    def global_step(self) -> int:
+        """Online steps taken: the head optimizer's count, the run's one step counter."""
+        return self.optim.step_count
 
 
 def _digest(parts) -> str:
@@ -195,19 +199,15 @@ def blank_state(cfg: RunConfig, optim_steps: int, rng: np.random.Generator) -> E
 
 
 def check_state(state: EngineState) -> None:
-    """Raise ContractError at the first run invariant `state` breaks (finite values,
-    `global_step` equal to the optimizer's step count and not negative, `current_task` in
-    1..T, `seen_classes` the union of tasks 1..current_task, codes below k, stored labels of
-    seen classes only, frozen digests); writes nothing."""
+    """Raise ContractError at the first run invariant `state` breaks (finite values, a step
+    count >= 0, `current_task` in 1..T, `seen_classes` the union of tasks 1..current_task,
+    codes below k, stored labels of seen classes only, frozen digests); writes nothing."""
     arrays = state_arrays(state)
     if not np.isfinite(np.concatenate([a.ravel() for _, a in arrays])).all():
         bad = [name for name, a in arrays if not np.isfinite(a).all()]
         raise ContractError(f"non-finite values in {bad}")
-    step, optim_steps = state.global_step, state.optim.step_count
-    if step != optim_steps or step < 0:  # every online_step adds one to both
-        raise ContractError(
-            f"global_step {step} and optimizer step_count {optim_steps} are not one count >= 0"
-        )
+    if state.global_step < 0:
+        raise ContractError(f"step count {state.global_step} is negative")
     tasks, task = task_classes(state.config), state.current_task
     if not 1 <= task <= len(tasks):
         raise ContractError(f"current_task {task} is outside 1..{len(tasks)}")
@@ -396,30 +396,24 @@ def online_step(state: EngineState, x: np.ndarray, y: int) -> EngineState:
 
     head = state.model.head_params()
     zero_grads(head)
-    with training(head):
+    with training(head), np.errstate(all="ignore"):  # a non-finite loss is reported below
         logits = state.model.forward_head(Tensor(feats))
-        with np.errstate(divide="ignore", invalid="ignore"):  # a non-finite loss is reported below
-            loss = softmax_cross_entropy(logits, labels)
+        loss = softmax_cross_entropy(logits, labels)
         if not np.isfinite(loss.data):
             raise DataError(f"non-finite loss {float(loss.data)} at step {state.global_step} "
                             "(the data, or an online.lr too large)")
         loss.backward()
-    sgd_step(head, state.optim)
+        sgd_step(head, state.optim)
 
     insert_with_eviction(res, current, y, state.rng)
-    state.global_step += 1
     return state
 
 
-def run_stream(state: EngineState, tasks, eval_hook=None, eval_every: int = 0) -> list[MetricRecord]:
-    """Single pass over tasks 2..T in order; `check_state`, then evaluates at each boundary.
-
-    A task's classes join `seen_classes` as it starts.
-    `eval_hook(state, task_id, step, boundary)` may return a
-    MetricRecord to append, or None. `eval_every` > 0 adds intra-task
-    evaluations every that many steps. Returns the records in order.
-    """
-    records = []
+def run_stream(state: EngineState, tasks, dataset: Dataset) -> list[MetricRecord]:
+    """Single pass over tasks 2..T in order; `check_state`, then a `seen_class_record` on
+    `dataset` at each boundary and every `online.eval_every` > 0 steps within a task.
+    A task's classes join `seen_classes` as it starts. Returns the records in order."""
+    records, every = [], state.config.online_eval_every
     for task in tasks:
         if task.task_id != state.current_task + 1:
             raise DataError(
@@ -431,38 +425,35 @@ def run_stream(state: EngineState, tasks, eval_hook=None, eval_every: int = 0) -
         n = len(task.labels)
         for i in range(n):
             online_step(state, task.images[i], int(task.labels[i]))
-            if eval_every and eval_hook is not None and state.global_step % eval_every == 0 and i < n - 1:
-                records.append(eval_hook(state, task.task_id, state.global_step, False))
+            if every and state.global_step % every == 0 and i < n - 1:
+                records.append(seen_class_record(dataset, state, boundary=False))
         check_state(state)
-        if eval_hook is not None:
-            records.append(eval_hook(state, task.task_id, state.global_step, True))
-    return [r for r in records if r is not None]
+        records.append(seen_class_record(dataset, state))
+    return records
 
 
 def evaluate(state: EngineState, images: np.ndarray, labels: np.ndarray) -> dict:
-    """Task-agnostic accuracy: full-universe logits, no augmentation."""
-    if len(labels) == 0:
-        raise DataError("evaluate needs at least one sample")
-    logits = forward_batched(state.model.forward, images)
+    """Task-agnostic accuracy: full-universe logits, no augmentation. Hits are counted per
+    _FORWARD_BATCH chunk of logits, so memory does not grow with the sample count."""
+    n, b = len(labels), _FORWARD_BATCH
+    if n == 0 or len(images) != n:
+        raise DataError(f"evaluate needs one label per image, at least one: {len(images)}, {n}")
     k5 = min(5, state.config.dataset_classes)
-    return {
-        "top1": top_k_accuracy(logits, labels, k=1),
-        "top5": top_k_accuracy(logits, labels, k=k5),
-    }
+    top1 = top5 = 0
+    with no_grad():
+        for i in range(0, n, b):
+            logits = state.model.forward(Tensor(images[i : i + b])).data
+            top1 += top_k_hits(logits, labels[i : i + b], k=1)
+            top5 += top_k_hits(logits, labels[i : i + b], k=k5)
+    return {"top1": top1 / n, "top5": top5 / n}
 
 
-def seen_class_record(
-    dataset: Dataset, state: EngineState, task_id: int, step: int, boundary: bool = True
-) -> MetricRecord:
-    """Evaluate on the test samples of every class seen so far.
-
-    With `dataset` bound by functools.partial, this is a `run_stream` eval hook.
-    """
+def seen_class_record(dataset: Dataset, state: EngineState, boundary: bool = True) -> MetricRecord:
+    """Evaluate on the test samples of every class seen so far, at the state's task and step."""
     mask = np.isin(dataset.test_labels, sorted(state.seen_classes))
     result = evaluate(state, dataset.test_images[mask], dataset.test_labels[mask])
-    return MetricRecord(
-        step, task_id, len(state.seen_classes), result["top1"], result["top5"], boundary
-    )
+    return MetricRecord(state.global_step, state.current_task, len(state.seen_classes),
+                        result["top1"], result["top5"], boundary)
 
 
 def frozen_backbone_study(dataset: Dataset, cfg: RunConfig, blocks) -> dict:

@@ -16,6 +16,12 @@ from .errors import DataError
 
 def top_k_accuracy(logits: np.ndarray, labels: np.ndarray, k: int = 1) -> float:
     """Fraction of rows whose label is among the k largest logits."""
+    return top_k_hits(logits, labels, k) / len(labels)
+
+
+def top_k_hits(logits: np.ndarray, labels: np.ndarray, k: int = 1) -> int:
+    """Count of rows whose label is among the k largest logits; divided by the row count, the
+    same float as the mean of the per-row hits."""
     logits = np.asarray(logits)
     labels = np.asarray(labels)
     if logits.ndim != 2:
@@ -30,7 +36,7 @@ def top_k_accuracy(logits: np.ndarray, labels: np.ndarray, k: int = 1) -> float:
     # sort on (-logit, class index): equal logits rank lowest-index first
     order = np.lexsort((np.broadcast_to(np.arange(c), (n, c)), -logits), axis=1)
     topk = order[:, :k]
-    return float((topk == labels[:, None]).any(axis=1).mean())
+    return int((topk == labels[:, None]).any(axis=1).sum())
 
 
 def aoc(per_step_accuracies) -> float:

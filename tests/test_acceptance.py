@@ -8,7 +8,6 @@ accounting all read from the same runs.
 """
 
 from dataclasses import dataclass, replace
-from functools import partial
 from time import perf_counter
 
 import numpy as np
@@ -26,7 +25,6 @@ from latentreplay.engine import (
     frozen_checksums,
     initialize,
     run_stream,
-    seen_class_record,
     train_first_task,
 )
 from latentreplay.gradsuite import run_suite
@@ -58,7 +56,7 @@ def _stream_run(cfg) -> StreamRun:
     stream = build_task_stream(dataset, cfg)
     state = initialize(stream.tasks[0], cfg)
     init_sums = frozen_checksums(state)
-    log = run_stream(state, stream.tasks[1:], eval_hook=partial(seen_class_record, dataset))
+    log = run_stream(state, stream.tasks[1:], dataset)
     streamed = sum(len(t.labels) for t in stream.tasks[1:])
     return StreamRun(state, log, init_sums, streamed)
 

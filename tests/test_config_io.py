@@ -8,7 +8,6 @@ import re
 import struct
 import zlib
 from dataclasses import fields, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,6 @@ from latentreplay.engine import (
     frozen_checksums,
     initialize,
     run_stream,
-    seen_class_record,
     task_classes,
 )
 from latentreplay.errors import CheckpointError, ConfigError, DataError, LatentReplayError
@@ -507,20 +505,19 @@ class TestCheckpoint:
         cfg, ds, stream, state = tiny_run(tmp_path)
         text = serialize_config(cfg)
 
-        hook = partial(seen_class_record, ds)
-        unbroken = run_stream(state, stream.tasks[1:], hook)
+        unbroken = run_stream(state, stream.tasks[1:], ds)
 
         _, _, _, state2 = tiny_run(tmp_path)
         p = str(tmp_path / "mid.ckpt")
-        first = run_stream(state2, stream.tasks[1:3], hook)
+        first = run_stream(state2, stream.tasks[1:3], ds)
         save_checkpoint(state2, p, config_text=text, records=first)
         bundle = load_checkpoint(p)
-        rest = run_stream(bundle.state, stream.tasks[3:], hook)
+        rest = run_stream(bundle.state, stream.tasks[3:], ds)
         assert bundle.records + rest == unbroken
 
     def test_optimizer_and_rng_state_survive(self, tmp_path):
         cfg, ds, stream, state = tiny_run(tmp_path)
-        run_stream(state, stream.tasks[1:2])
+        run_stream(state, stream.tasks[1:2], ds)
         p = str(tmp_path / "s.ckpt")
         save_checkpoint(state, p, config_text=serialize_config(cfg))
         loaded = load_checkpoint(p).state
@@ -584,7 +581,7 @@ class TestCheckpoint:
         rejected("do not match", serialize_config(replace(cfg, net_replay_block=3)))
 
     def test_parameters_must_match_the_config(self, tmp_path, capsys):
-        cfg, _, stream, state = tiny_run(tmp_path)
+        cfg, ds, stream, state = tiny_run(tmp_path)
         p = str(tmp_path / "p.ckpt")
 
         def rejected(message, config_text=None):
@@ -621,17 +618,17 @@ class TestCheckpoint:
         rejected(r"non-finite values in \['pq.centroids'\]")
         cents[0, 0, 0] = finite
         # velocity buffers must exist exactly when the head has stepped
-        run_stream(state, stream.tasks[1:2])
+        run_stream(state, stream.tasks[1:2], ds)
         state.optim.slots.pop("classifier.bias")
         rejected("missing")
-        state.optim.step_count = state.global_step = 0
+        state.optim.step_count = 0
         state.optim.slots.clear()
         save_checkpoint(state, p)
         load_checkpoint(p)
 
     def test_each_missing_blob_is_named(self, tmp_path, capsys):
-        _, _, stream, state = tiny_run(tmp_path)
-        run_stream(state, stream.tasks[1:2])  # the head's velocity buffers exist
+        _, ds, stream, state = tiny_run(tmp_path)
+        run_stream(state, stream.tasks[1:2], ds)  # the head's velocity buffers exist
         p = str(tmp_path / "b.ckpt")
         save_checkpoint(state, p)
         good = open(p, "rb").read()
@@ -667,8 +664,8 @@ class TestCheckpoint:
         rejected([good[a:b] for a, b in spans.values()] + [foo], r"extra \['foo'\]")
 
     def test_every_mismatching_blob_is_named(self, tmp_path):
-        cfg, _, stream, state = tiny_run(tmp_path)
-        run_stream(state, stream.tasks[1:2])
+        cfg, ds, stream, state = tiny_run(tmp_path)
+        run_stream(state, stream.tasks[1:2], ds)
         p = str(tmp_path / "w.ckpt")
         # a 10-class head under a 12-class config: two parameters and their two velocities
         save_checkpoint(state, p, config_text=serialize_config(
@@ -682,8 +679,8 @@ class TestCheckpoint:
         ]
 
     def test_non_finite_parameters_rejected(self, tmp_path, capsys):
-        cfg, _, stream, state = tiny_run(tmp_path)
-        run_stream(state, stream.tasks[1:2])  # the head's velocity buffers exist
+        cfg, ds, stream, state = tiny_run(tmp_path)
+        run_stream(state, stream.tasks[1:2], ds)  # the head's velocity buffers exist
         p = str(tmp_path / "n.ckpt")
         cases = [
             (state.model.params["classifier.weight"].data, "model.classifier.weight"),
@@ -745,14 +742,20 @@ class TestCheckpoint:
         assert load_checkpoint(p).state.seen_classes == {4, 6}
 
     def test_step_counters_out_of_line_rejected(self, tmp_path, capsys):
-        # every online_step adds one to both counters, so they are equal and >= 0
-        _, _, stream, state = tiny_run(tmp_path)
+        # the one step count is stored under two meta.json keys, which must agree and be >= 0
+        _, ds, stream, state = tiny_run(tmp_path)
         p = str(tmp_path / "c.ckpt")
 
-        def rejected(step, optim_steps):
-            state.global_step, state.optim.step_count = step, optim_steps
+        def rejected(step, optim_steps, message):
             save_checkpoint(state, p)
-            message = f"global_step {step} and optimizer step_count {optim_steps} are not one"
+            good = open(p, "rb").read()
+            meta_at = good.index(b"meta.json") - 4  # the last blob, right before the CRC
+            meta = json.loads(good[meta_at + 4 + len("meta.json") + 1 + 4 + 4 : -4])
+            meta.update(global_step=step, optim_step_count=optim_steps)
+            out = good[:meta_at] + checkpoint._pack_blob(
+                "meta.json", np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+            )
+            open(p, "wb").write(out + struct.pack("<I", zlib.crc32(out)))  # CRC-valid
             with pytest.raises(CheckpointError, match=message):
                 load_checkpoint(p)
             for command in (["eval", "--checkpoint", p],
@@ -760,16 +763,19 @@ class TestCheckpoint:
                 assert main(command) == 6
                 assert json.loads(capsys.readouterr().err)["error"] == "checkpoint"
 
-        rejected(-5, 0)
-        rejected(10**9, 0)
-        rejected(-5, -5)  # equal, but no state has stepped a negative number of times
-        run_stream(state, stream.tasks[1:2])  # velocity buffers exist once the head has stepped
+        def differ(step, optim_steps):
+            rejected(step, optim_steps,
+                     f"global_step {step} and optim_step_count {optim_steps} differ")
+
+        differ(-5, 0)
+        differ(10**9, 0)
+        rejected(-5, -5, "step count -5 is negative")  # no state has stepped -5 times
+        run_stream(state, stream.tasks[1:2], ds)  # velocity buffers exist once the head has stepped
         streamed = state.global_step
-        rejected(streamed, streamed + 1)
-        rejected(streamed - 1, streamed)
-        state.global_step = state.optim.step_count = streamed
+        differ(streamed, streamed + 1)
+        differ(streamed - 1, streamed)
         save_checkpoint(state, p)
-        assert load_checkpoint(p).state.global_step == streamed
+        assert load_checkpoint(p).state.global_step == streamed == state.optim.step_count
 
     def test_seen_classes_not_the_task_union_rejected(self, tmp_path, capsys):
         # every class in range, but not the classes of tasks 1..current_task
@@ -802,8 +808,8 @@ class TestCheckpoint:
             assert json.loads(capsys.readouterr().err)["error"] == "checkpoint"
 
     def test_check_state_changes_nothing(self, tmp_path):
-        _, _, stream, state = tiny_run(tmp_path)
-        run_stream(state, stream.tasks[1:2])  # the head's velocity buffers exist
+        _, ds, stream, state = tiny_run(tmp_path)
+        run_stream(state, stream.tasks[1:2], ds)  # the head's velocity buffers exist
         before, after = str(tmp_path / "before.ckpt"), str(tmp_path / "after.ckpt")
         save_checkpoint(state, before)
         check_state(state)
@@ -1069,7 +1075,7 @@ class TestDomainSweep:
             ds = load_dataset(cfg)
             tasks = build_task_stream(ds, cfg).tasks
             state = initialize(tasks[0], cfg)
-            records = run_stream(state, tasks[1:], partial(seen_class_record, ds))
+            records = run_stream(state, tasks[1:], ds)
             save_checkpoint(state, path, records=records)
             back = load_checkpoint(path)
         except LatentReplayError as err:  # any other exception fails the test
@@ -1143,6 +1149,24 @@ class TestCli:
         assert err["error"] == "data" and f"an {key} too large" in err["message"]
         assert not (tmp_path / "x.ckpt").exists()
 
+    def test_huge_online_lr_exits_3_with_the_json_line_alone(self, tmp_path, capsys):
+        # `init` never steps the head; `stream`'s first step casts 1e308 to a float32 inf and
+        # the second step's loss is refused. A numpy warning would add to the CLI's stderr;
+        # under pytest it is an error (pyproject.toml) and fails this test
+        cfgp = tmp_path / "cfg.txt"
+        cfgp.write_text(
+            "dataset.per_class = 20\ndataset.test_per_class = 5\n"
+            "offline.epochs = 2\nacae.epochs = 4\npq.k = 8\n"
+            "reservoir.capacity = 40\nonline.rehearsal_n = 3\nonline.lr = 1e308\n"
+        )
+        ckpt = str(tmp_path / "x.ckpt")
+        assert main(["init", "--config", str(cfgp), "--out", ckpt]) == 0
+        capsys.readouterr()
+        assert main(["stream", "--checkpoint", ckpt, "--out", str(tmp_path / "o")]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "data" and "online.lr" in err["message"]
+
     def test_missing_checkpoint_io_code(self, tmp_path, capsys):
         code = main(["eval", "--checkpoint", str(tmp_path / "nope.ckpt")])
         assert code == 7
@@ -1205,7 +1229,6 @@ class TestCli:
         assert full == split
         assert open(tmp_path / "full" / "summary.csv").read() == open(tmp_path / "p2" / "summary.csv").read()
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")  # stderr holds the JSON line only
     def test_non_finite_stream_input_exits_3(self, tmp_path, capsys):
         # init on a clean IDX float dataset, then a NaN in the first task-2
         # training image: the loader refuses it before `stream` takes a step
