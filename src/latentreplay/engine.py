@@ -26,7 +26,7 @@ from .autoencoder import (
 from .config import RunConfig
 from .datasets import Dataset
 from .errors import ConfigError, ContractError, DataError
-from .metrics import MetricRecord, top_k_accuracy, top_k_hits
+from .metrics import MetricRecord, label_ranks
 from .network import SplitModel, _block_of, build_model, param_shapes, train_offline
 from .nn import OptimState, Tensor, no_grad, sgd_step, softmax_cross_entropy, training, zero_grads
 from .quantizer import Codebooks, pq_decode_batch, pq_encode_batch, train_pq
@@ -118,9 +118,13 @@ def task_classes(cfg: RunConfig) -> list:
 def build_task_stream(dataset: Dataset, cfg: RunConfig) -> TaskStream:
     """The tasks of `task_classes(cfg)` as row indices; no image is copied here, nor later
     by a task (`Task`). Sample order is shuffled per task from the run seed."""
+    splits, task_of = task_classes(cfg), np.empty(cfg.dataset_classes, dtype=np.intp)
+    task_of[np.concatenate(splits)] = np.repeat(np.arange(len(splits)), [len(c) for c in splits])
+    ids = task_of[dataset.train_labels]
+    ends = np.cumsum(np.bincount(ids, minlength=len(splits)))[:-1]
+    per_task = np.split(np.argsort(ids, kind="stable"), ends)  # stable: rows stay ascending
     tasks = []
-    for tid, classes in enumerate(task_classes(cfg), start=1):
-        rows = np.flatnonzero(np.isin(dataset.train_labels, classes))
+    for tid, (classes, rows) in enumerate(zip(splits, per_task), start=1):
         rows = rows[np.random.default_rng((cfg.seed, tid)).permutation(len(rows))]
         tasks.append(Task(tid, classes, dataset, rows))
     return TaskStream(tuple(tasks))
@@ -432,20 +436,24 @@ def run_stream(state: EngineState, tasks, dataset: Dataset) -> list[MetricRecord
     return records
 
 
-def evaluate(state: EngineState, images: np.ndarray, labels: np.ndarray) -> dict:
-    """Task-agnostic accuracy: full-universe logits, no augmentation. Hits are counted per
-    _FORWARD_BATCH chunk of logits, so memory does not grow with the sample count."""
+def _accuracy(model: SplitModel, images: np.ndarray, labels: np.ndarray) -> dict:
+    """Task-agnostic top-1 and top-5 of `model`: full-universe logits, no augmentation. Labels
+    are ranked per _FORWARD_BATCH chunk of logits, so memory does not grow with the sample count."""
     n, b = len(labels), _FORWARD_BATCH
     if n == 0 or len(images) != n:
         raise DataError(f"evaluate needs one label per image, at least one: {len(images)}, {n}")
-    k5 = min(5, state.config.dataset_classes)
     top1 = top5 = 0
     with no_grad():
         for i in range(0, n, b):
-            logits = state.model.forward(Tensor(images[i : i + b])).data
-            top1 += top_k_hits(logits, labels[i : i + b], k=1)
-            top5 += top_k_hits(logits, labels[i : i + b], k=k5)
+            ranks = label_ranks(model.forward(Tensor(images[i : i + b])).data, labels[i : i + b])
+            top1 += int(np.count_nonzero(ranks < 1))
+            top5 += int(np.count_nonzero(ranks < 5))
     return {"top1": top1 / n, "top5": top5 / n}
+
+
+def evaluate(state: EngineState, images: np.ndarray, labels: np.ndarray) -> dict:
+    """`_accuracy` of the state's model."""
+    return _accuracy(state.model, images, labels)
 
 
 def seen_class_record(dataset: Dataset, state: EngineState, boundary: bool = True) -> MetricRecord:
@@ -457,10 +465,10 @@ def seen_class_record(dataset: Dataset, state: EngineState, boundary: bool = Tru
 
 
 def frozen_backbone_study(dataset: Dataset, cfg: RunConfig, blocks) -> dict:
-    """Accuracy cost of freezing a backbone trained on task 1 only.
+    """Accuracy cost of freezing a backbone trained on the first classes only.
 
-    For each n in `blocks`: train the config's net on the first
-    `split.first_classes` classes, freeze blocks 1..n, train the rest on
+    For each n in `blocks`: train the config's net on the labels below
+    `split.first_classes`, freeze blocks 1..n, train the rest on
     all classes, and report test accuracy. Both phases use the
     `offline.*` settings and the config's seed. n = 0 skips the first
     phase entirely, which is plain joint training. An n outside
@@ -485,6 +493,5 @@ def frozen_backbone_study(dataset: Dataset, cfg: RunConfig, blocks) -> dict:
             model, dataset.train_images, dataset.train_labels,
             rng=rng, trainable=trainable, **options,
         )
-        logits = forward_batched(model.forward, dataset.test_images)
-        results[n] = top_k_accuracy(logits, dataset.test_labels, k=1)
+        results[n] = _accuracy(model, dataset.test_images, dataset.test_labels)["top1"]
     return results

@@ -2,7 +2,7 @@
 
 AOC is the arithmetic mean of the per-evaluation-step accuracies over
 all classes seen so far; LAST is the final one, `boundary_top1(records)[-1]`.
-Ties in the top-k ranking are broken toward the lowest class index.
+Ties in the top-k ranking go to the lowest class index; a NaN logit ranks last.
 """
 
 from __future__ import annotations
@@ -16,27 +16,30 @@ from .errors import DataError
 
 def top_k_accuracy(logits: np.ndarray, labels: np.ndarray, k: int = 1) -> float:
     """Fraction of rows whose label is among the k largest logits."""
-    return top_k_hits(logits, labels, k) / len(labels)
+    ranks = label_ranks(logits, labels)
+    if not 1 <= k <= np.shape(logits)[1]:
+        raise DataError(f"k={k} outside 1..{np.shape(logits)[1]}")
+    return int(np.count_nonzero(ranks < k)) / len(ranks)
 
 
-def top_k_hits(logits: np.ndarray, labels: np.ndarray, k: int = 1) -> int:
-    """Count of rows whose label is among the k largest logits; divided by the row count, the
-    same float as the mean of the per-row hits."""
-    logits = np.asarray(logits)
-    labels = np.asarray(labels)
+def label_ranks(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Each row's 0-based rank of its label: the classes with a larger logit, plus those with
+    an equal logit and a lower index; a NaN ranks after every number, as in `np.sort`."""
+    logits, labels = np.asarray(logits), np.asarray(labels)
     if logits.ndim != 2:
         raise DataError(f"logits must be (N, C), got shape {logits.shape}")
     n, c = logits.shape
     if n == 0:
-        raise DataError("top_k_accuracy on an empty batch")
+        raise DataError("label ranks of an empty batch")
     if labels.shape != (n,):
         raise DataError(f"labels shape {labels.shape} does not match batch size {n}")
-    if not (1 <= k <= c):
-        raise DataError(f"k={k} outside 1..{c}")
-    # sort on (-logit, class index): equal logits rank lowest-index first
-    order = np.lexsort((np.broadcast_to(np.arange(c), (n, c)), -logits), axis=1)
-    topk = order[:, :k]
-    return int((topk == labels[:, None]).any(axis=1).sum())
+    if labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= c:
+        raise DataError(f"labels {labels.min()}..{labels.max()} are not integers in 0..{c - 1}")
+    own = logits[np.arange(n), labels][:, None]
+    lower = np.arange(c) < labels[:, None]
+    nan, own_nan = np.isnan(logits), np.isnan(own)
+    ahead = (logits > own) | ((logits == own) | nan & own_nan) & lower | ~nan & own_nan
+    return np.count_nonzero(ahead, axis=1)
 
 
 def aoc(per_step_accuracies) -> float:

@@ -1050,8 +1050,8 @@ _BESIDE = {
     "online.crop_max_area": dict(online_crop_min_area=math.nextafter(0.0, 1.0)),
 }
 # (key, settings): each in-domain bound on SWEEP_BASE, then each cross-field edge; 65536
-# classes, whose evaluation alone would hold 65536 x 65536 float32 logits, is
-# TestDomainSweep's checkpoint round trip instead
+# classes, whose full run would take minutes, is TestDomainSweep's checkpoint round trip
+# instead
 IN_DOMAIN = [
     *((key, {KEYS[key][0]: key_value(key, inside, SWEEP_BASE), **_BESIDE.get(key, {})})
       for key in _DOMAINS for inside, _ in domain_edges(key)

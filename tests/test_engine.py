@@ -95,7 +95,11 @@ class TestTaskStream:
             run_stream(state, [skipped], ds)
         assert state.current_task == 1 and state.global_step == 0
 
-    @pytest.mark.parametrize("overrides", [{}, dict(seed=3, class_order_seed=5, split_steps=2)])
+    @pytest.mark.parametrize("overrides", [
+        {}, dict(seed=3, class_order_seed=5, split_steps=2),
+        dict(dataset_classes=4096, dataset_per_class=3, dataset_test_per_class=1,
+             split_steps=2047, net_in_shape=(1, 8, 8)),  # 2048 tasks of 2 classes
+    ])
     def test_tasks_gather_the_shuffled_rows_of_their_classes(self, overrides):
         cfg = micro_config(**overrides)
         ds = load_dataset(cfg)
@@ -130,7 +134,7 @@ class TestTaskStream:
         stream = build_task_stream(replace(ds, train_images=counted("images")), cfg)
         assert reads["images"] == 0
         stream = build_task_stream(replace(ds, train_labels=counted("labels")), cfg)
-        reads["labels"] = 0  # the class masks read the labels once per task
+        reads["labels"] = 0  # building maps each label to its task; only later reads count
         assert [t.task_id for t in stream.tasks[1:]] == [2, 3, 4, 5]
         assert [c for t in stream.tasks for c in t.classes]
         assert reads == {"images": 0, "labels": 0}
@@ -656,6 +660,22 @@ class TestFrozenBackboneStudy:
         logits = forward_batched(model.forward, ds.test_images)
         joint = top_k_accuracy(logits, ds.test_labels, k=1)
         assert study[0] == joint
+
+    def test_most_classes_evaluate_without_stacking_every_logit(self):
+        # 4096 test samples of 4096 classes are 67 MB of float32 logits; ranked per chunk of
+        # 32 rows, the study's peak does not grow with the sample count
+        cfg = RunConfig(dataset_classes=4096, split_first_classes=1, split_steps=1,
+                        dataset_per_class=1, dataset_test_per_class=1, net_in_shape=(1, 8, 8),
+                        net_num_blocks=1, net_channels=(4,), net_replay_block=1, offline_epochs=0,
+                        acae_latent_channels=1, pq_s=1)
+        ds = load_dataset(cfg)
+        tracemalloc.start()
+        try:
+            frozen_backbone_study(ds, cfg, [0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, f"{peak / 1e6:.1f} MB"
 
     def test_larger_first_task_smaller_final_drop(self):
         # freezing everything hurts less when task 1 saw more classes

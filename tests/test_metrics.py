@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from latentreplay.errors import DataError
-from latentreplay.metrics import MetricRecord, aoc, boundary_top1, top_k_accuracy
+from latentreplay.metrics import MetricRecord, aoc, boundary_top1, label_ranks, top_k_accuracy
 
 # per-step top-1 columns whose published means are 83.1 and 80.7
 ICARL_STEPS = [99.3, 97.2, 93.5, 91.0, 87.5, 82.1, 77.1, 72.8, 67.1, 63.5]
@@ -18,6 +18,47 @@ def topk_reference(logits, labels, k):
         ranked = sorted(range(len(row)), key=lambda j: (-row[j], j))
         hits += label in ranked[:k]
     return hits / len(labels)
+
+
+def lexsort_hits(logits, labels, k):
+    """The full-sort rule: each row sorted on (-logit, class index), NaN last as in `np.sort`;
+    a row hits if its label is among the first k."""
+    n, c = logits.shape
+    order = np.lexsort((np.broadcast_to(np.arange(c), (n, c)), -logits), axis=1)
+    return (order[:, :k] == labels[:, None]).any(axis=1)
+
+
+class TestLabelRanks:
+    SPECIAL = np.array([0.0, -0.0, 1.0, -1.0, 0.5, np.inf, -np.inf, np.nan])
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_the_full_sort_for_every_k(self, seed):
+        # ties, +-0, +-inf and NaN on odd trials, normal draws on even ones; every fourth trial
+        # puts one label outside 0..C-1, which fancy indexing would wrap or fail on
+        rng = np.random.default_rng(seed)
+        for trial in range(60):
+            n, c = (int(v) for v in rng.integers(1, 9, size=2))
+            drawn = rng.choice(self.SPECIAL, size=(n, c)) if trial % 2 else rng.normal(size=(n, c))
+            logits = drawn.astype(rng.choice([np.float32, np.float64]))
+            labels = rng.integers(0, c, size=n)
+            if trial % 4 == 3:
+                labels[rng.integers(n)] = rng.choice([-1, -c, c, c + 5])
+                with pytest.raises(DataError, match="not integers in"):
+                    label_ranks(logits, labels)
+                continue
+            ranks = label_ranks(logits, labels)
+            for k in range(1, c + 1):
+                assert np.array_equal(ranks < k, lexsort_hits(logits, labels, k)), (logits, labels)
+
+    @pytest.mark.parametrize("logits, labels", [
+        (np.zeros((0, 3)), np.zeros(0, dtype=int)),  # empty batch
+        (np.zeros(3), np.zeros(3, dtype=int)),  # not (N, C)
+        (np.zeros((2, 3)), np.zeros(3, dtype=int)),  # one label per row
+        (np.zeros((2, 3)), np.array([0.0, 1.0])),  # labels index the classes
+    ])
+    def test_bad_batches_rejected(self, logits, labels):
+        with pytest.raises(DataError):
+            label_ranks(logits, labels)
 
 
 class TestTopK:
