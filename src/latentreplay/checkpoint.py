@@ -110,7 +110,10 @@ def _read_blob(r: _Reader) -> tuple[str, np.ndarray]:
     dtype = _TAG_DTYPES[tag]
     dims = r.unpack(f"<{rank}I")
     payload = r.take(math.prod(dims) * dtype.itemsize)
-    return name, np.frombuffer(payload, dtype=dtype).reshape(dims)
+    try:
+        return name, np.frombuffer(payload, dtype=dtype).reshape(dims)
+    except ValueError as err:  # more axes, or a larger empty shape, than an ndarray may have
+        raise CheckpointError(f"blob {name!r} of rank {rank}: {err}") from None
 
 
 def _rng_state_json(rng: np.random.Generator) -> dict:
@@ -135,7 +138,7 @@ def _rng_from_json(path: str, d: dict) -> np.random.Generator:
             "has_uint32": d["has_uint32"],
             "uinteger": d["uinteger"],
         }
-    except (AttributeError, KeyError, TypeError, ValueError) as err:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as err:
         raise CheckpointError(f"{path}: meta.json 'rng' is not a generator state: {err!r}") from None
     return rng
 

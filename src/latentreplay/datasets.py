@@ -13,6 +13,7 @@ pixels, before any training sees them.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -69,8 +70,8 @@ _IDX_DTYPES = {
 }
 
 
-def _read_idx(path: str) -> np.ndarray:
-    """Parse one IDX file.
+def _read_idx(path: str, ranks: tuple) -> np.ndarray:
+    """Parse one IDX file of a rank in `ranks` and no zero dimension.
 
     Layout: two zero magic bytes, a dtype code byte, a rank byte, then
     rank big-endian u32 dimension sizes, then the payload in row-major
@@ -86,6 +87,8 @@ def _read_idx(path: str) -> np.ndarray:
     code, rank = blob[2], blob[3]
     if code not in _IDX_DTYPES:
         raise DataError(f"{path}: unknown IDX dtype code {code:#04x}")
+    if rank not in ranks:
+        raise DataError(f"{path}: expected rank {' or '.join(map(str, ranks))}, got rank {rank}")
     dtype = _IDX_DTYPES[code]
     header_end = 4 + 4 * rank
     if len(blob) < header_end:
@@ -93,7 +96,9 @@ def _read_idx(path: str) -> np.ndarray:
     dims = tuple(
         int(v) for v in np.frombuffer(blob, dtype=">u4", count=rank, offset=4)
     )
-    expected = header_end + int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
+    if 0 in dims:  # numpy would refuse an empty shape whose other dims are large
+        raise DataError(f"{path}: IDX dims {dims} hold no data")
+    expected = header_end + math.prod(dims) * dtype.itemsize  # a Python int: no wrap
     if len(blob) < expected:
         raise DataError(f"{path}: truncated IDX payload ({len(blob)} < {expected} bytes)")
     if len(blob) > expected:
@@ -106,21 +111,19 @@ def load_idx(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray
 
     Images of rank 3 (count, height, width) gain a singleton channel
     axis; rank 4 is taken as NCHW. Unsigned-byte pixels are scaled by
-    1/255 so the result lies in [0, 1].
+    1/255 so the result lies in [0, 1]. Labels are rank 1, of an integer type.
     """
-    raw = _read_idx(images_path)
+    raw = _read_idx(images_path, (3, 4))
     if raw.ndim == 3:
         raw = raw[:, None, :, :]
-    elif raw.ndim != 4:
-        raise DataError(f"{images_path}: expected rank 3 or 4 image data, got rank {raw.ndim}")
     with np.errstate(over="ignore"):  # a value past float32 becomes inf: Dataset.check refuses it
         images = raw.astype(np.float32)
     if raw.dtype == np.dtype(">u1"):
         images /= 255.0
-    labels_raw = _read_idx(labels_path)
-    if labels_raw.ndim != 1:
-        raise DataError(f"{labels_path}: labels must be rank 1, got rank {labels_raw.ndim}")
-    labels = labels_raw.astype(np.int64)
+    labels = _read_idx(labels_path, (1,))
+    if labels.dtype.kind == "f":  # a cast would truncate 1.5 and warn on NaN
+        raise DataError(f"{labels_path}: labels must be integers, got IDX {labels.dtype}")
+    labels = labels.astype(np.int64)
     if labels.shape[0] != images.shape[0]:
         raise DataError(
             f"label count {labels.shape[0]} does not match image count {images.shape[0]}"

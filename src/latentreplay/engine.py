@@ -71,9 +71,6 @@ class _Rows:
     def __getitem__(self, key):
         return self.array[self.rows[key]]
 
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.array[self.rows], dtype=dtype)
-
 
 @dataclass(frozen=True)
 class Task:

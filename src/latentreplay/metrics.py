@@ -1,4 +1,4 @@
-"""Task-agnostic evaluation metrics: top-k accuracy, AOC, LAST.
+"""Task-agnostic evaluation metrics: label ranks (a top-k hit is a rank below k), AOC, LAST.
 
 AOC is the arithmetic mean of the per-evaluation-step accuracies over
 all classes seen so far; LAST is the final one, `boundary_top1(records)[-1]`.
@@ -12,14 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-
-
-def top_k_accuracy(logits: np.ndarray, labels: np.ndarray, k: int = 1) -> float:
-    """Fraction of rows whose label is among the k largest logits."""
-    ranks = label_ranks(logits, labels)
-    if not 1 <= k <= np.shape(logits)[1]:
-        raise DataError(f"k={k} outside 1..{np.shape(logits)[1]}")
-    return int(np.count_nonzero(ranks < k)) / len(ranks)
 
 
 def label_ranks(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -162,6 +162,3 @@ class Tensor:
                 b.accumulate_grad(g)
 
         return Tensor._from_op(out_data, (a, b), backward)
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"

@@ -63,8 +63,3 @@ def emit_metrics(records, out_dir: str, *, capacity: int, code_shape: tuple, exe
             dims = "x".join(str(d) for d in code_shape)
             fh.write(f"{aoc(top1)},{top1[-1]},{mem},{exemplar_count},{dims}\n")
     return jsonl_path, csv_path
-
-
-def read_metrics(jsonl_path: str) -> list[dict]:
-    with open(jsonl_path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]

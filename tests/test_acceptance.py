@@ -28,7 +28,7 @@ from latentreplay.engine import (
     train_first_task,
 )
 from latentreplay.gradsuite import run_suite
-from latentreplay.metrics import aoc, boundary_top1, top_k_accuracy
+from latentreplay.metrics import aoc, boundary_top1, label_ranks
 from latentreplay.nn import Tensor, no_grad
 from latentreplay.quantizer import pq_decode_batch, pq_encode_batch, reconstruction_mse, train_pq
 from latentreplay.reporting import BUDGET_TABLE, budget_line
@@ -220,7 +220,8 @@ def _compressed_head_accuracies(seed: int) -> dict:
         with no_grad():
             recon = decompress(comp, compress(comp, Tensor(test_latents)))
             logits = model.forward_head(recon).data
-        accs[use_ce] = top_k_accuracy(logits, dataset.test_labels[mask], k=1)
+        ranks = label_ranks(logits, dataset.test_labels[mask])
+        accs[use_ce] = int(np.count_nonzero(ranks < 1)) / len(ranks)
     return accs
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import hypothesis
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,7 @@ from latentreplay.cli import main
 from latentreplay.config import (
     _DOMAINS, KEYS, RunConfig, parse_config, serialize_config, validate_config,
 )
-from latentreplay.datasets import gen_synthetic, load_cifar_bin, load_dataset, load_idx
+from latentreplay.datasets import Dataset, gen_synthetic, load_cifar_bin, load_dataset, load_idx
 from latentreplay.engine import (
     blank_state,
     build_task_stream,
@@ -35,7 +36,7 @@ from latentreplay.engine import (
 )
 from latentreplay.errors import CheckpointError, ConfigError, DataError, LatentReplayError
 from latentreplay.metrics import MetricRecord, aoc
-from latentreplay.reporting import BUDGET_TABLE, emit_metrics, membudget_lines, read_metrics
+from latentreplay.reporting import BUDGET_TABLE, emit_metrics, membudget_lines
 from latentreplay.reservoir import memory_bytes
 
 
@@ -261,12 +262,16 @@ class TestLoadIdx:
         with pytest.raises(DataError, match="magic"):
             load_idx(str(p), str(p))
 
-    def test_truncated_payload_rejected(self, tmp_path):
+    @pytest.mark.parametrize("dims, payload", [
+        ((2, 3, 4), bytes(10)),
+        ((2**31, 2**31, 4), b""),  # 2^64 elements, which an int64 product wraps to 0
+    ], ids=["short", "dims-past-int64"])
+    def test_truncated_payload_rejected(self, tmp_path, dims, payload):
         p = tmp_path / "short.idx"
-        p.write_bytes(idx_bytes(0x08, (2, 3, 4), bytes(10)))
+        p.write_bytes(idx_bytes(0x08, dims, payload))
         lp = tmp_path / "lb.idx"
         lp.write_bytes(idx_bytes(0x08, (2,), bytes(2)))
-        with pytest.raises(DataError, match="truncated"):
+        with pytest.raises(DataError, match="truncated IDX payload"):
             load_idx(str(p), str(lp))
 
     def test_trailing_bytes_rejected(self, tmp_path):
@@ -282,6 +287,14 @@ class TestLoadIdx:
         ip.write_bytes(idx_bytes(0x08, (2, 2, 2), bytes(8)))
         lp.write_bytes(idx_bytes(0x08, (3,), bytes(3)))
         with pytest.raises(DataError, match="count"):
+            load_idx(str(ip), str(lp))
+
+    @pytest.mark.parametrize("label", [1.5, np.nan])
+    def test_float_labels_rejected(self, tmp_path, label):
+        ip, lp = tmp_path / "im.idx", tmp_path / "lb.idx"
+        ip.write_bytes(idx_bytes(0x08, (1, 2, 2), bytes(4)))
+        lp.write_bytes(idx_bytes(0x0D, (1,), np.array([label], ">f4").tobytes()))
+        with pytest.raises(DataError, match="labels must be integers"):
             load_idx(str(ip), str(lp))
 
     def test_unknown_dtype_code_rejected(self, tmp_path):
@@ -413,6 +426,24 @@ class TestLoadDataset:
         back = load_dataset(replace(self.CFG, dataset_kind="idx", dataset_path=str(tmp_path)))
         assert back.train_images.tobytes() == ds.train_images.tobytes()
         assert back.test_images.tobytes() == ds.test_images.tobytes()
+
+
+def blob_table(data: bytes) -> list:
+    """(start, name length, rank, payload start, end) of each blob of a checkpoint, parsed here
+    from the documented layout."""
+    itemsize = {0: 4, 3: 1, 5: 2}
+    (count,) = struct.unpack_from("<I", data, 8)
+    blobs, at = [], 12
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<I", data, at)
+        tag = data[at + 4 + name_len]
+        (rank,) = struct.unpack_from("<I", data, at + 5 + name_len)
+        dims = struct.unpack_from(f"<{rank}I", data, at + 9 + name_len)
+        payload = at + 9 + name_len + 4 * rank
+        end = payload + math.prod(dims) * itemsize[tag]
+        blobs.append((at, name_len, rank, payload, end))
+        at = end
+    return blobs
 
 
 def tiny_run(tmp_path, seed=0, **overrides):
@@ -633,19 +664,10 @@ class TestCheckpoint:
         save_checkpoint(state, p)
         good = open(p, "rb").read()
 
-        # name -> (start, end) of each blob, parsed from the documented layout
-        itemsize = {0: 4, 3: 1, 5: 2}
-        (count,) = struct.unpack_from("<I", good, 8)
-        spans, at = {}, 12
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<I", good, at)
-            name = good[at + 4 : at + 4 + name_len].decode()
-            tag = good[at + 4 + name_len]
-            (rank,) = struct.unpack_from("<I", good, at + 5 + name_len)
-            dims = struct.unpack_from(f"<{rank}I", good, at + 9 + name_len)
-            spans[name] = (at, at + 9 + name_len + 4 * rank + math.prod(dims) * itemsize[tag])
-            at = spans[name][1]
-        assert at == len(good) - 4
+        # name -> (start, end) of each blob
+        spans = {good[start + 4 : start + 4 + name_len].decode(): (start, end)
+                 for start, name_len, _, _, end in blob_table(good)}
+        assert max(end for _, end in spans.values()) == len(good) - 4
 
         def rejected(blobs, message):
             body = good[:8] + struct.pack("<I", len(blobs)) + b"".join(blobs)
@@ -859,6 +881,10 @@ class TestCheckpoint:
             dict(rng, state={"state": "abc", "inc": "1"}),
             dict(rng, has_uint32="x"),
             [],
+            # in JSON range, out of the generator's: numpy raises OverflowError on these
+            dict(rng, uinteger=-1),
+            dict(rng, has_uint32=2**64),
+            dict(rng, state=dict(rng["state"], state=str(2**200))),
         ):
             rejected("'rng'", json.dumps(dict(meta, rng=bad_rng)).encode())
         for row in ([0, 1], [0, 1, 2, 0.5, 1.0], "row", [0, 1, 2, "0.5", 1.0, True]):
@@ -891,22 +917,10 @@ class TestCheckpoint:
         p = str(tmp_path / "f.ckpt")
         save_checkpoint(state, p)
         good = open(p, "rb").read()
-
-        # the blob table, parsed here from the documented layout
-        itemsize = {0: 4, 3: 1, 5: 2}
-        (count,) = struct.unpack_from("<I", good, 8)
-        blobs, at = [], 12
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<I", good, at)
-            tag = good[at + 4 + name_len]
-            (rank,) = struct.unpack_from("<I", good, at + 5 + name_len)
-            dims = struct.unpack_from(f"<{rank}I", good, at + 9 + name_len)
-            payload = at + 9 + name_len + 4 * rank
-            end = payload + math.prod(dims) * itemsize[tag]
-            assert end > payload
-            blobs.append((at, name_len, payload, end))
-            at = end
-        assert at == len(good) - 4 and len(blobs) > 20
+        blobs = blob_table(good)
+        count = len(blobs)
+        assert all(end > payload for *_, payload, end in blobs)
+        assert blobs[-1][-1] == len(good) - 4 and count > 20
 
         def rejected(data, recrc=False):
             if recrc:
@@ -920,7 +934,7 @@ class TestCheckpoint:
         def flipped(data, i):
             return data[:i] + bytes([data[i] ^ 0xFF]) + data[i + 1 :]
 
-        for start, name_len, payload, end in blobs:
+        for start, name_len, _, payload, end in blobs:
             rejected(good[:start])
             rejected(good[:payload])
             rejected(flipped(good, start + 4))  # a name byte, CRC left stale
@@ -958,7 +972,7 @@ class TestEmitMetrics:
         jsonl, csv = emit_metrics(
             self.records(), str(tmp_path), capacity=10, code_shape=(4, 4, 4), exemplar_count=7
         )
-        rows = read_metrics(jsonl)
+        rows = [json.loads(line) for line in Path(jsonl).read_text().splitlines()]
         boundary = [r["top1"] for r in rows if r["boundary"]]
         with open(csv) as fh:
             header, data = fh.read().strip().split("\n")
@@ -1099,6 +1113,155 @@ class TestDomainSweep:
         assert np.array_equal(back.codes[: back.size], res.codes[:1])
 
 
+# one of each JSON kind, and the integers and floats past what a field can hold
+JSON_VALUES = [None, True, False, 0, 1, -1, 2**31, 2**64, -2**70, 2**200, 1.5, 1e308, "", "x",
+               "-1", str(2**200), [], [0], {}, {"x": 0}]
+_IDX_CODES = [0x08, 0x09, 0x0B, 0x0C, 0x0D, 0x0E]
+_IDX_ITEMSIZE = dict(zip(_IDX_CODES, [1, 1, 2, 4, 4, 8]))
+
+
+def json_paths(value, most=3) -> list:
+    """The key paths of depth 1..`most` into a JSON object or list."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    return [path for key, child in items for path in [(key,)] + (
+        [(key, *rest) for rest in json_paths(child, most - 1)]
+        if most > 1 and isinstance(child, (dict, list)) else [])]
+
+
+@st.composite
+def idx_files(draw, ranks, count):
+    """An IDX file of a rank in `ranks` whose first dim is `count`, with at most one damage:
+    its magic or dtype code replaced, a rank of 0..5 or 65 instead (the dims and payload to
+    match), its dims redrawn from 0 and powers of two whose int64 product can wrap to 0 (the
+    payload then empty), its header cut, or its payload resized."""
+    damage = draw(st.sampled_from([None, "magic", "code", "rank", "dims", "cut", "payload"]))
+    code = draw(st.sampled_from(_IDX_CODES))
+    rank = draw(st.sampled_from([0, 1, 2, 3, 4, 5, 65] if damage == "rank" else ranks))
+    dims = ([count] + draw(st.lists(st.integers(1, 4), min_size=5, max_size=5)) + [1] * 64)[:rank]
+    size = math.prod(dims) * _IDX_ITEMSIZE[code]
+    payload = draw(st.binary(min_size=size, max_size=size))
+    head = bytearray([0, 0, code, rank]) + struct.pack(f">{rank}I", *dims)
+    if damage == "magic":
+        head[:2] = draw(st.binary(min_size=2, max_size=2))
+    elif damage == "code":
+        head[2] = draw(st.integers(0, 255))
+    elif damage == "dims":
+        big = st.sampled_from([2**31, 0, 2**16])
+        head[4:] = struct.pack(f">{rank}I", *draw(st.lists(big, min_size=rank, max_size=rank)))
+        payload = b""
+    elif damage == "cut":
+        return bytes(head[: draw(st.integers(0, len(head) - 1))])
+    elif damage == "payload":
+        payload = draw(st.binary(max_size=size + 8))
+    return bytes(head) + payload
+
+
+@pytest.fixture(scope="module")
+def saved_after_task_2(tmp_path_factory):
+    """The bytes of a SWEEP_BASE checkpoint after task 2, and a path to write mutants to."""
+    root = tmp_path_factory.mktemp("drawn")
+    ds = load_dataset(SWEEP_BASE)
+    tasks = build_task_stream(ds, SWEEP_BASE).tasks
+    state = initialize(tasks[0], SWEEP_BASE)
+    path = str(root / "mutant.ckpt")
+    save_checkpoint(state, path, records=run_stream(state, tasks[1:2], ds))
+    return open(path, "rb").read(), path
+
+
+def loads_or_is_refused(data: bytes, path: str) -> None:
+    """`data`, CRC-valid, either is refused with CheckpointError or loads a valid state."""
+    open(path, "wb").write(data + struct.pack("<I", zlib.crc32(data)))
+    try:
+        bundle = load_checkpoint(path)
+    except CheckpointError:
+        return
+    check_state(bundle.state)
+
+
+class TestDrawnInputs:
+    """Drawn damage to each file the CLI reads: a load either succeeds with what the run needs
+    or raises the file's own error category; any other exception fails."""
+
+    @hypothesis.seed(1)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(data=st.data())
+    def test_meta_value_replaced_at_depth_1_to_3(self, saved_after_task_2, data):
+        good, path = saved_after_task_2
+        start, _, _, payload, end = blob_table(good)[-1]  # meta.json is the last blob
+        meta = json.loads(good[payload:end])
+        *parents, key = data.draw(st.sampled_from(json_paths(meta)))
+        node = meta
+        for parent in parents:
+            node = node[parent]
+        node[key] = data.draw(st.sampled_from(JSON_VALUES))
+        text = np.frombuffer(json.dumps(meta).encode(), np.uint8)
+        loads_or_is_refused(good[:start] + checkpoint._pack_blob("meta.json", text), path)
+
+    @hypothesis.seed(1)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data())
+    def test_blob_header_or_byte_damaged(self, saved_after_task_2, data):
+        good, path = saved_after_task_2
+        blobs = blob_table(good)
+        body = bytearray(good[:-4])
+        start, name_len, rank, _, _ = data.draw(st.sampled_from(blobs))
+        at = start + 4 + name_len  # the dtype tag, then the rank, then the dims
+        u32 = st.integers(0, 2**32 - 1).map(lambda v: struct.pack("<I", v))
+        kind = data.draw(st.sampled_from(["name", "tag", "rank", "dims", "flip", "cut"]))
+        if kind == "name":
+            names = [good[s + 4 : s + 4 + n] for s, n, *_ in blobs]
+            name = data.draw(st.one_of(st.sampled_from(names), st.binary(max_size=20)))
+            body[start : at] = struct.pack("<I", len(name)) + name
+        elif kind == "tag":
+            body[at] = data.draw(st.integers(0, 255))
+        elif kind == "rank":
+            body[at + 1 : at + 5] = data.draw(u32)
+        elif kind == "dims" and rank:
+            i = at + 5 + 4 * data.draw(st.integers(0, rank - 1))
+            body[i : i + 4] = data.draw(u32)
+        elif kind == "flip":
+            bit = data.draw(st.integers(0, 8 * len(body) - 1))
+            body[bit // 8] ^= 1 << bit % 8
+        elif kind == "cut":
+            del body[data.draw(st.integers(0, len(body) - 1)) :]
+        loads_or_is_refused(bytes(body), path)
+
+    @staticmethod
+    def checked_or_refused(x, y, num_classes):
+        """Arrays a loader returned either pass `Dataset.check` or raise DataError there."""
+        try:
+            Dataset(x, y, x, y, num_classes).check(x.shape[1:])
+        except DataError:
+            pass
+
+    @hypothesis.seed(1)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_idx_pair_loads_or_is_refused(self, tmp_path_factory, data):
+        images = tmp_path_factory.getbasetemp() / "drawn-images.idx"
+        labels = tmp_path_factory.getbasetemp() / "drawn-labels.idx"
+        count = data.draw(st.integers(1, 4))
+        images.write_bytes(data.draw(idx_files(ranks=(3, 4), count=count)))
+        labels.write_bytes(data.draw(idx_files(ranks=(1,), count=count)))
+        try:
+            x, y = load_idx(str(images), str(labels))
+        except DataError:
+            return
+        self.checked_or_refused(x, y, data.draw(st.integers(2, 300)))
+
+    @hypothesis.seed(1)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(data=st.data())
+    def test_cifar_file_loads_or_is_refused(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "drawn.bin"
+        length = data.draw(st.sampled_from([3073, 2 * 3073]) | st.integers(0, 3 * 3073))
+        path.write_bytes(data.draw(st.binary(min_size=length, max_size=length)))
+        try:
+            x, y = load_cifar_bin(str(path))
+        except DataError:
+            return
+        self.checked_or_refused(x, y, data.draw(st.integers(2, 300)))
+
 class TestCli:
     def test_membudget_prints_reference_pairs(self, capsys):
         assert main(["membudget"]) == 0
@@ -1167,6 +1330,19 @@ class TestCli:
         err = json.loads(line)
         assert err["error"] == "data" and "online.lr" in err["message"]
 
+    def test_idx_dims_past_int64_exit_3(self, tmp_path, capsys):
+        cfg = RunConfig(dataset_per_class=4, dataset_test_per_class=2)
+        root = tmp_path / "idx"
+        write_idx_dataset(root, load_dataset(cfg))
+        (root / "train-images.idx").write_bytes(idx_bytes(0x08, (2**31, 2**31, 4), b""))
+        cfgp = tmp_path / "cfg.txt"
+        cfgp.write_text(serialize_config(replace(cfg, dataset_kind="idx", dataset_path=str(root))))
+        assert main(["init", "--config", str(cfgp), "--out", str(tmp_path / "x.ckpt")]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "data" and "truncated IDX payload" in err["message"]
+        assert not (tmp_path / "x.ckpt").exists()
+
     def test_missing_checkpoint_io_code(self, tmp_path, capsys):
         code = main(["eval", "--checkpoint", str(tmp_path / "nope.ckpt")])
         assert code == 7
@@ -1188,7 +1364,7 @@ class TestCli:
         assert main(["eval", "--checkpoint", ckpt]) == 0
         result = json.loads(capsys.readouterr().out)
         assert result["seen_classes"] == 10 and result["task"] == 5
-        rows = read_metrics(outdir + "/metrics.jsonl")
+        rows = [json.loads(line) for line in Path(outdir, "metrics.jsonl").read_text().splitlines()]
         assert [r["task"] for r in rows] == [1, 2, 3, 4, 5]
         assert rows[0]["step"] == 0  # the post-init record rides along
 

@@ -555,7 +555,7 @@ def test_gen_synthetic_matches_whole_set_noise(classes, per_class, shape, seed, 
 
 
 def _idx_u1_oracle(images_path):
-    raw = datasets._read_idx(images_path)
+    raw = datasets._read_idx(images_path, (3, 4))
     raw = raw[:, None] if raw.ndim == 3 else raw
     return raw.astype(np.float32) / 255.0
 
