@@ -14,16 +14,17 @@ Blob names are UTF-8 and unique. The dtype tags are 0 (<f4), 3 (u1) and
 
 This module owns the bytes; `engine.state_arrays` owns the layout. The
 blobs are the arrays it names (`model.*`, `acae.*`, `optim.<param>.<slot>`,
-`pq.centroids`), the live reservoir rows as `reservoir.codes` (u1, shape
-(n, s, H, W)) and `reservoir.labels` (<u2, shape (n,)), and `meta.json`,
-a UTF-8 JSON object holding the config text plus what the config cannot
-give: the rng state, the task counter, the seen classes, the step count
-(under `global_step` and `optim_step_count`, which must agree), the
-frozen digests and the metrics so far.
-Loading checks the blob table, the metadata's JSON types and the
-reservoir rows, copies each blob into the `engine.blank_state` of the
-stored config, refusing names, dtypes and shapes that differ from its
-`state_arrays`, and maps a failed `engine.check_state`, the run's state
+`pq.centroids`, and the live reservoir rows as `reservoir.codes` and
+`reservoir.labels`), and `meta.json`, a UTF-8 JSON object holding the
+config text plus what the config cannot give: the rng state, the task
+counter, the seen classes, the step count (under `global_step` and
+`optim_step_count`, which must agree), the frozen digests and the
+metrics so far.
+Loading checks the blob table and the metadata's JSON types, copies
+each blob into the `engine.blank_state` of the stored config with as
+many reservoir rows as the `reservoir.labels` blob holds, refusing names,
+dtypes and shapes that differ from its `state_arrays`, and maps a
+refused row count or a failed `engine.check_state`, the run's state
 contract, to CheckpointError. load(save(x)) is bit-identical; resuming
 reproduces an unbroken run exactly. Other versions are refused.
 """
@@ -154,14 +155,7 @@ def save_checkpoint(
     """
     if config_text is None:
         config_text = serialize_config(state.config)
-    if state.config.dataset_classes > 1 << 16:
-        raise CheckpointError("labels above 65535 do not fit the u2 label blob")
-    res = state.reservoir
-    arrays = state_arrays(state) + [
-        ("reservoir.codes", res.codes[: res.size]),
-        ("reservoir.labels", res.labels[: res.size].astype("<u2")),
-    ]
-
+    arrays = state_arrays(state)
     meta = {
         "config_text": config_text,
         "rng": _rng_state_json(state.rng),
@@ -244,35 +238,19 @@ def load_checkpoint(path: str) -> CheckpointBundle:
     if r.pos != len(r.blob):
         raise CheckpointError(f"{path}: {len(r.blob) - r.pos} bytes after the last blob")
 
-    def take(name: str) -> np.ndarray:
-        if name not in arrays:
-            raise CheckpointError(f"{path}: missing blob {name!r}")
-        return arrays.pop(name)
-
-    meta = _read_meta(path, take("meta.json"))
+    if "meta.json" not in arrays:
+        raise CheckpointError(f"{path}: missing blob 'meta.json'")
+    meta = _read_meta(path, arrays.pop("meta.json"))
     try:
         cfg = parse_config(meta["config_text"])
     except ConfigError as err:
         raise CheckpointError(f"{path}: stored config does not parse: {err}") from None
-    state = blank_state(cfg, meta["optim_step_count"], _rng_from_json(path, meta["rng"]))
-
-    res = state.reservoir
-    code_shape = res.codes.shape[1:]
-    codes, labels = take("reservoir.codes"), take("reservoir.labels")
-    n = len(labels)
-    if (
-        codes.dtype != np.uint8
-        or labels.dtype != np.dtype("<u2")
-        or codes.shape != (n, *code_shape)
-        or labels.shape != (n,)
-    ):
-        raise CheckpointError(
-            f"{path}: reservoir blobs {codes.dtype}{codes.shape} / {labels.dtype}{labels.shape} "
-            f"do not match {n} rows of u1 codes {code_shape} and <u2 labels"
-        )
-    if n > res.capacity:
-        raise CheckpointError(f"{path}: {n} reservoir rows exceed capacity {res.capacity}")
-    res.fill(codes, labels)
+    labels = arrays.get("reservoir.labels")
+    rows = labels.shape[0] if labels is not None and labels.ndim else 0  # else: refused below
+    try:
+        state = blank_state(cfg, meta["optim_step_count"], _rng_from_json(path, meta["rng"]), rows)
+    except ContractError as err:
+        raise CheckpointError(f"{path}: {err}") from None
 
     targets = dict(state_arrays(state))
     missing = sorted(targets.keys() - arrays.keys())
@@ -282,12 +260,13 @@ def load_checkpoint(path: str) -> CheckpointBundle:
             f"{path}: blobs do not match the config (missing {missing}, extra {extra})"
         )
     wrong = [
-        f"{name!r} is {arr.dtype}{arr.shape}, the config needs {dst.dtype}{dst.shape}"
+        f"{name!r} is {arr.dtype}{arr.shape}, not {dst.dtype}{dst.shape}"
         for name, arr in arrays.items()
         if (dst := targets[name]).dtype != arr.dtype or dst.shape != arr.shape
     ]
     if wrong:
-        raise CheckpointError(f"{path}: blobs do not match the config: {'; '.join(wrong)}")
+        raise CheckpointError(f"{path}: blobs do not match the config and its {rows} "
+                              f"reservoir rows: {'; '.join(wrong)}")
     for name, arr in arrays.items():
         targets[name][...] = arr
 

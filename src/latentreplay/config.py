@@ -145,7 +145,7 @@ _DOMAINS = {
                      "split.steps", "net.num_blocks", "net.replay_block", "net.channels",
                      "net.in_shape", "offline.batch_size", "acae.latent_channels",
                      "acae.batch_size", "pq.s", "reservoir.capacity"), (1, inf, "[)")),
-    "dataset.classes": (2, 65536, "[]"),  # the checkpoint's reservoir.labels blob is u2
+    "dataset.classes": (2, 65536, "[]"),  # the reservoir's labels are u2
     "pq.k": (1, 256, "[]"),  # a code is one byte
     "dataset.noise": (0.0, inf, "[)"),
     **dict.fromkeys(("offline.lr", "acae.lr", "online.lr"), (0.0, inf, "()")),

@@ -7,8 +7,9 @@ loader casts the raw pixels once and scales that array, and the
 synthetic generator adds its noise to the gathered class images a block
 of rows at a time. The peak is therefore the output (plus the file's
 bytes) and one block, with no whole-set temporary. `load_dataset` also
-refuses images whose (C, H, W) is not `net.in_shape` and non-finite
-pixels, before any training sees them.
+refuses images whose (C, H, W) is not `net.in_shape`, non-finite pixels
+and pixels outside [0, 1] (a signed or float IDX file is not rescaled),
+before any training sees them.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ class Dataset:
     num_classes: int
 
     def check(self, in_shape: tuple) -> None:
-        """Raise DataError unless both splits are finite (C, H, W) = `in_shape` images with
-        one label in 0..num_classes-1 each."""
+        """Raise DataError unless both splits are (C, H, W) = `in_shape` images of finite
+        pixels in [0, 1], with one label in 0..num_classes-1 each."""
         for split, images, labels in (
             ("train", self.train_images, self.train_labels),
             ("test", self.test_images, self.test_labels),
@@ -54,8 +55,11 @@ class Dataset:
                     f"{split} images are {images.shape[1:]}, but net.in_shape is {tuple(in_shape)}"
                 )
             # min and max propagate NaN and reach any +-inf, without a whole-set mask
-            if images.size and not np.isfinite([images.min(), images.max()]).all():
+            lo, hi = (images.min(), images.max()) if images.size else (0, 0)
+            if not np.isfinite([lo, hi]).all():
                 raise DataError(f"non-finite pixel in the {split} images")
+            if lo < 0 or hi > 1:
+                raise DataError(f"{split} pixels span [{lo}, {hi}], outside [0, 1]")
             if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
                 raise DataError("label outside 0..num_classes-1")
 
@@ -111,7 +115,8 @@ def load_idx(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray
 
     Images of rank 3 (count, height, width) gain a singleton channel
     axis; rank 4 is taken as NCHW. Unsigned-byte pixels are scaled by
-    1/255 so the result lies in [0, 1]. Labels are rank 1, of an integer type.
+    1/255; other pixel types load unscaled, and `Dataset.check` refuses
+    values outside [0, 1]. Labels are rank 1, of an integer type.
     """
     raw = _read_idx(images_path, (3, 4))
     if raw.ndim == 3:
@@ -233,7 +238,7 @@ def load_dataset(cfg) -> Dataset:
     train-images.idx, train-labels.idx, test-images.idx,
     test-labels.idx. cifar-bin: a directory holding train.bin and
     test.bin. Raises DataError, before any training, for images that
-    are not `net.in_shape` or hold a non-finite pixel.
+    are not `net.in_shape` or hold a non-finite pixel or one outside [0, 1].
     """
     if cfg.dataset_kind == "synthetic":
         shape = tuple(cfg.net_in_shape)

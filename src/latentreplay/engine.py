@@ -166,19 +166,26 @@ def frozen_checksums(state: EngineState) -> dict:
 
 
 def state_arrays(state: EngineState) -> list:
-    """(name, array) of every parameter, optimizer slot and the centroids, in checkpoint order."""
+    """(name, array) of every parameter, optimizer slot, the centroids and the live reservoir
+    rows (views, so a loader writes through them), in checkpoint order."""
     arrays = [(f"model.{name}", p.data) for name, p in sorted(state.model.params.items())]
     arrays += [(f"acae.{name}", p.data) for name, p in sorted(state.compressor.params.items())]
     for pname, slots in sorted(state.optim.slots.items()):
         arrays += [(f"optim.{pname}.{key}", buf) for key, buf in sorted(slots.items())]
-    arrays.append(("pq.centroids", state.books.centroids))
+    res = state.reservoir
+    arrays += [("pq.centroids", state.books.centroids), ("reservoir.codes", res.codes[: res.size]),
+               ("reservoir.labels", res.labels[: res.size])]
     return arrays
 
 
-def blank_state(cfg: RunConfig, optim_steps: int, rng: np.random.Generator) -> EngineState:
+def blank_state(cfg: RunConfig, optim_steps: int, rng: np.random.Generator,
+                rows: int = 0) -> EngineState:
     """A zero-filled state with the `state_arrays` of a real one whose online optimizer has
-    stepped `optim_steps` times (head velocity slots once that count is positive), an empty
-    reservoir and `rng`; a loader fills it in place."""
+    stepped `optim_steps` times (head velocity slots once that count is positive), `rows` live
+    reservoir rows and `rng`; a loader fills it in place. ContractError past the capacity."""
+    if rows > cfg.reservoir_capacity:
+        raise ContractError(f"{rows} reservoir rows exceed reservoir.capacity = "
+                            f"{cfg.reservoir_capacity}")
     net = cfg.net_config()
 
     def zeros(shapes: dict) -> dict:
@@ -191,19 +198,20 @@ def blank_state(cfg: RunConfig, optim_steps: int, rng: np.random.Generator) -> E
         for name, p in model.head_params().items():
             optim.slot(name, "velocity", p.data.shape)
     latent, s = cfg.acae_latent_channels, cfg.pq_s
+    reservoir = Reservoir(cfg.reservoir_capacity, (s, *net.feature_hw))
+    reservoir.size = rows
     return EngineState(
-        config=cfg, model=model, optim=optim, rng=rng,
+        config=cfg, model=model, optim=optim, rng=rng, reservoir=reservoir,
         compressor=CompressorParams(zeros(compressor_shapes(net.feature_channels, latent))),
         books=Codebooks(np.zeros((s, cfg.pq_k, latent // s), dtype=np.float32)),
-        reservoir=Reservoir(cfg.reservoir_capacity, (s, *net.feature_hw)),
     )
 
 
 def check_state(state: EngineState) -> None:
-    """Raise ContractError at the first run invariant `state` breaks (finite values, a step
+    """Raise ContractError at the first run invariant `state` breaks (finite float arrays, a step
     count >= 0, `current_task` in 1..T, `seen_classes` the union of tasks 1..current_task,
     codes below k, stored labels of seen classes only, frozen digests); writes nothing."""
-    arrays = state_arrays(state)
+    arrays = [(name, a) for name, a in state_arrays(state) if a.dtype.kind == "f"]
     if not np.isfinite(np.concatenate([a.ravel() for _, a in arrays])).all():
         bad = [name for name, a in arrays if not np.isfinite(a).all()]
         raise ContractError(f"non-finite values in {bad}")

@@ -21,12 +21,14 @@ that takes gradients names what it trains, and outside such a block
 every parameter is a constant. ``no_grad()`` records no tape at all.
 
 Op outputs are not checked for NaN/Inf. The guards sit where values
-enter or settle: ``datasets.Dataset.check`` refuses a non-finite pixel
-when a dataset loads, ``engine.online_step`` rejects a non-finite input
-image or loss before the head changes, ``quantizer.Codebooks`` rejects a
-non-finite centroid, and ``engine.check_state`` refuses a state with a
-non-finite parameter, optimizer value or centroid after ``initialize``,
-at every task boundary and when a checkpoint loads.
+enter or settle: ``datasets.Dataset.check`` refuses a non-finite pixel,
+or one outside [0, 1], when a dataset loads, ``engine.online_step``
+rejects a non-finite input image or loss before the head changes,
+``quantizer.Codebooks`` rejects a non-finite centroid, and
+``engine.check_state`` refuses a state with a non-finite parameter,
+optimizer value or centroid (the float arrays of ``state_arrays``; the
+reservoir rows are integers) after ``initialize``, at every task
+boundary and when a checkpoint loads.
 """
 
 from __future__ import annotations

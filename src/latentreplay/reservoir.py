@@ -1,9 +1,11 @@
 """Bounded class-balanced store of quantized exemplars.
 
 The memory is two preallocated arrays: `codes[capacity, s, H, W]` of
-uint8 PQ codes and `labels[capacity]`. Rows `0..size-1` are live, in
-insertion order. Class counts are not stored: eviction counts the live
-labels when the memory is full.
+uint8 PQ codes and `labels[capacity]` of uint16, the dtypes the
+checkpoint stores (`config` caps the classes at 65536). Rows
+`0..size-1` are live, in insertion order; `engine.state_arrays` names
+them. Class counts are not stored: eviction counts the live labels when
+the memory is full.
 
 Eviction targets the most-populated class: among classes tied at the
 maximum count one is chosen uniformly (ties in ascending label order),
@@ -30,18 +32,11 @@ class Reservoir:
             raise ConfigError("reservoir capacity must be positive")
         self.capacity = capacity
         self.codes = np.zeros((capacity, *code_shape), dtype=np.uint8)
-        self.labels = np.zeros(capacity, dtype=np.int64)
+        self.labels = np.zeros(capacity, dtype=np.uint16)
         self.size = 0
 
     def __len__(self) -> int:
         return self.size
-
-    def fill(self, codes: np.ndarray, labels: np.ndarray) -> None:
-        """Replace the live rows with `codes` and `labels`, at most capacity of them."""
-        n = len(labels)
-        self.codes[:n] = codes
-        self.labels[:n] = labels
-        self.size = n
 
 
 def insert_with_eviction(

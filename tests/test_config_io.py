@@ -420,6 +420,26 @@ class TestLoadDataset:
         with pytest.raises(DataError, match=r"train images are \(3, 16, 16\), but net.in_shape"):
             load_dataset(cfg)
 
+    def test_float_idx_pixels_at_both_ends_of_the_unit_interval_load(self, tmp_path):
+        ds = load_dataset(self.CFG)
+        train = ds.train_images.copy()
+        train[0, 0, 0, :2] = 0.0, 1.0
+        write_idx_dataset(tmp_path, replace(ds, train_images=train))
+        back = load_dataset(replace(self.CFG, dataset_kind="idx", dataset_path=str(tmp_path)))
+        assert back.train_images.tobytes() == train.tobytes()
+        assert back.train_images.min() == 0.0 and back.train_images.max() == 1.0
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    @pytest.mark.parametrize("value", [-1e-6, 1.000001])
+    def test_float_pixel_outside_the_unit_interval_rejected(self, tmp_path, split, value):
+        ds = load_dataset(self.CFG)
+        images = getattr(ds, f"{split}_images").copy()
+        images[-1, 2, 15, 15] = value
+        write_idx_dataset(tmp_path, replace(ds, **{f"{split}_images": images}))
+        cfg = replace(self.CFG, dataset_kind="idx", dataset_path=str(tmp_path))
+        with pytest.raises(DataError, match=rf"{split} pixels span .*, outside \[0, 1\]"):
+            load_dataset(cfg)
+
     def test_clean_idx_copy_loads_the_same_bytes(self, tmp_path):
         ds = load_dataset(self.CFG)
         write_idx_dataset(tmp_path, ds)
@@ -610,6 +630,24 @@ class TestCheckpoint:
         res.labels[0] = 0
         rejected("capacity", serialize_config(replace(cfg, reservoir_capacity=10)))
         rejected("do not match", serialize_config(replace(cfg, net_replay_block=3)))
+
+        # one label fewer than the codes: the labels blob gives the row count, so the codes
+        # blob is the one named
+        save_checkpoint(state, p)
+        good = open(p, "rb").read()
+        n = len(res)
+        spans = {good[start + 4 : start + 4 + name_len]: (start, end)
+                 for start, name_len, _, _, end in blob_table(good)}
+        a, b = spans[b"reservoir.labels"]
+        body = good[:a] + checkpoint._pack_blob("reservoir.labels", res.labels[: n - 1])
+        body += good[b:-4]
+        open(p, "wb").write(body + struct.pack("<I", zlib.crc32(body)))  # CRC-valid
+        message = rf"'reservoir.codes' is uint8\({n}, 4, 4, 4\), not uint8\({n - 1}, 4, 4, 4\)"
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(p)
+        assert main(["eval", "--checkpoint", p]) == 6
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "checkpoint" and re.search(message, err["message"])
 
     def test_parameters_must_match_the_config(self, tmp_path, capsys):
         cfg, ds, stream, state = tiny_run(tmp_path)
@@ -1101,9 +1139,9 @@ class TestDomainSweep:
     def test_most_classes_round_trip_the_largest_label(self, tmp_path):
         cfg = replace(SWEEP_BASE, dataset_classes=65536, split_first_classes=65535, split_steps=1)
         assert parse_config(serialize_config(cfg)) == cfg
-        state = blank_state(cfg, 0, np.random.default_rng(0))
+        state = blank_state(cfg, 0, np.random.default_rng(0), rows=1)
         res = state.reservoir
-        res.fill(np.ones((1, *res.codes.shape[1:]), np.uint8), np.array([65535]))
+        res.codes[0], res.labels[0] = 1, 65535
         state.current_task, state.seen_classes = 2, set(range(65536))
         state.frozen_digest = frozen_checksums(state)
         path = str(tmp_path / "run.ckpt")
@@ -1228,11 +1266,13 @@ class TestDrawnInputs:
 
     @staticmethod
     def checked_or_refused(x, y, num_classes):
-        """Arrays a loader returned either pass `Dataset.check` or raise DataError there."""
+        """Arrays a loader returned either pass `Dataset.check`, pixels in [0, 1], or raise
+        DataError there."""
         try:
             Dataset(x, y, x, y, num_classes).check(x.shape[1:])
         except DataError:
-            pass
+            return
+        assert ((0 <= x) & (x <= 1)).all()
 
     @hypothesis.seed(1)
     @settings(max_examples=300, deadline=None, database=None)
@@ -1475,6 +1515,25 @@ class TestCli:
         assert main(["init", "--config", str(cfgp), "--out", str(tmp_path / "x.ckpt")]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "data" and "non-finite pixel in the train images" in err["message"]
+        assert not (tmp_path / "x.ckpt").exists()
+
+    def test_signed_idx_pixels_outside_the_unit_interval_exit_3(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # >i2 pixels load unscaled: -500 and 1000 are no image's values
+        cfg = RunConfig(dataset_per_class=8, dataset_test_per_class=2)
+        ds = load_dataset(cfg)
+        write_idx_dataset(tmp_path / "idx", ds)
+        pixels = np.resize(np.array([-500, 0, 1000, 7]), ds.train_images.shape)
+        (tmp_path / "idx" / "train-images.idx").write_bytes(
+            idx_bytes(0x0B, pixels.shape, pixels.astype(">i2").tobytes()))
+        cfgp = tmp_path / "cfg.txt"
+        cfgp.write_text(serialize_config(replace(cfg, dataset_kind="idx",
+                                                 dataset_path=str(tmp_path / "idx"))))
+        monkeypatch.setattr(latentreplay.engine, "train_first_task", self._no_training)
+        assert main(["init", "--config", str(cfgp), "--out", str(tmp_path / "x.ckpt")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "data"
+        assert "train pixels span [-500.0, 1000.0], outside [0, 1]" in err["message"]
         assert not (tmp_path / "x.ckpt").exists()
 
     @staticmethod

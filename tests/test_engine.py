@@ -583,11 +583,11 @@ class TestBlankState:
         for steps in (0, 1):
             if steps:
                 online_step(state, task2.images[0], int(task2.labels[0]))
-            blank = engine.blank_state(cfg, steps, rng)
+            blank = engine.blank_state(cfg, steps, rng, len(state.reservoir))
             assert layout(blank) == layout(state)
             assert blank.optim.step_count == state.optim.step_count == steps
             assert blank.reservoir.codes.shape == state.reservoir.codes.shape
-            assert len(blank.reservoir) == 0 and blank.rng is rng
+            assert len(blank.reservoir) == len(state.reservoir) and blank.rng is rng
 
 
 def _trainable(state: EngineState) -> list:

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentreplay.errors import ConfigError, DataError
+from latentreplay.config import RunConfig
+from latentreplay.engine import blank_state, state_arrays
+from latentreplay.errors import ConfigError, ContractError, DataError
 from latentreplay.reservoir import (
     Reservoir,
     as_mb,
@@ -128,17 +130,30 @@ class TestSample:
 
 class TestSnapshot:
     def test_round_trip_bit_identical(self):
-        # a checkpoint stores the live rows, labels as u2; fill() restores them
+        # a checkpoint stores the live rows `state_arrays` names, u1 codes and u2 labels; a
+        # loader writes them through the views of a blank state sized to their count
+        cfg = RunConfig(reservoir_capacity=5)
         rng = np.random.default_rng(0)
-        res = new_res(capacity=5)
+        state = blank_state(cfg, 0, rng)
+        res = state.reservoir
         for i in range(9):
             put(res, i % 3, rng, fill=i)
-        back = new_res(capacity=5)
-        back.fill(res.codes[: len(res)], res.labels[: len(res)].astype("<u2"))
-        assert len(back) == len(res)
-        for a, b in ((back.codes, res.codes), (back.labels, res.labels)):
+        rows = dict(state_arrays(state))
+        assert rows["reservoir.labels"].dtype == np.dtype("<u2")
+        back = blank_state(cfg, 0, rng, rows=len(res))
+        for name, dst in state_arrays(back):
+            dst[...] = rows[name]
+        assert len(back.reservoir) == len(res)
+        for a, b in ((back.reservoir.codes, res.codes), (back.reservoir.labels, res.labels)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert put(back, 0, np.random.default_rng(1)) == put(res, 0, np.random.default_rng(1))
+        assert put(back.reservoir, 0, np.random.default_rng(1)) == put(
+            res, 0, np.random.default_rng(1))
+
+    def test_blank_state_refuses_rows_past_capacity(self):
+        cfg = RunConfig(reservoir_capacity=5)
+        assert len(blank_state(cfg, 0, np.random.default_rng(0), rows=5).reservoir) == 5
+        with pytest.raises(ContractError, match="6 reservoir rows exceed reservoir.capacity = 5"):
+            blank_state(cfg, 0, np.random.default_rng(0), rows=6)
 
 
 class ListReservoir:
