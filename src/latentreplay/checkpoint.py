@@ -249,7 +249,7 @@ def load_checkpoint(path: str) -> CheckpointBundle:
     rows = labels.shape[0] if labels is not None and labels.ndim else 0  # else: refused below
     try:
         state = blank_state(cfg, meta["optim_step_count"], _rng_from_json(path, meta["rng"]), rows)
-    except ContractError as err:
+    except (ConfigError, ContractError) as err:  # a capacity past memory, too many rows
         raise CheckpointError(f"{path}: {err}") from None
 
     targets = dict(state_arrays(state))

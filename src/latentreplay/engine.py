@@ -8,8 +8,8 @@ replay memory. The online phase then consumes tasks 2..T one sample at
 a time: each incoming sample is compressed to codes, a rehearsal batch
 is decoded alongside it, and a single SGD step updates the head.
 Frozen means no `nn.training` scope names a parameter below the split
-after initialization (`online_step` names the head's alone);
-`frozen_checksums` makes that auditable.
+after initialization (`online_step` names the head's alone), which
+`frozen_checksums` audits and `split_features` relies on for evaluation.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ __all__ = [
 
 class _Rows:
     """`array[rows]` that gathers only the rows an index names; an int reads one row, a view.
-    A task offers it as `images` because `perfbench/run.py` reads `task.images[i]`."""
+    A task's `images`, as `perfbench/run.py` reads `task.images[i]`; seen-class test rows too."""
 
     def __init__(self, array: np.ndarray, rows: np.ndarray):
         self.array, self.rows = array, rows
@@ -146,11 +146,11 @@ class EngineState:
         return self.optim.step_count
 
 
-def _digest(parts) -> str:
+def _digest(params: dict) -> str:
     h = hashlib.sha256()
-    for name, arr in parts:
+    for name, p in sorted(params.items()):
         h.update(name.encode())
-        h.update(np.ascontiguousarray(arr).tobytes())
+        h.update(np.ascontiguousarray(p.data if isinstance(p, Tensor) else p).tobytes())
     return h.hexdigest()
 
 
@@ -158,10 +158,10 @@ def frozen_checksums(state: EngineState) -> dict:
     """Byte digests of every parameter group that must stay immutable."""
     model, comp = state.model, state.compressor
     return {
-        "backbone": _digest(sorted((k, v.data) for k, v in model.backbone_params().items())),
-        "encoder": _digest(sorted((k, v.data) for k, v in comp.encoder_params().items())),
-        "decoder": _digest(sorted((k, v.data) for k, v in comp.decoder_params().items())),
-        "codebooks": _digest([("centroids", state.books.centroids)]),
+        "backbone": _digest(model.backbone_params()),
+        "encoder": _digest(comp.encoder_params()),
+        "decoder": _digest(comp.decoder_params()),
+        "codebooks": _digest({"centroids": state.books.centroids}),
     }
 
 
@@ -246,6 +246,30 @@ def forward_batched(fn, images: np.ndarray) -> np.ndarray:
     return np.concatenate(chunks)
 
 
+_split_entry: list = []  # [images, (net config, backbone digest), features, rows computed]
+
+
+def split_features(state: EngineState, images) -> np.ndarray | None:
+    """Read-only backbone features of a read-only array that owns its bytes, or of a `_Rows` of
+    one (else None); each row is computed once while the array, net and backbone bytes hold."""
+    array, sel = (images.array, images.rows) if isinstance(images, _Rows) else (images, slice(None))
+    if not (isinstance(array, np.ndarray) and array.flags.owndata and not array.flags.writeable):
+        return None  # its bytes could change under the same object
+    net, entry, backbone = state.model.config, _split_entry, state.model.forward_backbone
+    key = (net, _digest(state.model.backbone_params()))
+    if not (entry and entry[0] is array and entry[1] == key):  # a Tensor's data is float32
+        features = np.empty((len(array), net.feature_channels, *net.feature_hw), np.float32)
+        entry[:] = [array, key, features, np.zeros(len(array), bool)]
+    todo = np.arange(len(array))[sel]
+    todo = todo[~entry[3][todo]]  # not np.setdiff1d, whose first call is a 26 ms lazy import
+    with no_grad():  # forward_batched's chunks, written in place: no stacked copy
+        for rows in (todo[i : i + _FORWARD_BATCH] for i in range(0, len(todo), _FORWARD_BATCH)):
+            entry[2][rows], entry[3][rows] = backbone(Tensor(array[rows])).data, True
+    out = entry[2][sel]
+    out.flags.writeable = False
+    return out
+
+
 def _offline_options(cfg: RunConfig) -> dict:
     """`train_offline` keywords from the `offline.*` settings."""
     return dict(
@@ -286,16 +310,16 @@ def fit_compressor(
 def initialize(task1: Task, cfg: RunConfig) -> EngineState:
     """First-task pipeline: offline net, compressor, quantizer, freeze, memory fill.
 
-    A `pq.k` above the count of task 1's position vectors, which k-means
-    fits it to, is a ConfigError before any training. Ends with `check_state`,
-    so no command writes a state that `load_checkpoint` would refuse.
+    A `pq.k` above task 1's position vectors, which k-means fits it to, or a `reservoir.capacity`
+    past memory is a ConfigError before any training. Ends with `check_state`, so no command
+    writes a state that `load_checkpoint` would refuse.
     """
     n, (h, w) = len(task1.labels), cfg.net_config().feature_hw
     if 0 < n * h * w < cfg.pq_k:  # an empty task is train_first_task's DataError
         raise ConfigError(f"pq.k = {cfg.pq_k} is above the {n * h * w} position vectors of "
                           f"task 1 ({n} samples of a {h}x{w} replay map)")
+    reservoir = Reservoir(cfg.reservoir_capacity, (cfg.pq_s, h, w))  # refuses before training
     model = train_first_task(task1, cfg)
-    net = model.config
     latents = forward_batched(model.forward_backbone, task1.images)
     comp = fit_compressor(model, latents, task1.labels, cfg)
 
@@ -307,7 +331,7 @@ def initialize(task1: Task, cfg: RunConfig) -> EngineState:
         model=model,
         compressor=comp,
         books=books,
-        reservoir=Reservoir(cfg.reservoir_capacity, (books.s, *net.feature_hw)),
+        reservoir=reservoir,
         optim=online_optim(cfg),
         rng=np.random.default_rng((cfg.seed, 103)),
         seen_classes=set(task1.classes),
@@ -441,30 +465,31 @@ def run_stream(state: EngineState, tasks, dataset: Dataset) -> list[MetricRecord
     return records
 
 
-def _accuracy(model: SplitModel, images: np.ndarray, labels: np.ndarray) -> dict:
-    """Task-agnostic top-1 and top-5 of `model`: full-universe logits, no augmentation. Labels
-    are ranked per _FORWARD_BATCH chunk of logits, so memory does not grow with the sample count."""
+def _accuracy(model: SplitModel, images, labels: np.ndarray, features=None) -> dict:
+    """Task-agnostic top-1 and top-5 of `model`, no augmentation; of its head alone on `features`,
+    `images`' split features, if given. Ranked per _FORWARD_BATCH chunk: memory does not grow."""
     n, b = len(labels), _FORWARD_BATCH
     if n == 0 or len(images) != n:
         raise DataError(f"evaluate needs one label per image, at least one: {len(images)}, {n}")
+    forward, x = (model.forward, images) if features is None else (model.forward_head, features)
     top1 = top5 = 0
     with no_grad():
         for i in range(0, n, b):
-            ranks = label_ranks(model.forward(Tensor(images[i : i + b])).data, labels[i : i + b])
+            ranks = label_ranks(forward(Tensor(x[i : i + b])).data, labels[i : i + b])
             top1 += int(np.count_nonzero(ranks < 1))
             top5 += int(np.count_nonzero(ranks < 5))
     return {"top1": top1 / n, "top5": top5 / n}
 
 
-def evaluate(state: EngineState, images: np.ndarray, labels: np.ndarray) -> dict:
-    """`_accuracy` of the state's model."""
-    return _accuracy(state.model, images, labels)
+def evaluate(state: EngineState, images, labels: np.ndarray) -> dict:
+    """`_accuracy` of the state's model, on `split_features` where they are kept."""
+    return _accuracy(state.model, images, labels, split_features(state, images))
 
 
 def seen_class_record(dataset: Dataset, state: EngineState, boundary: bool = True) -> MetricRecord:
     """Evaluate on the test samples of every class seen so far, at the state's task and step."""
-    mask = np.isin(dataset.test_labels, sorted(state.seen_classes))
-    result = evaluate(state, dataset.test_images[mask], dataset.test_labels[mask])
+    rows = np.flatnonzero(np.isin(dataset.test_labels, sorted(state.seen_classes)))
+    result = evaluate(state, _Rows(dataset.test_images, rows), dataset.test_labels[rows])
     return MetricRecord(state.global_step, state.current_task, len(state.seen_classes),
                         result["top1"], result["top5"], boundary)
 

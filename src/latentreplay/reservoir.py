@@ -31,8 +31,12 @@ class Reservoir:
         if capacity < 1:
             raise ConfigError("reservoir capacity must be positive")
         self.capacity = capacity
-        self.codes = np.zeros((capacity, *code_shape), dtype=np.uint8)
-        self.labels = np.zeros(capacity, dtype=np.uint16)
+        try:
+            self.codes = np.zeros((capacity, *code_shape), dtype=np.uint8)
+            self.labels = np.zeros(capacity, dtype=np.uint16)
+        except (MemoryError, ValueError):  # ValueError: past numpy's largest array
+            need = memory_bytes(capacity, code_shape) + 2 * capacity  # codes and uint16 labels
+            raise ConfigError(f"reservoir.capacity = {capacity} needs {need} bytes") from None
         self.size = 0
 
     def __len__(self) -> int:

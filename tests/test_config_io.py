@@ -1540,6 +1540,31 @@ class TestCli:
     def _no_training(*args, **kwargs):
         raise AssertionError("training started on data the loader should have refused")
 
+    def test_capacity_past_memory_exits_6_from_eval_and_2_from_init_before_training(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        cfg, _, _, state = tiny_run(tmp_path)
+        huge = serialize_config(replace(cfg, reservoir_capacity=10**12))
+        message = "reservoir.capacity = 1000000000000 needs"
+        ckpt = str(tmp_path / "huge.ckpt")
+        save_checkpoint(state, ckpt, config_text=huge)  # CRC-valid, its config past memory
+        assert main(["eval", "--checkpoint", ckpt]) == 6
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "checkpoint" and message in err["message"]
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started under a capacity past memory")
+
+        monkeypatch.setattr(latentreplay.engine, "train_first_task", no_training)
+        cfgp, out = tmp_path / "huge.txt", tmp_path / "x.ckpt"
+        cfgp.write_text(huge)
+        assert main(["init", "--config", str(cfgp), "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "config" and message in err["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["frozen-study", "--blocks", "1,x"],
         ["frozen-study", "--blocks", ""],

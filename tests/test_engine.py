@@ -32,7 +32,7 @@ from latentreplay.engine import (
 )
 from latentreplay.errors import ConfigError, ContractError, DataError
 from latentreplay.metrics import MetricRecord, label_ranks
-from latentreplay.network import build_model, train_offline
+from latentreplay.network import SplitModel, build_model, train_offline
 from latentreplay.nn import Tensor, no_grad, softmax_cross_entropy, training, zero_grads
 from latentreplay.quantizer import pq_decode_batch, pq_encode_batch
 
@@ -563,6 +563,114 @@ class TestEvaluate:
             tracemalloc.stop()
         assert result == {"top1": 0.01, "top5": 0.01}
         assert peak < 64e6, f"{peak / 1e6:.1f} MB"
+
+
+class TestSplitFeatures:
+    @pytest.fixture
+    def fresh(self, micro_run, monkeypatch):
+        """The micro run's state and dataset, with the kept split features forgotten, and a log
+        of the rows each `split_features` call sends through a backbone."""
+        _, ds, _, state = micro_run
+        engine._split_entry.clear()
+        log, inside, split, backbone = [], [], engine.split_features, SplitModel.forward_backbone
+
+        def logged_split(*args):
+            log.append(0)
+            inside.append(True)
+            try:
+                return split(*args)
+            finally:
+                inside.pop()
+
+        def logged_backbone(model, x):
+            if inside:
+                log[-1] += len(x.data)
+            return backbone(model, x)
+
+        monkeypatch.setattr(engine, "split_features", logged_split)
+        monkeypatch.setattr(SplitModel, "forward_backbone", logged_backbone)
+        return copy.deepcopy(state), ds, log
+
+    def test_a_hit_returns_the_first_features_and_evaluates_as_the_full_model(self, fresh):
+        state, ds, log = fresh
+        n = len(ds.test_labels)
+        first = engine.split_features(state, ds.test_images)
+        again = engine.split_features(state, ds.test_images)
+        assert again.tobytes() == first.tobytes() and np.shares_memory(again, first)
+        assert not first.flags.writeable and not again.flags.writeable and log == [n, 0]
+        assert first.tobytes() == forward_batched(state.model.forward_backbone,
+                                                  ds.test_images).tobytes()
+        assert evaluate(state, ds.test_images, ds.test_labels) == engine._accuracy(
+            state.model, ds.test_images, ds.test_labels)
+        assert log == [n, 0, 0]
+
+    def test_each_row_crosses_the_backbone_once_and_only_when_asked(self, fresh):
+        state, ds, log = fresh
+        n, done, fresh_rows = len(ds.test_labels), set(), []
+        for rows in (np.arange(0, n, 5), np.arange(0, n, 2), np.arange(0, n, 2), np.arange(n)):
+            images = engine._Rows(ds.test_images, rows)
+            assert evaluate(state, images, ds.test_labels[rows]) == engine._accuracy(
+                state.model, ds.test_images[rows], ds.test_labels[rows])
+            assert engine.split_features(state, images).tobytes() == forward_batched(
+                state.model.forward_backbone, ds.test_images[rows]).tobytes()
+            new = set(rows.tolist()) - done
+            fresh_rows += [len(new), 0]
+            done |= new
+        evaluate(state, ds.test_images, ds.test_labels)
+        assert log == fresh_rows + [0] and sum(log) == n and 0 < log[0] < n
+
+    def test_writable_images_never_enter_the_entry(self, fresh):
+        state, ds, log = fresh
+        copied = ds.test_images.copy()
+        frozen_view = copied.view()
+        frozen_view.flags.writeable = False  # read-only, but its bytes are not its own
+        kept = engine.split_features(state, ds.test_images)
+        for images in (copied, frozen_view, engine._Rows(copied, np.arange(3))):
+            assert engine.split_features(state, images) is None
+            assert engine._split_entry[0] is ds.test_images
+        assert log == [len(copied), 0, 0, 0]
+        rows, real = [], state.model.forward_backbone
+        state.model.forward_backbone = lambda x: rows.append(len(x.data)) or real(x)
+        assert evaluate(state, copied, ds.test_labels) == engine._accuracy(
+            state.model, copied, ds.test_labels, kept)
+        assert sum(rows) == len(copied) and max(rows) == 32  # chunks, never the whole input
+
+    def test_a_changed_backbone_weight_misses_and_matches_the_full_forward(self, fresh):
+        state, ds, log = fresh
+        before = engine.split_features(state, ds.test_images)
+        next(iter(state.model.backbone_params().values())).data.flat[0] += 1
+        after = engine.split_features(state, ds.test_images)
+        assert log == [len(ds.test_labels)] * 2 and after.tobytes() != before.tobytes()
+        assert after.tobytes() == forward_batched(state.model.forward_backbone,
+                                                  ds.test_images).tobytes()
+        assert evaluate(state, ds.test_images, ds.test_labels) == engine._accuracy(
+            state.model, ds.test_images, ds.test_labels)
+
+    def test_a_loaded_state_hits_the_entry_of_the_saved_one(self, fresh, tmp_path):
+        state, ds, log = fresh
+        saved = evaluate(state, ds.test_images, ds.test_labels)
+        save_checkpoint(state, str(tmp_path / "s.ckpt"))
+        loaded = load_checkpoint(str(tmp_path / "s.ckpt")).state
+        assert evaluate(loaded, ds.test_images, ds.test_labels) == saved
+        assert log == [len(ds.test_labels), 0]
+
+    def test_seen_class_record_is_the_masked_copy_bit_for_bit_at_every_boundary(self, fresh):
+        state, ds, _ = fresh
+        stream = build_task_stream(ds, state.config)
+        for task in stream.tasks[1:]:
+            (record,) = run_stream(state, [task], ds)
+            mask = np.isin(ds.test_labels, sorted(state.seen_classes))
+            masked = ds.test_images[mask]
+            expected = evaluate(state, masked, ds.test_labels[mask])
+            assert record == MetricRecord(state.global_step, task.task_id,
+                                          len(state.seen_classes), expected["top1"],
+                                          expected["top5"], True)
+            assert record == seen_class_record(ds, state)
+            features = engine.split_features(state, ds.test_images)[mask]
+            assert features.tobytes() == forward_batched(state.model.forward_backbone,
+                                                         masked).tobytes()
+            assert forward_batched(state.model.forward_head, features).tobytes() == \
+                forward_batched(state.model.forward, masked).tobytes()
 
 
 class TestBlankState:

@@ -89,6 +89,13 @@ class TestInsert:
         with pytest.raises(ConfigError):
             new_res(capacity=0)
 
+    @pytest.mark.parametrize("capacity", [10**12, 10**19])  # numpy: MemoryError, ValueError
+    def test_capacity_past_memory_is_a_config_error_naming_its_bytes(self, capacity):
+        need = capacity * (4 * 4 * 4 + 2)  # a byte of code per element, two of label per row
+        with pytest.raises(ConfigError,
+                           match=f"reservoir.capacity = {capacity} needs {need} bytes"):
+            Reservoir(capacity, (4, 4, 4))
+
 
 class TestSample:
     def _filled(self, n=10):
