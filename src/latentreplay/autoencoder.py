@@ -7,6 +7,9 @@ plus (optionally) the cross-entropy of the frozen classifier head run on
 the reconstruction, the two terms summed unweighted. Only the
 encoder/decoder parameters train: `train_compressor` names them alone
 in its `nn.training` scope, so the backbone and head stay constants.
+Frozen after the fit, both halves also take plain arrays: the stream
+encodes and decodes with the conv and relu array kernels, same bytes,
+before and after PQ, whose float order is unchanged (quantizer.py).
 """
 
 from __future__ import annotations
@@ -23,12 +26,12 @@ from .nn import (
     adam_step,
     conv2d,
     mse,
-    no_grad,
     relu,
     softmax_cross_entropy,
     training,
     zero_grads,
 )
+from .nn.ops import conv2d_array, relu_array
 
 
 @dataclass
@@ -64,14 +67,19 @@ def build_compressor(channels: int, latent_channels: int, seed: int) -> Compress
     return CompressorParams(kaiming_params(shapes, np.random.default_rng(seed)))
 
 
-def compress(comp: CompressorParams, z: Tensor) -> Tensor:
-    """Feature map (N, C, H, W) -> latent (N, C', H, W)."""
-    return relu(conv2d(z, comp.params["enc.weight"], comp.params["enc.bias"]))
+def compress(comp: CompressorParams, z):
+    """Feature map (N, C, H, W) -> latent (N, C', H, W); a Tensor on the tape's ops, an array
+    on their array kernels (the frozen encoder of every stream step)."""
+    w, b = comp.params["enc.weight"], comp.params["enc.bias"]
+    if isinstance(z, Tensor):
+        return relu(conv2d(z, w, b))
+    return relu_array(conv2d_array(z, w.data, b.data))
 
 
-def decompress(comp: CompressorParams, u: Tensor) -> Tensor:
-    """Latent (N, C', H, W) -> reconstruction (N, C, H, W)."""
-    return conv2d(u, comp.params["dec.weight"], comp.params["dec.bias"])
+def decompress(comp: CompressorParams, u):
+    """Latent (N, C', H, W) -> reconstruction (N, C, H, W); a Tensor or an array, as `compress`."""
+    w, b = comp.params["dec.weight"], comp.params["dec.bias"]
+    return conv2d(u, w, b) if isinstance(u, Tensor) else conv2d_array(u, w.data, b.data)
 
 
 def compression_loss(
@@ -124,17 +132,16 @@ def train_compressor(
 
     def dataset_mse() -> float:
         total = 0.0
-        with no_grad():
-            for start in range(0, m, batch_size):
-                zb = Tensor(features[start : start + batch_size])
-                zhat = decompress(comp, compress(comp, zb))
-                total += float(mse(zhat, zb).data) * zb.shape[0]
+        for start in range(0, m, batch_size):
+            zb = Tensor(features[start : start + batch_size])
+            zhat = decompress(comp, compress(comp, zb))
+            total += float(mse(zhat, zb).data) * zb.shape[0]
         return total / m
 
     history = [dataset_mse()]
-    with training(comp.params), np.errstate(all="ignore"):  # non-finite values raise below
-        for epoch in range(epochs):
-            order = rng.permutation(m)
+    for epoch in range(epochs):
+        order = rng.permutation(m)
+        with training(comp.params), np.errstate(all="ignore"):  # non-finite values raise below
             for start in range(0, m, batch_size):
                 idx = order[start : start + batch_size]
                 loss, _ = compression_loss(comp, model, Tensor(features[idx]), labels[idx], use_ce)
@@ -142,6 +149,7 @@ def train_compressor(
                 zero_grads(comp.params)
                 loss.backward()
                 adam_step(comp.params, state)
+        with np.errstate(all="ignore"):  # the epoch's MSE, off the tape
             history.append(dataset_mse())
     check_finite("compressor weights", [p.data for p in comp.params.values()], "acae.lr")
     return history

@@ -10,6 +10,11 @@ is decoded alongside it, and a single SGD step updates the head.
 Frozen means no `nn.training` scope names a parameter below the split
 after initialization (`online_step` names the head's alone), which
 `frozen_checksums` audits and `split_features` relies on for evaluation.
+The frozen side (the task-1 latents and codes, `encode_sample`,
+`_decode_codes`, `split_features`) runs on plain arrays, reading the
+state's parameters at every call, with PQ's float order unchanged: the
+same per-coordinate sums, ties to the lowest index. Only the head's
+forward and backward build Tensors.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .datasets import Dataset
 from .errors import ConfigError, ContractError, DataError
 from .metrics import MetricRecord, label_ranks
 from .network import SplitModel, _block_of, build_model, param_shapes, train_offline
-from .nn import OptimState, Tensor, no_grad, sgd_step, softmax_cross_entropy, training, zero_grads
+from .nn import OptimState, Tensor, sgd_step, softmax_cross_entropy, training, zero_grads
 from .quantizer import Codebooks, pq_decode_batch, pq_encode_batch, train_pq
 from .reservoir import Reservoir, insert_with_eviction, sample_batch
 
@@ -41,7 +46,6 @@ __all__ = [
     "state_arrays",
     "blank_state",
     "check_state",
-    "forward_batched",
     "train_first_task",
     "fit_compressor",
     "initialize",
@@ -238,14 +242,6 @@ def check_state(state: EngineState) -> None:
 _FORWARD_BATCH = 32  # beat 16 and 64; at 256 a 16x16 conv patch matrix is 37.7 MB, past L2
 
 
-def forward_batched(fn, images: np.ndarray) -> np.ndarray:
-    """`fn(Tensor)` over `images` in chunks of _FORWARD_BATCH rows, tape off, outputs stacked."""
-    b = _FORWARD_BATCH
-    with no_grad():
-        chunks = [fn(Tensor(images[i : i + b])).data for i in range(0, len(images), b)]
-    return np.concatenate(chunks)
-
-
 _split_entry: list = []  # [images, (net config, backbone digest), features, rows computed]
 
 
@@ -257,14 +253,13 @@ def split_features(state: EngineState, images) -> np.ndarray | None:
         return None  # its bytes could change under the same object
     net, entry, backbone = state.model.config, _split_entry, state.model.forward_backbone
     key = (net, _digest(state.model.backbone_params()))
-    if not (entry and entry[0] is array and entry[1] == key):  # a Tensor's data is float32
+    if not (entry and entry[0] is array and entry[1] == key):  # the forward is float32
         features = np.empty((len(array), net.feature_channels, *net.feature_hw), np.float32)
         entry[:] = [array, key, features, np.zeros(len(array), bool)]
     todo = np.arange(len(array))[sel]
     todo = todo[~entry[3][todo]]  # not np.setdiff1d, whose first call is a 26 ms lazy import
-    with no_grad():  # forward_batched's chunks, written in place: no stacked copy
-        for rows in (todo[i : i + _FORWARD_BATCH] for i in range(0, len(todo), _FORWARD_BATCH)):
-            entry[2][rows], entry[3][rows] = backbone(Tensor(array[rows])).data, True
+    for rows in (todo[i : i + _FORWARD_BATCH] for i in range(0, len(todo), _FORWARD_BATCH)):
+        entry[2][rows], entry[3][rows] = backbone(array[rows]), True  # frozen: array kernels
     out = entry[2][sel]
     out.flags.writeable = False
     return out
@@ -320,11 +315,10 @@ def initialize(task1: Task, cfg: RunConfig) -> EngineState:
                           f"task 1 ({n} samples of a {h}x{w} replay map)")
     reservoir = Reservoir(cfg.reservoir_capacity, (cfg.pq_s, h, w))  # refuses before training
     model = train_first_task(task1, cfg)
-    latents = forward_batched(model.forward_backbone, task1.images)
+    images, b = task1.images, _FORWARD_BATCH  # the backbone is frozen from here on
+    latents = np.concatenate([model.forward_backbone(images[i : i + b]) for i in range(0, n, b)])
     comp = fit_compressor(model, latents, task1.labels, cfg)
-
-    with no_grad():
-        encoded = compress(comp, Tensor(latents)).data
+    encoded = compress(comp, latents)
     books = train_pq(encoded, s=cfg.pq_s, k=cfg.pq_k, iters=cfg.pq_iters, seed=cfg.seed + 2)
     state = EngineState(
         config=cfg,
@@ -355,17 +349,13 @@ def encode_sample(state: EngineState, x: np.ndarray) -> np.ndarray:
     """Image -> backbone feature -> compressed channels -> (s, H, W) byte codes."""
     if x.shape != tuple(state.model.config.in_shape):
         raise DataError(f"expected image shape {state.model.config.in_shape}, got {x.shape}")
-    with no_grad():
-        z = state.model.forward_backbone(Tensor(x[None].astype(np.float32)))
-        u = compress(state.compressor, z).data
+    u = compress(state.compressor, state.model.forward_backbone(x[None]))
     return pq_encode_batch(u, state.books)[0]
 
 
 def _decode_codes(state: EngineState, codes: np.ndarray) -> np.ndarray:
     """Byte codes (M, s, H, W) back to head-ready features (M, C, H, W)."""
-    u = pq_decode_batch(codes, state.books)
-    with no_grad():
-        return decompress(state.compressor, Tensor(u)).data
+    return decompress(state.compressor, pq_decode_batch(codes, state.books))
 
 
 def feature_random_resized_crop(z: np.ndarray, scale: tuple, rng: np.random.Generator) -> np.ndarray:
@@ -466,18 +456,18 @@ def run_stream(state: EngineState, tasks, dataset: Dataset) -> list[MetricRecord
 
 
 def _accuracy(model: SplitModel, images, labels: np.ndarray, features=None) -> dict:
-    """Task-agnostic top-1 and top-5 of `model`, no augmentation; of its head alone on `features`,
-    `images`' split features, if given. Ranked per _FORWARD_BATCH chunk: memory does not grow."""
+    """Task-agnostic top-1 and top-5 of `model`, its backbone on arrays, no augmentation; of its
+    head alone on `features`, `images`' split features, if given. Ranked per _FORWARD_BATCH
+    chunk: memory does not grow."""
     n, b = len(labels), _FORWARD_BATCH
     if n == 0 or len(images) != n:
         raise DataError(f"evaluate needs one label per image, at least one: {len(images)}, {n}")
     forward, x = (model.forward, images) if features is None else (model.forward_head, features)
     top1 = top5 = 0
-    with no_grad():
-        for i in range(0, n, b):
-            ranks = label_ranks(forward(Tensor(x[i : i + b])).data, labels[i : i + b])
-            top1 += int(np.count_nonzero(ranks < 1))
-            top5 += int(np.count_nonzero(ranks < 5))
+    for i in range(0, n, b):
+        ranks = label_ranks(forward(x[i : i + b]).data, labels[i : i + b])
+        top1 += int(np.count_nonzero(ranks < 1))
+        top5 += int(np.count_nonzero(ranks < 5))
     return {"top1": top1 / n, "top5": top5 / n}
 
 

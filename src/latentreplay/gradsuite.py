@@ -27,7 +27,6 @@ from .nn import (
     global_avgpool,
     linear,
     mse,
-    no_grad,
     relu,
     softmax_cross_entropy,
 )
@@ -125,8 +124,7 @@ def compression_loss_check(seed: int) -> CheckResult:
     x = rng.normal(size=(2, *cfg.in_shape)).astype(np.float32)
     labels = rng.integers(0, cfg.num_classes, size=2)
     comp = build_compressor(cfg.feature_channels, 2, seed + 30_000)
-    with no_grad():
-        z = model.forward_backbone(Tensor(x))
+    z = model.forward_backbone(Tensor(x))
 
     names = sorted(comp.params)
     tensors = [comp.params[k] for k in names]

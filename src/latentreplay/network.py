@@ -28,6 +28,7 @@ from .nn import (
     training,
     zero_grads,
 )
+from .nn.ops import avgpool2_array, conv2d_array, relu_array
 
 
 @dataclass(frozen=True)
@@ -93,14 +94,20 @@ class SplitModel:
     def head_params(self) -> dict[str, Tensor]:
         return {k: self.params[k] for k in self.head_names()}
 
-    def _block(self, z: Tensor, idx: int) -> Tensor:
+    def _block(self, z, idx: int):
         p = self.params
-        z = relu(conv2d(z, p[f"block{idx}.conv1.weight"], p[f"block{idx}.conv1.bias"], pad=1))
-        z = relu(conv2d(z, p[f"block{idx}.conv2.weight"], p[f"block{idx}.conv2.bias"], pad=1))
-        return avgpool2(z)
+        for conv in ("conv1", "conv2"):
+            w, b = p[f"block{idx}.{conv}.weight"], p[f"block{idx}.{conv}.bias"]
+            if isinstance(z, Tensor):
+                z = relu(conv2d(z, w, b, pad=1))
+            else:
+                z = relu_array(conv2d_array(z, w.data, b.data, pad=1))
+        return avgpool2(z) if isinstance(z, Tensor) else avgpool2_array(z)
 
-    def forward_backbone(self, x) -> Tensor:
-        z = x if isinstance(x, Tensor) else Tensor(x)
+    def forward_backbone(self, x):
+        """Blocks 1..replay_block of a Tensor on the tape's ops, or of an array, as float32, on
+        their array kernels: the same bytes, with no Tensor made for a frozen backbone."""
+        z = x if isinstance(x, Tensor) else np.asarray(x, dtype=np.float32)
         for b in range(1, self.config.replay_block + 1):
             z = self._block(z, b)
         return z

@@ -10,11 +10,10 @@ from .ops import (
     softmax_cross_entropy,
 )
 from .optim import OptimState, adam_step, sgd_step, zero_grads
-from .tensor import Tensor, no_grad, training
+from .tensor import Tensor, training
 
 __all__ = [
     "Tensor",
-    "no_grad",
     "training",
     "conv2d",
     "relu",

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ops import record_relu_masks
-from .tensor import Tensor, no_grad, training
+from .tensor import Tensor, training
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ def finite_diff_report(
 
     def eval64(arrays, sink: list) -> float:
         ts = [Tensor(a, dtype=np.float64) for a in arrays]
-        with no_grad(), record_relu_masks(sink):
+        with record_relu_masks(sink):
             return float(fn(*ts).data)
 
     base_masks: list = []

@@ -32,13 +32,17 @@ numpy's pool and relu, the float64 bits of the forward and input grad
 of the NCHW-column GEMM, and byte-identical runs under one and two BLAS
 threads and under the OpenBLAS Haswell, Sandybridge and Prescott kernels.
 
-Tape. A conv's backward keeps its input, not its float64 patch matrix
-(18 times as large at K = 3), which glibc mapped and faulted in afresh
-for every batch the tape kept it; the weight grad builds it again (same
-bits) and drops it before the input grad, and a frozen conv builds none.
+Tape. A conv's backward keeps its input and weight, not its float64
+patch matrix (18 times as large at K = 3), which glibc mapped and
+faulted in afresh for every batch the tape kept it, nor its float64
+filter matrix; the weight grad builds the patches again (same bits) and
+drops them before the input grad, and a frozen conv builds none.
+
+Arrays. Each of conv2d, relu and avgpool2 computes its forward with its
+`*_array` kernel, which a frozen layer calls on plain arrays: same bytes.
 
 Float32 GEMMs were measured and turned down. Keeping the padded buffer
-and `wmat` in the tensor's float32 makes forward plus backward 0.35-0.77x
+and the filter matrix in float32 makes forward plus backward 0.35-0.77x
 of the float64 time at ten workload shapes (init + stream through the
 CLI, one BLAS thread: 4.5 -> 3.75 s on paper-default, 7.2 -> 5.5 s on
 deep-head, big-memory flat). But an sgemm rounds each partial sum to
@@ -108,6 +112,16 @@ def _im2col(xp: np.ndarray, kernel: int) -> np.ndarray:
     return patches.reshape(c * kernel * kernel, ho * wo * n)
 
 
+def conv2d_array(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, pad: int = 0) -> np.ndarray:
+    """conv2d's forward on plain NCHW arrays, unchecked; float64 if any input is, else float32."""
+    (n, _, h, w), (o, _, k, _) = x.shape, weight.shape
+    # one dgemm over the batch-last patch columns, built for it; the output goes back to NCHW
+    out = weight.reshape(o, -1).astype(_F64) @ _im2col(_padded(x.transpose(1, 2, 3, 0), pad), k)
+    out += bias.astype(_F64)[:, None]
+    out = out.reshape(o, h + 2 * pad - k + 1, w + 2 * pad - k + 1, n).transpose(3, 0, 1, 2)
+    return out.astype(np.result_type(x, weight, bias), order="C")
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, pad: int = 0) -> Tensor:
     """Stride-1 cross-correlation of an NCHW batch with OIKK filters.
 
@@ -129,23 +143,19 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, pad: int = 0) -> Tensor:
     ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
     if ho < 1 or wo < 1:
         raise ConfigError(f"conv2d output size {ho}x{wo} is not positive")
-
-    # one dgemm per use of the batch-last patch columns, built for it; outputs and grads stay NCHW
-    x_bl = x.data.transpose(1, 2, 3, 0)
-    wmat = weight.data.reshape(o, -1).astype(_F64)
-    out = wmat @ _im2col(_padded(x_bl, pad), k) + bias.data.astype(_F64)[:, None]
-    out = out.reshape(o, ho, wo, n).transpose(3, 0, 1, 2).astype(_out_dtype(x, weight, bias), order="C")
+    out = conv2d_array(x.data, weight.data, bias.data, pad)
 
     def backward(g):
         go = g.astype(_F64)
         go_bl = go.transpose(1, 2, 3, 0).reshape(o, ho * wo * n)
+        x_bl = x.data.transpose(1, 2, 3, 0)
         if weight.requires_grad:
             weight.accumulate_grad((go_bl @ _im2col(_padded(x_bl, pad), k).T).reshape(weight.shape))
         if bias.requires_grad:
             bias.accumulate_grad(go.reshape(n, o, ho * wo).sum(axis=(0, 2)))
         if x.requires_grad:
             # correlate the flipped filters with go padded by K - 1 - pad
-            wflip = wmat.reshape(o, c, k, k)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            wflip = weight.data.astype(_F64)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             go_cols = _im2col(_padded(go_bl.reshape(o, ho, wo, n), k - 1 - pad), k)
             gx = (wflip.reshape(c, -1) @ go_cols).reshape(c, h, w, n).transpose(3, 0, 1, 2)
             x.accumulate_grad(gx.astype(x.data.dtype, order="C"))
@@ -153,20 +163,37 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, pad: int = 0) -> Tensor:
     return Tensor._from_op(out, (x, weight, bias), backward)
 
 
+def _keep(v: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """np.where(mask, v, 0) bit for bit, as an AND of the float bits without a branch."""
+    keep = -mask.astype(f"i{v.itemsize}")
+    return (v.view(keep.dtype) & keep).view(v.dtype)
+
+
+def relu_array(v: np.ndarray) -> np.ndarray:
+    """relu's forward on a plain array."""
+    return _keep(v, v > 0)
+
+
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(0, x); gradient is masked where input <= 0."""
-    mask = x.data > 0
     if _relu_mask_sink is not None:
-        _relu_mask_sink.append(mask)
-    # np.where(mask, v, 0) bit for bit, as an AND of the float bits without a branch
-    keep = -mask.astype(f"i{x.data.itemsize}")
-    out = (x.data.view(keep.dtype) & keep).view(x.data.dtype)
+        _relu_mask_sink.append(x.data > 0)
 
     def backward(g):
         if x.requires_grad:
-            x.accumulate_grad((g.view(keep.dtype) & keep).view(g.dtype))
+            x.accumulate_grad(_keep(g, x.data > 0))
 
-    return Tensor._from_op(out, (x,), backward)
+    return Tensor._from_op(relu_array(x.data), (x,), backward)
+
+
+def avgpool2_array(v: np.ndarray) -> np.ndarray:
+    """avgpool2's forward on a plain NCHW array, unchecked; sums as the module docstring says."""
+    out = np.add(v[:, :, 0::2, 0::2], v[:, :, 0::2, 1::2], dtype=_F64)
+    if v.shape[3] > 2:
+        out += np.add(v[:, :, 1::2, 0::2], v[:, :, 1::2, 1::2], dtype=_F64)
+    else:
+        out = out + v[:, :, 1::2, 0::2] + v[:, :, 1::2, 1::2]
+    return (out * 0.25).astype(v.dtype)
 
 
 def avgpool2(x: Tensor) -> Tensor:
@@ -176,20 +203,13 @@ def avgpool2(x: Tensor) -> Tensor:
     n, c, h, w = x.shape
     if h % 2 != 0 or w % 2 != 0:
         raise ConfigError(f"avgpool2 needs even spatial dims, got {h}x{w}")
-    v = x.data  # float64 sums in numpy's mean order (module docstring)
-    out = np.add(v[:, :, 0::2, 0::2], v[:, :, 0::2, 1::2], dtype=_F64)
-    if w > 2:
-        out += np.add(v[:, :, 1::2, 0::2], v[:, :, 1::2, 1::2], dtype=_F64)
-    else:
-        out = out + v[:, :, 1::2, 0::2] + v[:, :, 1::2, 1::2]
-    out = (out * 0.25).astype(_out_dtype(x))
 
     def backward(g):
         if x.requires_grad:
             gx = np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) * 0.25
             x.accumulate_grad(gx)
 
-    return Tensor._from_op(out, (x,), backward)
+    return Tensor._from_op(avgpool2_array(x.data), (x,), backward)
 
 
 def global_avgpool(x: Tensor) -> Tensor:

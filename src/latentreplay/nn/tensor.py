@@ -15,10 +15,14 @@ every op preserves it; only the finite-difference checker uses this, so
 its central differences are not swamped by float32 rounding. Production
 code never constructs float64 tensors.
 
-``training(params)`` lets the named tensors take gradients inside its
-block and clears their flags on exit, even by exception: every loop
-that takes gradients names what it trains, and outside such a block
-every parameter is a constant. ``no_grad()`` records no tape at all.
+``training(params)`` is the one switch for the tape: it lets the named
+tensors take gradients inside its block and clears their flags on exit,
+even by exception. Every loop that takes gradients names what it
+trains; outside such a block every parameter is a constant and no op
+records a tape node. What never trains (a frozen backbone, the
+compressor after its fit) runs on plain arrays instead, through the
+array kernels the ops call (``conv2d_array``, ``relu_array``,
+``avgpool2_array``), and builds no Tensor at all.
 
 Op outputs are not checked for NaN/Inf. The guards sit where values
 enter or settle: ``datasets.Dataset.check`` refuses a non-finite pixel,
@@ -38,20 +42,6 @@ from contextlib import contextmanager
 import numpy as np
 
 from ..errors import ShapeError
-
-_grad_enabled = True
-
-
-@contextmanager
-def no_grad():
-    """Disable tape construction inside the block (inference mode)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
 
 
 @contextmanager
@@ -90,7 +80,7 @@ class Tensor:
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
-        if _grad_enabled and any(p.requires_grad for p in parents):
+        if any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
             out._backward_fn = backward_fn

@@ -8,7 +8,9 @@ the per-iteration objective assertion is not disturbed by rounding; the
 finished centroids are cast to float32.
 
 Float order. Nothing here goes through BLAS. A squared distance is
-summed one coordinate at a time into a (block, k) buffer, which is the
+summed one coordinate at a time into a (block, s, k) buffer, every
+subspace in one pass (k-means has s = 1), and the argmin takes the
+lowest index: the sums and ties of one subspace at a time, in the
 order numpy's own last-axis sum uses below eight terms (its pairwise
 sum is sequential there); every shipped workload has d' of 1 or 2. For
 d' >= 8 the order may differ from numpy's, but an exact centroid is at
@@ -82,27 +84,28 @@ def _kmeans_plus_plus(vectors: np.ndarray, k: int, rng: np.random.Generator) -> 
 _ASSIGN_ROWS = 256
 
 
-def _assign(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Nearest centroid per vector; ties go to the lowest index.
+def _assign(vectors: np.ndarray, centroids: np.ndarray, dtype=np.intp) -> np.ndarray:
+    """(n, s, d) vectors, (s, k, d) centroids -> (n, s) index, as `dtype`, of the nearest
+    centroid of each vector in its subspace; ties go to the lowest index.
 
-    Runs over blocks of _ASSIGN_ROWS vectors so the distance buffer
-    stays in cache; blocking does not change any sum.
+    Runs over blocks of _ASSIGN_ROWS // s vectors, so the (rows, s, k) distance buffer is no
+    larger than _ASSIGN_ROWS x k and stays in cache; blocking does not change any sum.
     """
-    n, d = vectors.shape
-    out = np.empty(n, dtype=np.intp)
-    shape = (min(n, _ASSIGN_ROWS), centroids.shape[0])
-    d2 = np.empty(shape, dtype=np.result_type(vectors, centroids))
+    n, s, d = vectors.shape
+    out = np.empty((n, s), dtype=dtype)
+    rows = max(_ASSIGN_ROWS // s, 1)
+    d2 = np.empty((min(n, rows), s, centroids.shape[1]), dtype=np.result_type(vectors, centroids))
     diff = np.empty_like(d2)
-    for start in range(0, n, _ASSIGN_ROWS):
-        block = vectors[start : start + _ASSIGN_ROWS]
+    for start in range(0, n, rows):
+        block = vectors[start : start + rows]
         acc, tmp = d2[: len(block)], diff[: len(block)]
-        np.subtract(block[:, 0, None], centroids[None, :, 0], out=acc)
+        np.subtract(block[:, :, 0, None], centroids[None, :, :, 0], out=acc)
         acc *= acc
         for j in range(1, d):
-            np.subtract(block[:, j, None], centroids[None, :, j], out=tmp)
+            np.subtract(block[:, :, j, None], centroids[None, :, :, j], out=tmp)
             tmp *= tmp
             acc += tmp
-        out[start : start + len(block)] = acc.argmin(axis=1)
+        out[start : start + len(block)] = acc.argmin(axis=2)
     return out
 
 
@@ -120,7 +123,7 @@ def kmeans_fit(
     if n < k:
         raise DataError(f"k-means needs at least k={k} vectors, got {n}")
     centroids = _kmeans_plus_plus(vectors, k, rng)
-    assign = _assign(vectors, centroids)
+    assign = _assign(vectors[:, None], centroids[None])[:, 0]
     objective = ((vectors - centroids[assign]) ** 2).sum()
     previous = None  # the state the previous iteration began with
     for it in range(iters):
@@ -139,7 +142,7 @@ def kmeans_fit(
                 centroids[c] = vectors[far]
                 robbed.add(int(assign[far]))
                 assign[far] = c
-        new_assign = _assign(vectors, centroids)
+        new_assign = _assign(vectors[:, None], centroids[None])[:, 0]
         new_objective = ((vectors - centroids[new_assign]) ** 2).sum()
         assert new_objective <= objective + 1e-9, "k-means objective increased"
         if np.array_equal(new_assign, assign):
@@ -190,35 +193,26 @@ def train_pq(
 
 
 def pq_encode_batch(latents: np.ndarray, books: Codebooks) -> np.ndarray:
-    """(N, C', H, W) latents -> (N, s, H, W) uint8 codes."""
+    """(N, C', H, W) latents -> (N, s, H, W) uint8 codes, every subspace in one `_assign` pass."""
     if latents.ndim != 4 or latents.shape[1] != books.latent_channels:
         raise ShapeError(
             f"latents shape {latents.shape} does not match C'={books.latent_channels}"
         )
     n, _, h, w = latents.shape
-    vectors = _positions(latents).astype(np.float32)
-    codes = np.empty((books.s, n * h * w), dtype=np.uint8)
-    for i in range(books.s):
-        sub = vectors[:, i * books.subdim : (i + 1) * books.subdim]
-        codes[i] = _assign(sub, books.centroids[i]).astype(np.uint8)
-    return codes.reshape(books.s, n, h, w).transpose(1, 0, 2, 3)
+    vectors = _positions(latents).astype(np.float32).reshape(n * h * w, books.s, books.subdim)
+    codes = _assign(vectors, books.centroids, np.uint8)
+    return codes.reshape(n, h, w, books.s).transpose(0, 3, 1, 2)
 
 
 def pq_decode_batch(codes: np.ndarray, books: Codebooks) -> np.ndarray:
-    """(N, s, H, W) codes -> (N, C', H, W) float32 centroid lookups."""
+    """(N, s, H, W) codes -> (N, C', H, W) float32 centroid lookups, all subspaces in one gather."""
     if codes.ndim != 4 or codes.shape[1] != books.s:
         raise ShapeError(f"codes shape {codes.shape} does not match s={books.s}")
     if codes.size and codes.max() >= books.k:
         raise DataError(f"code {int(codes.max())} out of range for k={books.k}")
     n, s, h, w = codes.shape
-    out = np.empty((n, books.latent_channels, h, w), dtype=np.float32)
-    flat = codes.transpose(1, 0, 2, 3).reshape(s, n * h * w)
-    for i in range(s):
-        sub = books.centroids[i][flat[i]]  # (N*H*W, d')
-        out[:, i * books.subdim : (i + 1) * books.subdim] = sub.T.reshape(
-            books.subdim, n, h, w
-        ).transpose(1, 0, 2, 3)
-    return out
+    sub = books.centroids[np.arange(s)[:, None, None], codes]  # (N, s, H, W, d')
+    return np.ascontiguousarray(sub.transpose(0, 1, 4, 2, 3)).reshape(n, -1, h, w)
 
 
 def reconstruction_mse(latents: np.ndarray, books: Codebooks) -> float:

@@ -20,7 +20,6 @@ from latentreplay.datasets import load_dataset
 from latentreplay.engine import (
     build_task_stream,
     fit_compressor,
-    forward_batched,
     frozen_backbone_study,
     frozen_checksums,
     initialize,
@@ -29,12 +28,19 @@ from latentreplay.engine import (
 )
 from latentreplay.gradsuite import run_suite
 from latentreplay.metrics import aoc, boundary_top1, label_ranks
-from latentreplay.nn import Tensor, no_grad
+from latentreplay.nn import Tensor
 from latentreplay.quantizer import pq_decode_batch, pq_encode_batch, reconstruction_mse, train_pq
 from latentreplay.reporting import BUDGET_TABLE, budget_line
 from latentreplay.reservoir import memory_bytes
 
 SEEDS = range(5)
+
+
+def tensor_forward(fn, images, rows: int = 32):
+    """`fn` on Tensors of `rows`-row chunks of `images`, outputs stacked: the tape's forward,
+    which the array kernels of a frozen backbone or compressor must match byte for byte."""
+    return np.concatenate([fn(Tensor(images[i : i + rows])).data
+                           for i in range(0, len(images), rows)])
 
 # wall-clock cost of each session fixture, for the shared budget check
 _ELAPSED: dict = {}
@@ -210,16 +216,15 @@ def _compressed_head_accuracies(seed: int) -> dict:
     dataset = load_dataset(cfg)
     first = build_task_stream(dataset, cfg).tasks[0]
     model = train_first_task(first, cfg)
-    latents = forward_batched(model.forward_backbone, first.images)
+    latents = tensor_forward(model.forward_backbone, first.images)
     mask = np.isin(dataset.test_labels, first.classes)
-    test_latents = forward_batched(model.forward_backbone, dataset.test_images[mask])
+    test_latents = tensor_forward(model.forward_backbone, dataset.test_images[mask])
 
     accs = {}
     for use_ce in (True, False):
         comp = fit_compressor(model, latents, first.labels, replace(cfg, acae_use_ce=use_ce))
-        with no_grad():
-            recon = decompress(comp, compress(comp, Tensor(test_latents)))
-            logits = model.forward_head(recon).data
+        recon = decompress(comp, compress(comp, Tensor(test_latents)))
+        logits = model.forward_head(recon).data
         ranks = label_ranks(logits, dataset.test_labels[mask])
         accs[use_ce] = int(np.count_nonzero(ranks < 1)) / len(ranks)
     return accs

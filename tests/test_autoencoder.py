@@ -15,7 +15,7 @@ from latentreplay.autoencoder import (
 )
 from latentreplay.errors import ConfigError, ContractError, DataError
 from latentreplay.network import NetConfig, build_model, train_offline
-from latentreplay.nn import Tensor, no_grad, training
+from latentreplay.nn import Tensor, training
 
 
 def param_digest(params) -> str:
@@ -78,23 +78,20 @@ class TestLoss:
         model = small_model()
         comp = identity_compressor(8)
         rng = np.random.default_rng(0)
-        with no_grad():
-            z = model.forward_backbone(rng.normal(size=(4, 1, 16, 16)).astype(np.float32))
+        z = model.forward_backbone(Tensor(rng.normal(size=(4, 1, 16, 16)).astype(np.float32)))
         labels = np.array([0, 1, 2, 3])
         loss, zhat = compression_loss(comp, model, z, labels, use_ce=True)
         assert np.allclose(zhat.data, z.data, atol=1e-6)
-        with no_grad():
-            from latentreplay.nn import softmax_cross_entropy
+        from latentreplay.nn import softmax_cross_entropy
 
-            ce_only = softmax_cross_entropy(model.forward_head(z), labels)
+        ce_only = softmax_cross_entropy(model.forward_head(z), labels)
         assert abs(float(loss.data) - float(ce_only.data)) < 1e-5
 
     def test_use_ce_off_is_plain_mse(self):
         model = small_model()
         comp = build_compressor(8, 2, seed=3)
         rng = np.random.default_rng(1)
-        with no_grad():
-            z = model.forward_backbone(rng.normal(size=(3, 1, 16, 16)).astype(np.float32))
+        z = model.forward_backbone(Tensor(rng.normal(size=(3, 1, 16, 16)).astype(np.float32)))
         loss, zhat = compression_loss(comp, model, z, np.array([0, 1, 2]), use_ce=False)
         diff = zhat.data.astype(np.float64) - z.data.astype(np.float64)
         assert abs(float(loss.data) - (diff * diff).mean()) < 1e-9
@@ -103,8 +100,7 @@ class TestLoss:
         model = small_model()
         comp = build_compressor(8, 2, seed=3)
         rng = np.random.default_rng(1)
-        with no_grad():
-            z = model.forward_backbone(rng.normal(size=(3, 1, 16, 16)).astype(np.float32))
+        z = model.forward_backbone(Tensor(rng.normal(size=(3, 1, 16, 16)).astype(np.float32)))
         a, _ = compression_loss(comp, model, z, np.array([0, 1, 2]), use_ce=False)
         b, _ = compression_loss(comp, model, z, np.array([3, 3, 3]), use_ce=False)
         assert float(a.data) == float(b.data)
@@ -130,8 +126,7 @@ class TestTraining:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, 1, 16, 16)).astype(np.float32)
         y = rng.integers(0, 4, size=n)
-        with no_grad():
-            z = model.forward_backbone(Tensor(x)).data
+        z = model.forward_backbone(Tensor(x)).data
         return z, y
 
     def test_frozen_halves_unchanged(self):
@@ -185,8 +180,7 @@ class TestTraining:
             )
             y = np.repeat(np.arange(4), 40)
             train_offline(model, x, y, epochs=3, lr=0.05, augment=False, rng=np.random.default_rng(seed))
-            with no_grad():
-                z = model.forward_backbone(Tensor(x)).data
+            z = model.forward_backbone(Tensor(x)).data
 
             accs = {}
             for use_ce in (True, False):
@@ -195,9 +189,8 @@ class TestTraining:
                     comp, model, z, y, epochs=6, lr=1e-3, use_ce=use_ce,
                     rng=np.random.default_rng(seed + 200),
                 )
-                with no_grad():
-                    zhat = decompress(comp, compress(comp, Tensor(z)))
-                    pred = model.forward_head(zhat).data.argmax(axis=1)
+                zhat = decompress(comp, compress(comp, Tensor(z)))
+                pred = model.forward_head(zhat).data.argmax(axis=1)
                 accs[use_ce] = (pred == y).mean()
             if accs[True] >= accs[False]:
                 wins += 1

@@ -20,7 +20,6 @@ from latentreplay.engine import (
     evaluate,
     feature_random_resized_crop,
     fit_compressor,
-    forward_batched,
     frozen_backbone_study,
     frozen_checksums,
     initialize,
@@ -33,8 +32,9 @@ from latentreplay.engine import (
 from latentreplay.errors import ConfigError, ContractError, DataError
 from latentreplay.metrics import MetricRecord, label_ranks
 from latentreplay.network import SplitModel, build_model, train_offline
-from latentreplay.nn import Tensor, no_grad, softmax_cross_entropy, training, zero_grads
+from latentreplay.nn import Tensor, softmax_cross_entropy, training, zero_grads
 from latentreplay.quantizer import pq_decode_batch, pq_encode_batch
+from test_acceptance import tensor_forward
 
 
 def micro_config(**overrides):
@@ -229,23 +229,19 @@ class TestInitialize:
         cfg, ds, stream, state = micro_run
         mask = np.isin(ds.test_labels, stream.tasks[0].classes)
         xt, yt = ds.test_images[mask], ds.test_labels[mask]
-        z = forward_batched(state.model.forward_backbone, xt)
-        with no_grad():
-            raw = state.model.forward_head(Tensor(z)).data
+        z = tensor_forward(state.model.forward_backbone, xt)
+        raw = state.model.forward_head(Tensor(z)).data
         zhat = decode_batch(state, z)
-        with no_grad():
-            dec = state.model.forward_head(Tensor(zhat)).data
+        dec = state.model.forward_head(Tensor(zhat)).data
         raw_acc = np.count_nonzero(label_ranks(raw, yt) < 1) / len(yt)
         dec_acc = np.count_nonzero(label_ranks(dec, yt) < 1) / len(yt)
         assert dec_acc >= raw_acc - 0.05
 
 
 def decode_batch(state, z):
-    with no_grad():
-        u = compress(state.compressor, Tensor(z)).data
+    u = compress(state.compressor, Tensor(z)).data
     codes = pq_encode_batch(u, state.books)
-    with no_grad():
-        return decompress(state.compressor, Tensor(pq_decode_batch(codes, state.books))).data
+    return decompress(state.compressor, Tensor(pq_decode_batch(codes, state.books))).data
 
 
 class TestEncodeDecode:
@@ -253,9 +249,8 @@ class TestEncodeDecode:
         cfg, ds, stream, state = micro_run
         x = ds.test_images[0]
         codes = encode_sample(state, x)
-        with no_grad():
-            z = state.model.forward_backbone(Tensor(x[None]))
-            u = compress(state.compressor, z).data
+        z = state.model.forward_backbone(Tensor(x[None]))
+        u = compress(state.compressor, z).data
         expected = pq_encode_batch(u, state.books)[0]
         assert np.array_equal(codes, expected)
 
@@ -264,8 +259,7 @@ class TestEncodeDecode:
         codes = encode_sample(state, ds.test_images[1])
         zhat = _decode_codes(state, codes[None])
         u = pq_decode_batch(codes[None], state.books)
-        with no_grad():
-            expected = decompress(state.compressor, Tensor(u)).data
+        expected = decompress(state.compressor, Tensor(u)).data
         assert np.array_equal(zhat, expected)
 
     def test_encode_is_pure(self, micro_run):
@@ -416,7 +410,7 @@ class TestOnlineStep:
         x, y = task2.images[0], int(task2.labels[0])
 
         before = {k: p.data.copy() for k, p in state.model.head_params().items()}
-        zhat = decode_batch(state, forward_batched(state.model.forward_backbone, x[None]))
+        zhat = decode_batch(state, tensor_forward(state.model.forward_backbone, x[None]))
         lr = np.float32(state.optim.lr)
 
         online_step(state, x, y)
@@ -584,7 +578,7 @@ class TestSplitFeatures:
 
         def logged_backbone(model, x):
             if inside:
-                log[-1] += len(x.data)
+                log[-1] += len(x)
             return backbone(model, x)
 
         monkeypatch.setattr(engine, "split_features", logged_split)
@@ -598,7 +592,7 @@ class TestSplitFeatures:
         again = engine.split_features(state, ds.test_images)
         assert again.tobytes() == first.tobytes() and np.shares_memory(again, first)
         assert not first.flags.writeable and not again.flags.writeable and log == [n, 0]
-        assert first.tobytes() == forward_batched(state.model.forward_backbone,
+        assert first.tobytes() == tensor_forward(state.model.forward_backbone,
                                                   ds.test_images).tobytes()
         assert evaluate(state, ds.test_images, ds.test_labels) == engine._accuracy(
             state.model, ds.test_images, ds.test_labels)
@@ -611,7 +605,7 @@ class TestSplitFeatures:
             images = engine._Rows(ds.test_images, rows)
             assert evaluate(state, images, ds.test_labels[rows]) == engine._accuracy(
                 state.model, ds.test_images[rows], ds.test_labels[rows])
-            assert engine.split_features(state, images).tobytes() == forward_batched(
+            assert engine.split_features(state, images).tobytes() == tensor_forward(
                 state.model.forward_backbone, ds.test_images[rows]).tobytes()
             new = set(rows.tolist()) - done
             fresh_rows += [len(new), 0]
@@ -630,7 +624,7 @@ class TestSplitFeatures:
             assert engine._split_entry[0] is ds.test_images
         assert log == [len(copied), 0, 0, 0]
         rows, real = [], state.model.forward_backbone
-        state.model.forward_backbone = lambda x: rows.append(len(x.data)) or real(x)
+        state.model.forward_backbone = lambda x: rows.append(len(x)) or real(x)
         assert evaluate(state, copied, ds.test_labels) == engine._accuracy(
             state.model, copied, ds.test_labels, kept)
         assert sum(rows) == len(copied) and max(rows) == 32  # chunks, never the whole input
@@ -641,7 +635,7 @@ class TestSplitFeatures:
         next(iter(state.model.backbone_params().values())).data.flat[0] += 1
         after = engine.split_features(state, ds.test_images)
         assert log == [len(ds.test_labels)] * 2 and after.tobytes() != before.tobytes()
-        assert after.tobytes() == forward_batched(state.model.forward_backbone,
+        assert after.tobytes() == tensor_forward(state.model.forward_backbone,
                                                   ds.test_images).tobytes()
         assert evaluate(state, ds.test_images, ds.test_labels) == engine._accuracy(
             state.model, ds.test_images, ds.test_labels)
@@ -667,10 +661,10 @@ class TestSplitFeatures:
                                           expected["top5"], True)
             assert record == seen_class_record(ds, state)
             features = engine.split_features(state, ds.test_images)[mask]
-            assert features.tobytes() == forward_batched(state.model.forward_backbone,
+            assert features.tobytes() == tensor_forward(state.model.forward_backbone,
                                                          masked).tobytes()
-            assert forward_batched(state.model.forward_head, features).tobytes() == \
-                forward_batched(state.model.forward, masked).tobytes()
+            assert tensor_forward(state.model.forward_head, features).tobytes() == \
+                tensor_forward(state.model.forward, masked).tobytes()
 
 
 class TestBlankState:
@@ -738,7 +732,7 @@ class TestTrainingScope:
             train_offline(model, task1.images[:8], task1.labels[:8], epochs=1, lr=0.01,
                           rng=np.random.default_rng(0), trainable=trainable)
             assert [k for k, p in model.params.items() if p.requires_grad] == []
-        latents = forward_batched(model.forward_backbone, task1.images[:8])
+        latents = tensor_forward(model.forward_backbone, task1.images[:8])
         comp = fit_compressor(model, latents, task1.labels[:8], replace(cfg, acae_epochs=1))
         params = [*model.params.values(), *comp.params.values()]
         assert not any(p.requires_grad for p in params)
@@ -765,7 +759,7 @@ class TestFrozenBackboneStudy:
             momentum=0.9, batch_size=16, augment=True, rng=rng,
             trainable=list(model.params),
         )
-        logits = forward_batched(model.forward, ds.test_images)
+        logits = tensor_forward(model.forward, ds.test_images)
         joint = np.count_nonzero(label_ranks(logits, ds.test_labels) < 1) / len(ds.test_labels)
         assert study[0] == joint
 

@@ -9,6 +9,7 @@ check that a run does not depend on the BLAS thread count or on the
 OpenBLAS kernel, now that both conv gradients go through BLAS.
 """
 
+import importlib.util
 import os
 import platform
 import subprocess
@@ -23,13 +24,14 @@ from hypothesis import strategies as st
 
 import latentreplay
 from latentreplay import datasets, engine, quantizer
+from latentreplay.autoencoder import build_compressor, compress, decompress
 from latentreplay.config import parse_config
 from latentreplay.datasets import gen_synthetic, load_cifar_bin, load_dataset, load_idx
-from latentreplay.engine import feature_random_resized_crop, forward_batched
+from latentreplay.engine import feature_random_resized_crop
 from latentreplay.network import build_model
 from latentreplay.nn import Tensor, avgpool2, conv2d, relu
 from latentreplay.quantizer import Codebooks, kmeans_fit, pq_decode_batch, pq_encode_batch
-from test_acceptance import TINY_CONFIG
+from test_acceptance import TINY_CONFIG, tensor_forward
 from test_config_io import idx_bytes
 
 
@@ -265,15 +267,60 @@ def test_relu_matches_where(dtype):
 
 
 @pytest.mark.parametrize("batch", [1, engine._FORWARD_BATCH, 256])
-def test_forward_batched_logits_do_not_depend_on_the_chunk(batch, monkeypatch):
+def test_forward_logits_do_not_depend_on_the_chunk(batch):
+    # the backbone on arrays in chunks of `batch` rows, against the tape's forward in 300
     cfg = parse_config(
         "net.replay_block = 1\nacae.latent_channels = 4\npq.s = 4\ndataset.test_per_class = 100\n"
     )
     model = build_model(cfg.net_config(), cfg.seed)
     images = load_dataset(cfg).test_images[:600]
     want = np.concatenate([model.forward(Tensor(images[i : i + 300])).data for i in (0, 300)])
-    monkeypatch.setattr(engine, "_FORWARD_BATCH", batch)
-    assert forward_batched(model.forward, images).tobytes() == want.tobytes()
+    got = np.concatenate([model.forward(images[i : i + batch]).data for i in range(0, 600, batch)])
+    assert got.tobytes() == want.tobytes()
+
+
+# ------------------------------------------------------ frozen side on arrays
+
+_BENCH_PAIR = Path(__file__).resolve().parent.parent / "tools" / "bench_pair.py"
+
+
+def _frozen_configs() -> dict:
+    """The config of each perfbench workload (its WORKLOADS table, parsed as tools/bench_pair.py
+    reads it) and of the tiny CLI run."""
+    spec = importlib.util.spec_from_file_location("bench_pair", _BENCH_PAIR)
+    bench_pair = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pair)
+    names = ("paper-default", "deep-head", "big-memory", "tiny")
+    return {"cli-tiny": parse_config(TINY_CONFIG),
+            **{name: parse_config(bench_pair.workload_text(name, 0)) for name in names}}
+
+
+@pytest.mark.parametrize("name", ["paper-default", "deep-head", "big-memory", "tiny", "cli-tiny"])
+def test_frozen_array_path_is_the_tape_forward_byte_for_byte(name):
+    # every batch a frozen pass runs: 1 to encode a stream sample, 1..32 for the task-1 latents
+    # and split features in 32-row chunks (any seen-class count leaves some short last chunk),
+    # all of task 1 for its codes, rehearsal_n + 1 to decode the rehearsal batch
+    cfg = _frozen_configs()[name]
+    net = cfg.net_config()
+    model = build_model(net, cfg.seed)
+    comp = build_compressor(net.feature_channels, cfg.acae_latent_channels, cfg.seed + 1)
+    rng = np.random.default_rng(cfg.seed)
+    task1 = cfg.split_first_classes * cfg.dataset_per_class
+    images = rng.random((task1, *net.in_shape), dtype=np.float32)
+    for n in range(1, engine._FORWARD_BATCH + 1):
+        assert model.forward_backbone(images[:n]).tobytes() == \
+            model.forward_backbone(Tensor(images[:n])).data.tobytes(), n
+    latents = np.concatenate([model.forward_backbone(images[i : i + engine._FORWARD_BATCH])
+                              for i in range(0, task1, engine._FORWARD_BATCH)])
+    assert latents.tobytes() == tensor_forward(model.forward_backbone, images).tobytes()
+    for n in (1, task1):
+        assert compress(comp, latents[:n]).tobytes() == \
+            compress(comp, Tensor(latents[:n])).data.tobytes(), n
+    s, k = cfg.pq_s, cfg.pq_k
+    books = Codebooks(rng.normal(size=(s, k, cfg.acae_latent_channels // s)).astype(np.float32))
+    codes = rng.integers(0, k, size=(cfg.online_rehearsal_n + 1, s, *net.feature_hw))
+    u = pq_decode_batch(codes.astype(np.uint8), books)
+    assert decompress(comp, u).tobytes() == decompress(comp, Tensor(u)).data.tobytes()
 
 
 # ------------------------------------------------------------------- k-means
@@ -311,7 +358,7 @@ def _kmeans_fit_without_exit(vectors, k, iters, rng):
     """kmeans_fit without its fixed-point exit: it stops only when an assignment repeats."""
     vectors = np.asarray(vectors, dtype=np.float64)
     centroids = quantizer._kmeans_plus_plus(vectors, k, rng)
-    assign = quantizer._assign(vectors, centroids)
+    assign = quantizer._assign(vectors[:, None], centroids[None])[:, 0]
     for _ in range(iters):
         grouped = vectors[np.argsort(assign, kind="stable")]
         ends = np.concatenate([[0], np.cumsum(np.bincount(assign, minlength=k))])
@@ -326,7 +373,7 @@ def _kmeans_fit_without_exit(vectors, k, iters, rng):
                 centroids[c] = vectors[far]
                 robbed.add(int(assign[far]))
                 assign[far] = c
-        new_assign = quantizer._assign(vectors, centroids)
+        new_assign = quantizer._assign(vectors[:, None], centroids[None])[:, 0]
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
@@ -347,8 +394,9 @@ def test_assign_matches_broadcast(d, dtype, seed):
     rng = np.random.default_rng(seed)
     vectors = _tied_set(rng, 700, d, dtype)
     centroids = np.concatenate([vectors[:20], vectors[:5]])  # duplicated centroids tie
-    got = quantizer._assign(vectors, centroids)
-    assert np.array_equal(got, _broadcast_assign(vectors, centroids))
+    got = quantizer._assign(vectors[:, None], centroids[None])
+    assert got.shape == (700, 1)
+    assert np.array_equal(got[:, 0], _broadcast_assign(vectors, centroids))
 
 
 @pytest.mark.parametrize("d", [1, 2])

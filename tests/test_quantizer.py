@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from latentreplay import quantizer
 from latentreplay.errors import ConfigError, DataError, ShapeError
 from latentreplay.quantizer import (
     Codebooks,
@@ -99,6 +100,59 @@ class TestTrainPq:
             train_pq(latents, s=1, k=257, iters=1)
 
 
+def per_subspace_encode(latents: np.ndarray, books: Codebooks) -> np.ndarray:
+    """The per-subspace loop that one-pass encoding replaced: subspace i's (positions, k)
+    float32 squared distances, summed one coordinate at a time, ties to the lowest index."""
+    n, c, h, w = latents.shape
+    vectors, d = latents.transpose(0, 2, 3, 1).reshape(-1, c).astype(np.float32), books.subdim
+    codes = np.empty((books.s, len(vectors)), dtype=np.uint8)
+    for i, cents in enumerate(books.centroids):
+        sub = vectors[:, i * d : (i + 1) * d]
+        d2 = (sub[:, 0, None] - cents[None, :, 0]) ** 2
+        for j in range(1, d):
+            d2 = d2 + (sub[:, j, None] - cents[None, :, j]) ** 2
+        codes[i] = d2.argmin(axis=1)
+    return codes.reshape(books.s, n, h, w).transpose(1, 0, 2, 3)
+
+
+def per_subspace_decode(codes: np.ndarray, books: Codebooks) -> np.ndarray:
+    """The per-subspace lookup loop that one gather replaced."""
+    n, s, h, w = codes.shape
+    out, d = np.empty((n, books.latent_channels, h, w), dtype=np.float32), books.subdim
+    for i, cents in enumerate(books.centroids):
+        out[:, i * d : (i + 1) * d] = cents[codes[:, i]].transpose(0, 3, 1, 2)
+    return out
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("subdim", [1, 2])
+    @pytest.mark.parametrize("s", [1, 3, 4])
+    def test_one_pass_matches_the_per_subspace_loop_with_ties_across_blocks(self, s, subdim):
+        # values on a 1/2 grid, duplicated centroids and latents halfway between two centroids
+        # give exact distance ties; 13 x 5 x 5 = 325 positions cross a block boundary at
+        # _ASSIGN_ROWS // s rows for every s here
+        rng = np.random.default_rng(10 * s + subdim)
+        cents = rng.integers(-4, 5, size=(s, 16, subdim)).astype(np.float32) / 2
+        cents[:, 9] = cents[:, 2]
+        books = Codebooks(cents)
+        latents = rng.integers(-9, 10, size=(13, s * subdim, 5, 5)).astype(np.float32) / 4
+        positions = 13 * 5 * 5
+        rows = quantizer._ASSIGN_ROWS // s
+        assert positions > rows and positions % rows
+        codes = pq_encode_batch(latents, books)
+        assert codes.dtype == np.uint8 and codes.shape == (13, s, 5, 5)
+        assert np.array_equal(codes, per_subspace_encode(latents, books))
+        vectors = latents.transpose(0, 2, 3, 1).reshape(positions, s, subdim)
+        d2 = ((vectors[:, :, None] - cents[None]) ** 2).sum(axis=3)
+        ties = (d2 == d2.min(axis=2, keepdims=True)).sum(axis=2) > 1
+        assert ties.sum() > 20, "the set was meant to force exact ties"
+        decoded = pq_decode_batch(codes, books)
+        assert decoded.dtype == np.float32 and decoded.flags.c_contiguous
+        assert decoded.tobytes() == per_subspace_decode(codes, books).tobytes()
+        again = pq_decode_batch(pq_encode_batch(decoded, books), books)
+        assert again.tobytes() == decoded.tobytes()
+
+
 class TestEncodeDecode:
     def _books(self):
         centroids = np.array(
@@ -160,6 +214,12 @@ class TestEncodeDecode:
         codes = np.full((2, 2, 2), 3, dtype=np.uint8)
         with pytest.raises(DataError):
             pq_decode_batch(codes[None], books)
+        # k in the first subspace, which one gather over the s*k table would read as row 0 of
+        # the second subspace's codebook
+        codes = np.zeros((1, 2, 1, 1), dtype=np.uint8)
+        codes[0, 0] = books.k
+        with pytest.raises(DataError, match="code 3 out of range for k=3"):
+            pq_decode_batch(codes, books)
 
     def test_encode_rejects_wrong_channel_count(self):
         books = self._books()
