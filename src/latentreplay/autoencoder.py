@@ -7,8 +7,8 @@ plus (optionally) the cross-entropy of the frozen classifier head run on
 the reconstruction, the two terms summed unweighted. Only the
 encoder/decoder parameters train: `train_compressor` names them alone
 in its `nn.training` scope, so the backbone and head stay constants.
-Frozen after the fit, both halves also take plain arrays: the stream
-encodes and decodes with the conv and relu array kernels, same bytes,
+Frozen after the fit, both halves also take plain arrays and return
+them, same bytes, no Tensor: the stream encodes and decodes that way
 before and after PQ, whose float order is unchanged (quantizer.py).
 """
 
@@ -31,7 +31,6 @@ from .nn import (
     training,
     zero_grads,
 )
-from .nn.ops import conv2d_array, relu_array
 
 
 @dataclass
@@ -68,18 +67,14 @@ def build_compressor(channels: int, latent_channels: int, seed: int) -> Compress
 
 
 def compress(comp: CompressorParams, z):
-    """Feature map (N, C, H, W) -> latent (N, C', H, W); a Tensor on the tape's ops, an array
-    on their array kernels (the frozen encoder of every stream step)."""
-    w, b = comp.params["enc.weight"], comp.params["enc.bias"]
-    if isinstance(z, Tensor):
-        return relu(conv2d(z, w, b))
-    return relu_array(conv2d_array(z, w.data, b.data))
+    """Feature map (N, C, H, W) -> latent (N, C', H, W); a Tensor gives a Tensor, an array an
+    array (the frozen encoder of every stream step)."""
+    return relu(conv2d(z, comp.params["enc.weight"], comp.params["enc.bias"]))
 
 
 def decompress(comp: CompressorParams, u):
     """Latent (N, C', H, W) -> reconstruction (N, C, H, W); a Tensor or an array, as `compress`."""
-    w, b = comp.params["dec.weight"], comp.params["dec.bias"]
-    return conv2d(u, w, b) if isinstance(u, Tensor) else conv2d_array(u, w.data, b.data)
+    return conv2d(u, comp.params["dec.weight"], comp.params["dec.bias"])
 
 
 def compression_loss(

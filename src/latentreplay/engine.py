@@ -259,7 +259,7 @@ def split_features(state: EngineState, images) -> np.ndarray | None:
     todo = np.arange(len(array))[sel]
     todo = todo[~entry[3][todo]]  # not np.setdiff1d, whose first call is a 26 ms lazy import
     for rows in (todo[i : i + _FORWARD_BATCH] for i in range(0, len(todo), _FORWARD_BATCH)):
-        entry[2][rows], entry[3][rows] = backbone(array[rows]), True  # frozen: array kernels
+        entry[2][rows], entry[3][rows] = backbone(array[rows]), True  # frozen: arrays, no Tensor
     out = entry[2][sel]
     out.flags.writeable = False
     return out
@@ -316,7 +316,9 @@ def initialize(task1: Task, cfg: RunConfig) -> EngineState:
     reservoir = Reservoir(cfg.reservoir_capacity, (cfg.pq_s, h, w))  # refuses before training
     model = train_first_task(task1, cfg)
     images, b = task1.images, _FORWARD_BATCH  # the backbone is frozen from here on
-    latents = np.concatenate([model.forward_backbone(images[i : i + b]) for i in range(0, n, b)])
+    latents = np.empty((n, cfg.net_config().feature_channels, h, w), np.float32)  # no stacked copy
+    for i in range(0, n, b):
+        latents[i : i + b] = model.forward_backbone(images[i : i + b])
     comp = fit_compressor(model, latents, task1.labels, cfg)
     encoded = compress(comp, latents)
     books = train_pq(encoded, s=cfg.pq_s, k=cfg.pq_k, iters=cfg.pq_iters, seed=cfg.seed + 2)

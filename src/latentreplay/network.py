@@ -28,7 +28,6 @@ from .nn import (
     training,
     zero_grads,
 )
-from .nn.ops import avgpool2_array, conv2d_array, relu_array
 
 
 @dataclass(frozen=True)
@@ -96,17 +95,13 @@ class SplitModel:
 
     def _block(self, z, idx: int):
         p = self.params
-        for conv in ("conv1", "conv2"):
-            w, b = p[f"block{idx}.{conv}.weight"], p[f"block{idx}.{conv}.bias"]
-            if isinstance(z, Tensor):
-                z = relu(conv2d(z, w, b, pad=1))
-            else:
-                z = relu_array(conv2d_array(z, w.data, b.data, pad=1))
-        return avgpool2(z) if isinstance(z, Tensor) else avgpool2_array(z)
+        z = relu(conv2d(z, p[f"block{idx}.conv1.weight"], p[f"block{idx}.conv1.bias"], pad=1))
+        z = relu(conv2d(z, p[f"block{idx}.conv2.weight"], p[f"block{idx}.conv2.bias"], pad=1))
+        return avgpool2(z)
 
     def forward_backbone(self, x):
-        """Blocks 1..replay_block of a Tensor on the tape's ops, or of an array, as float32, on
-        their array kernels: the same bytes, with no Tensor made for a frozen backbone."""
+        """Blocks 1..replay_block of a Tensor, or of an array, as float32, for a frozen backbone:
+        the same bytes, with no Tensor made."""
         z = x if isinstance(x, Tensor) else np.asarray(x, dtype=np.float32)
         for b in range(1, self.config.replay_block + 1):
             z = self._block(z, b)

@@ -38,8 +38,8 @@ faulted in afresh for every batch the tape kept it, nor its float64
 filter matrix; the weight grad builds the patches again (same bits) and
 drops them before the input grad, and a frozen conv builds none.
 
-Arrays. Each of conv2d, relu and avgpool2 computes its forward with its
-`*_array` kernel, which a frozen layer calls on plain arrays: same bytes.
+Arrays. conv2d, relu and avgpool2 also take a plain array, which a frozen
+layer passes, and return one: the same bytes, with no Tensor or tape.
 
 Float32 GEMMs were measured and turned down. Keeping the padded buffer
 and the filter matrix in float32 makes forward plus backward 0.35-0.77x
@@ -112,20 +112,11 @@ def _im2col(xp: np.ndarray, kernel: int) -> np.ndarray:
     return patches.reshape(c * kernel * kernel, ho * wo * n)
 
 
-def conv2d_array(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, pad: int = 0) -> np.ndarray:
-    """conv2d's forward on plain NCHW arrays, unchecked; float64 if any input is, else float32."""
-    (n, _, h, w), (o, _, k, _) = x.shape, weight.shape
-    # one dgemm over the batch-last patch columns, built for it; the output goes back to NCHW
-    out = weight.reshape(o, -1).astype(_F64) @ _im2col(_padded(x.transpose(1, 2, 3, 0), pad), k)
-    out += bias.astype(_F64)[:, None]
-    out = out.reshape(o, h + 2 * pad - k + 1, w + 2 * pad - k + 1, n).transpose(3, 0, 1, 2)
-    return out.astype(np.result_type(x, weight, bias), order="C")
-
-
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, pad: int = 0) -> Tensor:
+def conv2d(x, weight: Tensor, bias: Tensor, *, pad: int = 0):
     """Stride-1 cross-correlation of an NCHW batch with OIKK filters.
 
-    Output spatial size is H + 2*pad - K + 1, which must be positive.
+    Output spatial size is H + 2*pad - K + 1, which must be positive. A plain
+    array `x` (a frozen layer) gets a plain array back: the same bytes, no tape.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d input/weight, got {x.shape} / {weight.shape}")
@@ -143,7 +134,17 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, pad: int = 0) -> Tensor:
     ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
     if ho < 1 or wo < 1:
         raise ConfigError(f"conv2d output size {ho}x{wo} is not positive")
-    out = conv2d_array(x.data, weight.data, bias.data, pad)
+
+    # one dgemm over the batch-last patch columns, built for it; the output goes back to NCHW.
+    # The bias sum is a new array: added in place (same bytes), the allocation order left glibc
+    # faulting in fresh heap pages, twice the minor faults of a paper-default perfbench run.
+    v = x.data if isinstance(x, Tensor) else x
+    wmat = weight.data.reshape(o, -1).astype(_F64)
+    out = wmat @ _im2col(_padded(v.transpose(1, 2, 3, 0), pad), k) + bias.data.astype(_F64)[:, None]
+    out = out.reshape(o, ho, wo, n).transpose(3, 0, 1, 2)
+    out = out.astype(np.result_type(v, weight.data, bias.data), order="C")
+    if not isinstance(x, Tensor):
+        return out
 
     def backward(g):
         go = g.astype(_F64)
@@ -163,53 +164,49 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, *, pad: int = 0) -> Tensor:
     return Tensor._from_op(out, (x, weight, bias), backward)
 
 
-def _keep(v: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """np.where(mask, v, 0) bit for bit, as an AND of the float bits without a branch."""
+def relu(x):
+    """Elementwise max(0, x); gradient is masked where input <= 0. A plain array
+    gets a plain array back, and no mask goes to a `record_relu_masks` sink."""
+    v = x.data if isinstance(x, Tensor) else x
+    mask = v > 0
+    if _relu_mask_sink is not None and isinstance(x, Tensor):
+        _relu_mask_sink.append(mask)
+    # np.where(mask, v, 0) bit for bit, as an AND of the float bits without a branch
     keep = -mask.astype(f"i{v.itemsize}")
-    return (v.view(keep.dtype) & keep).view(v.dtype)
-
-
-def relu_array(v: np.ndarray) -> np.ndarray:
-    """relu's forward on a plain array."""
-    return _keep(v, v > 0)
-
-
-def relu(x: Tensor) -> Tensor:
-    """Elementwise max(0, x); gradient is masked where input <= 0."""
-    if _relu_mask_sink is not None:
-        _relu_mask_sink.append(x.data > 0)
+    out = (v.view(keep.dtype) & keep).view(v.dtype)
+    if not isinstance(x, Tensor):
+        return out
 
     def backward(g):
         if x.requires_grad:
-            x.accumulate_grad(_keep(g, x.data > 0))
+            x.accumulate_grad((g.view(keep.dtype) & keep).view(g.dtype))
 
-    return Tensor._from_op(relu_array(x.data), (x,), backward)
-
-
-def avgpool2_array(v: np.ndarray) -> np.ndarray:
-    """avgpool2's forward on a plain NCHW array, unchecked; sums as the module docstring says."""
-    out = np.add(v[:, :, 0::2, 0::2], v[:, :, 0::2, 1::2], dtype=_F64)
-    if v.shape[3] > 2:
-        out += np.add(v[:, :, 1::2, 0::2], v[:, :, 1::2, 1::2], dtype=_F64)
-    else:
-        out = out + v[:, :, 1::2, 0::2] + v[:, :, 1::2, 1::2]
-    return (out * 0.25).astype(v.dtype)
+    return Tensor._from_op(out, (x,), backward)
 
 
-def avgpool2(x: Tensor) -> Tensor:
-    """2x2 non-overlapping mean pool; H and W must be even."""
+def avgpool2(x):
+    """2x2 non-overlapping mean pool; H and W must be even. A plain array gets a plain array."""
     if x.ndim != 4:
         raise ShapeError(f"avgpool2 expects NCHW input, got {x.shape}")
     n, c, h, w = x.shape
     if h % 2 != 0 or w % 2 != 0:
         raise ConfigError(f"avgpool2 needs even spatial dims, got {h}x{w}")
+    v = x.data if isinstance(x, Tensor) else x  # float64 sums in numpy's mean order (module docstring)
+    out = np.add(v[:, :, 0::2, 0::2], v[:, :, 0::2, 1::2], dtype=_F64)
+    if w > 2:
+        out += np.add(v[:, :, 1::2, 0::2], v[:, :, 1::2, 1::2], dtype=_F64)
+    else:
+        out = out + v[:, :, 1::2, 0::2] + v[:, :, 1::2, 1::2]
+    out = (out * 0.25).astype(v.dtype)
+    if not isinstance(x, Tensor):
+        return out
 
     def backward(g):
         if x.requires_grad:
             gx = np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) * 0.25
             x.accumulate_grad(gx)
 
-    return Tensor._from_op(avgpool2_array(x.data), (x,), backward)
+    return Tensor._from_op(out, (x,), backward)
 
 
 def global_avgpool(x: Tensor) -> Tensor:

@@ -20,9 +20,9 @@ tensors take gradients inside its block and clears their flags on exit,
 even by exception. Every loop that takes gradients names what it
 trains; outside such a block every parameter is a constant and no op
 records a tape node. What never trains (a frozen backbone, the
-compressor after its fit) runs on plain arrays instead, through the
-array kernels the ops call (``conv2d_array``, ``relu_array``,
-``avgpool2_array``), and builds no Tensor at all.
+compressor after its fit) passes plain arrays to the ops instead
+(``conv2d``, ``relu`` and ``avgpool2`` take them), and builds no Tensor
+at all.
 
 Op outputs are not checked for NaN/Inf. The guards sit where values
 enter or settle: ``datasets.Dataset.check`` refuses a non-finite pixel,

@@ -38,7 +38,7 @@ SEEDS = range(5)
 
 def tensor_forward(fn, images, rows: int = 32):
     """`fn` on Tensors of `rows`-row chunks of `images`, outputs stacked: the tape's forward,
-    which the array kernels of a frozen backbone or compressor must match byte for byte."""
+    which a frozen backbone or compressor run on arrays must match byte for byte."""
     return np.concatenate([fn(Tensor(images[i : i + rows])).data
                            for i in range(0, len(images), rows)])
 

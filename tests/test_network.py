@@ -202,6 +202,19 @@ def _tape_arrays(root, op=""):
     return held
 
 
+def _op_outputs(root):
+    """Weak references to the data of every op output on `root`'s tape, `root` left out."""
+    refs, stack, seen = [], list(root._parents), set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+            if node._backward_fn is not None:
+                refs.append(weakref.ref(node.data))
+    return refs
+
+
 class TestTapeLifetime:
     """A conv tape keeps its input, not its patch matrix, and backward frees the tape it walks."""
 
@@ -231,6 +244,21 @@ class TestTapeLifetime:
         # each conv's weight grad and, past the first, its input grad built one more
         assert len(built) == 6 * self.CFG.num_blocks - 1
         assert [ref for ref in built if ref() is not None] == []
+        assert all(p.grad is not None for p in model.params.values())
+
+    def test_backward_frees_the_tape_it_walks(self):
+        # `loss` stays alive; what its tape reached below it dies once backward has walked it
+        model = build_model(self.CFG, seed=0)
+        x, y = self.batch(16)
+        with training(model.params):
+            loss = softmax_cross_entropy(model.forward(Tensor(x)), y)
+            outputs = _op_outputs(loss)
+            # conv, relu, conv, relu and pool per block, then global pool and linear
+            assert len(outputs) == 5 * self.CFG.num_blocks + 2
+            loss.backward()
+        gc.collect()
+        assert [ref for ref in outputs if ref() is not None] == []
+        assert loss._parents == () and loss._backward_fn is None
         assert all(p.grad is not None for p in model.params.values())
 
     def test_a_conv_tape_holds_no_float64_matrix(self):
