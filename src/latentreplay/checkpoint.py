@@ -3,7 +3,7 @@
 Layout, all integers little-endian:
 
     offset 0   magic "ACRM"
-    offset 4   format version, u32 (currently 2)
+    offset 4   format version, u32 (currently 3)
     offset 8   blob count, u32
     ...        named blobs: name length u32, name bytes, dtype tag u8,
                rank u32, dims u32 each, raw payload (C order)
@@ -17,16 +17,16 @@ blobs are the arrays it names (`model.*`, `acae.*`, `optim.<param>.<slot>`,
 `pq.centroids`, and the live reservoir rows as `reservoir.codes` and
 `reservoir.labels`), and `meta.json`, a UTF-8 JSON object holding the
 config text plus what the config cannot give: the rng state, the task
-counter, the seen classes, the step count (under `global_step` and
-`optim_step_count`, which must agree), the frozen digests and the
-metrics so far.
+counter, the step count (`optim_step_count`), the frozen digests and the
+metrics so far. The seen classes are not stored: `engine.seen_classes`
+derives them from the config and the task counter.
 Loading checks the blob table and the metadata's JSON types, copies
 each blob into the `engine.blank_state` of the stored config with as
 many reservoir rows as the `reservoir.labels` blob holds, refusing names,
 dtypes and shapes that differ from its `state_arrays`, and maps a
 refused row count or a failed `engine.check_state`, the run's state
 contract, to CheckpointError. load(save(x)) is bit-identical; resuming
-reproduces an unbroken run exactly. Other versions are refused.
+reproduces an unbroken run exactly. Other versions, 1 and 2 included, are refused.
 """
 
 from __future__ import annotations
@@ -41,20 +41,20 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .config import parse_config, serialize_config
-from .engine import EngineState, blank_state, check_state, state_arrays
+from .engine import EngineState, blank_state, check_state, seen_classes, state_arrays
 from .errors import CheckpointError, ConfigError, ContractError
 from .metrics import MetricRecord
 
 MAGIC = b"ACRM"
-VERSION = 2
+VERSION = 3
 
 # the tag numbers are part of the file format; a tag not listed is refused
 _DTYPE_TAGS = {np.dtype("<f4"): 0, np.dtype("u1"): 3, np.dtype("<u2"): 5}
 _TAG_DTYPES = {v: k for k, v in _DTYPE_TAGS.items()}
 # meta.json key -> JSON type of its value
 _META_KEYS = {
-    "config_text": str, "rng": dict, "current_task": int, "global_step": int,
-    "seen_classes": list, "optim_step_count": int, "frozen_digest": dict, "records": list,
+    "config_text": str, "rng": dict, "current_task": int, "optim_step_count": int,
+    "frozen_digest": dict, "records": list,
 }
 # a records row holds the MetricRecord fields in order: field name -> JSON types allowed
 _JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
@@ -71,9 +71,6 @@ class CheckpointBundle:
 
 
 def _pack_blob(name: str, arr: np.ndarray) -> bytes:
-    arr = np.ascontiguousarray(arr)
-    dt = arr.dtype.newbyteorder("<") if arr.dtype.byteorder == ">" else arr.dtype
-    arr = arr.astype(dt, copy=False)
     if arr.dtype not in _DTYPE_TAGS:
         raise CheckpointError(f"blob {name!r} has unsupported dtype {arr.dtype}")
     raw = name.encode()
@@ -160,8 +157,6 @@ def save_checkpoint(
         "config_text": config_text,
         "rng": _rng_state_json(state.rng),
         "current_task": state.current_task,
-        "global_step": state.global_step,
-        "seen_classes": sorted(state.seen_classes),
         "optim_step_count": state.optim.step_count,
         "frozen_digest": state.frozen_digest,
         "records": [[getattr(r, name) for name in _RECORD_TYPES] for r in (records or [])],
@@ -197,11 +192,6 @@ def _read_meta(path: str, blob: np.ndarray) -> dict:
     for key, typ in _META_KEYS.items():
         if type(meta[key]) is not typ:
             raise CheckpointError(f"{path}: meta.json {key!r} is not a JSON {typ.__name__}")
-    if meta["global_step"] != meta["optim_step_count"]:  # one count, stored under two keys
-        raise CheckpointError(f"{path}: meta.json global_step {meta['global_step']} and "
-                              f"optim_step_count {meta['optim_step_count']} differ")
-    if any(type(c) is not int for c in meta["seen_classes"]):
-        raise CheckpointError(f"{path}: meta.json 'seen_classes' holds a non-integer")
     for row in meta["records"]:
         if type(row) is not list or len(row) != len(_RECORD_TYPES) or not all(
             type(v) in types for v, types in zip(row, _RECORD_TYPES.values())
@@ -272,7 +262,7 @@ def load_checkpoint(path: str) -> CheckpointBundle:
 
     state.current_task = meta["current_task"]
     state.frozen_digest = dict(meta["frozen_digest"])
-    state.seen_classes = set(meta["seen_classes"])
+    state.seen_classes = seen_classes(state)
     try:
         check_state(state)
     except ContractError as err:

@@ -32,7 +32,7 @@ from .config import RunConfig
 from .datasets import Dataset
 from .errors import ConfigError, ContractError, DataError
 from .metrics import MetricRecord, label_ranks
-from .network import SplitModel, _block_of, build_model, param_shapes, train_offline
+from .network import SplitModel, build_model, in_backbone, param_shapes, train_offline
 from .nn import OptimState, Tensor, sgd_step, softmax_cross_entropy, training, zero_grads
 from .quantizer import Codebooks, pq_decode_batch, pq_encode_batch, train_pq
 from .reservoir import Reservoir, insert_with_eviction, sample_batch
@@ -211,9 +211,15 @@ def blank_state(cfg: RunConfig, optim_steps: int, rng: np.random.Generator,
     )
 
 
+def seen_classes(state: EngineState) -> set:
+    """The classes of tasks 1..`current_task`, from the config alone: what a load sets as
+    `state.seen_classes`, and what `check_state` holds a live state's to."""
+    return set().union(*task_classes(state.config)[: state.current_task])
+
+
 def check_state(state: EngineState) -> None:
     """Raise ContractError at the first run invariant `state` breaks (finite float arrays, a step
-    count >= 0, `current_task` in 1..T, `seen_classes` the union of tasks 1..current_task,
+    count >= 0, `current_task` in 1..T, `state.seen_classes` equal to `seen_classes(state)`,
     codes below k, stored labels of seen classes only, frozen digests); writes nothing."""
     arrays = [(name, a) for name, a in state_arrays(state) if a.dtype.kind == "f"]
     if not np.isfinite(np.concatenate([a.ravel() for _, a in arrays])).all():
@@ -221,10 +227,10 @@ def check_state(state: EngineState) -> None:
         raise ContractError(f"non-finite values in {bad}")
     if state.global_step < 0:
         raise ContractError(f"step count {state.global_step} is negative")
-    tasks, task = task_classes(state.config), state.current_task
-    if not 1 <= task <= len(tasks):
-        raise ContractError(f"current_task {task} is outside 1..{len(tasks)}")
-    seen = set().union(*tasks[:task])
+    last, task = len(task_classes(state.config)), state.current_task
+    if not 1 <= task <= last:
+        raise ContractError(f"current_task {task} is outside 1..{last}")
+    seen = seen_classes(state)
     if state.seen_classes != seen:
         raise ContractError(f"seen_classes {sorted(state.seen_classes)} are not {sorted(seen)}, "
                             f"the classes of tasks 1..{task}")
@@ -510,7 +516,7 @@ def frozen_backbone_study(dataset: Dataset, cfg: RunConfig, blocks) -> dict:
                 model, dataset.train_images[task_mask], dataset.train_labels[task_mask],
                 rng=rng, **options,
             )
-        trainable = [k for k in model.params if _block_of(k) is None or _block_of(k) > n]
+        trainable = [k for k in model.params if not in_backbone(k, n)]
         train_offline(
             model, dataset.train_images, dataset.train_labels,
             rng=rng, trainable=trainable, **options,

@@ -5,6 +5,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("bench_pair", ROOT / "tools" / "bench_pair.py")
 bench_pair = importlib.util.module_from_spec(_spec)
@@ -27,6 +29,15 @@ def test_workload_text_is_perfbench_s_table_plus_the_seed():
     text = bench_pair.workload_text("tiny", 7)
     assert text.startswith("dataset.per_class = 20\n")
     assert text.endswith("reservoir.capacity = 30\nseed = 7\nclass_order_seed = 7\n")
+
+
+def test_unknown_workload_is_refused_with_the_known_names():
+    with pytest.raises(SystemExit) as exit_:
+        bench_pair.main(["--parent", str(ROOT), "--workload", "nope"])
+    message = str(exit_.value.code)
+    assert message.startswith("bench_pair: unknown workload 'nope'; known: ") and "\n" not in message
+    assert {"tiny", "paper-default", "deep-head", "big-memory"} <= set(
+        message.split("known: ")[1].split(", "))
 
 
 def test_steps_alternate_abba_and_both_sides_end_in_one_state(monkeypatch):

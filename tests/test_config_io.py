@@ -34,7 +34,9 @@ from latentreplay.engine import (
     run_stream,
     task_classes,
 )
-from latentreplay.errors import CheckpointError, ConfigError, DataError, LatentReplayError
+from latentreplay.errors import (
+    CheckpointError, ConfigError, ContractError, DataError, LatentReplayError,
+)
 from latentreplay.metrics import MetricRecord, aoc
 from latentreplay.reporting import BUDGET_TABLE, emit_metrics, membudget_lines
 from latentreplay.reservoir import memory_bytes
@@ -493,6 +495,29 @@ class TestCheckpoint:
         assert np.array_equal(back.labels, res.labels)
         assert bundle.state.config == cfg
 
+    def test_every_task_position_round_trips(self, tmp_path):
+        # meta.json holds six keys; the seen classes a load derives from `current_task` are
+        # the unbroken run's at every task, and a re-save writes the same bytes
+        cfg, ds, stream, state = tiny_run(tmp_path)
+        p1, p2 = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
+        for task in stream.tasks:
+            if task.task_id > 1:
+                run_stream(state, [task], ds)
+            assert state.current_task == task.task_id
+            save_checkpoint(state, p1)
+            loaded = load_checkpoint(p1).state
+            assert loaded.seen_classes == state.seen_classes
+            save_checkpoint(loaded, p2)
+            good = open(p1, "rb").read()
+            assert open(p2, "rb").read() == good
+            _, _, _, payload, end = blob_table(good)[-1]  # meta.json is the last blob
+            assert list(json.loads(good[payload:end])) == [
+                "config_text", "rng", "current_task", "optim_step_count", "frozen_digest",
+                "records",
+            ]
+        assert state.current_task == cfg.split_steps + 1
+        assert state.seen_classes == set(range(cfg.dataset_classes))
+
     def test_reservoir_blob_layout(self, tmp_path):
         _, _, _, state = tiny_run(tmp_path)
         p = str(tmp_path / "l.ckpt")
@@ -598,17 +623,23 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="checksum"):
             load_checkpoint(p)
 
-    def test_unknown_version_rejected(self, tmp_path):
+    def test_unknown_version_rejected(self, tmp_path, capsys):
         cfg, _, _, state = tiny_run(tmp_path)
         p = str(tmp_path / "v.ckpt")
         save_checkpoint(state, p, config_text=serialize_config(cfg))
         blob = bytearray(open(p, "rb").read())
-        for version in (1, 42):  # 1: the layout before the reservoir became blobs
+        # 1: the layout before the reservoir became blobs; 2: meta.json with `global_step`
+        # and `seen_classes`
+        for version in (1, 2, 42):
             blob[4:8] = struct.pack("<I", version)
-            blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
+            blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))  # CRC-valid
             open(p, "wb").write(bytes(blob))
-            with pytest.raises(CheckpointError, match="version"):
+            message = f"unsupported format version {version}$"
+            with pytest.raises(CheckpointError, match=message):
                 load_checkpoint(p)
+            assert main(["eval", "--checkpoint", p]) == 6
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "checkpoint" and re.search(message, err["message"])
 
     def test_reservoir_out_of_range_or_mismatched_rejected(self, tmp_path, capsys):
         cfg, _, _, state = tiny_run(tmp_path)
@@ -783,35 +814,31 @@ class TestCheckpoint:
             save_checkpoint(state, p)
             assert load_checkpoint(p).state.current_task == task
 
-    def test_seen_classes_out_of_range_rejected(self, tmp_path, capsys):
-        cfg, _, stream, state = tiny_run(tmp_path)
+    def test_seen_classes_out_of_range_rejected(self, tmp_path):
+        # a live state's seen classes must be the task union; a checkpoint stores none, so a
+        # load derives them from the task counter
+        cfg, _, _, state = tiny_run(tmp_path)
         p = str(tmp_path / "s.ckpt")
         last = cfg.dataset_classes - 1
         for seen in ({4, 6, 99}, {-1, 0}, {last + 1}):
             state.seen_classes = seen
-            save_checkpoint(state, p)
             message = rf"seen_classes {re.escape(str(sorted(seen)))} are not \[4, 6\]"
-            with pytest.raises(CheckpointError, match=message):
-                load_checkpoint(p)
-            for command in (["eval", "--checkpoint", p],
-                            ["stream", "--checkpoint", p, "--out", str(tmp_path / "o")]):
-                assert main(command) == 6
-                assert json.loads(capsys.readouterr().err)["error"] == "checkpoint"
-        state.seen_classes = set(stream.tasks[0].classes)
-        save_checkpoint(state, p)
-        assert load_checkpoint(p).state.seen_classes == {4, 6}
+            with pytest.raises(ContractError, match=message):
+                check_state(state)
+            save_checkpoint(state, p)
+            assert load_checkpoint(p).state.seen_classes == {4, 6}
 
-    def test_step_counters_out_of_line_rejected(self, tmp_path, capsys):
-        # the one step count is stored under two meta.json keys, which must agree and be >= 0
+    def test_negative_step_count_rejected(self, tmp_path, capsys):
+        # the one step count, meta.json's `optim_step_count`, must be >= 0
         _, ds, stream, state = tiny_run(tmp_path)
         p = str(tmp_path / "c.ckpt")
 
-        def rejected(step, optim_steps, message):
+        def rejected(optim_steps, message):
             save_checkpoint(state, p)
             good = open(p, "rb").read()
             meta_at = good.index(b"meta.json") - 4  # the last blob, right before the CRC
             meta = json.loads(good[meta_at + 4 + len("meta.json") + 1 + 4 + 4 : -4])
-            meta.update(global_step=step, optim_step_count=optim_steps)
+            meta.update(optim_step_count=optim_steps)
             out = good[:meta_at] + checkpoint._pack_blob(
                 "meta.json", np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
             )
@@ -823,35 +850,26 @@ class TestCheckpoint:
                 assert main(command) == 6
                 assert json.loads(capsys.readouterr().err)["error"] == "checkpoint"
 
-        def differ(step, optim_steps):
-            rejected(step, optim_steps,
-                     f"global_step {step} and optim_step_count {optim_steps} differ")
-
-        differ(-5, 0)
-        differ(10**9, 0)
-        rejected(-5, -5, "step count -5 is negative")  # no state has stepped -5 times
+        rejected(-5, "step count -5 is negative")  # no state has stepped -5 times
         run_stream(state, stream.tasks[1:2], ds)  # velocity buffers exist once the head has stepped
         streamed = state.global_step
-        differ(streamed, streamed + 1)
-        differ(streamed - 1, streamed)
         save_checkpoint(state, p)
         assert load_checkpoint(p).state.global_step == streamed == state.optim.step_count
 
-    def test_seen_classes_not_the_task_union_rejected(self, tmp_path, capsys):
-        # every class in range, but not the classes of tasks 1..current_task
+    def test_seen_classes_not_the_task_union_rejected(self, tmp_path):
+        # every class in range, but not the classes of tasks 1..current_task: refused in a live
+        # state; a checkpoint stores none, so a load derives the union
         cfg, _, stream, state = tiny_run(tmp_path)
         p = str(tmp_path / "u.ckpt")
         assert stream.tasks[0].classes == (4, 6)
         for task, seen in ((1, {4, 6, 0}), (1, {4}), (2, {4, 6})):
             state.current_task, state.seen_classes = task, seen
+            union = set().union(*task_classes(cfg)[:task])
+            message = rf"are not {re.escape(str(sorted(union)))}, the classes of tasks 1"
+            with pytest.raises(ContractError, match=message):
+                check_state(state)
             save_checkpoint(state, p)
-            union = re.escape(str(sorted(set().union(*task_classes(cfg)[:task]))))
-            with pytest.raises(CheckpointError, match=rf"are not {union}, the classes of tasks 1"):
-                load_checkpoint(p)
-            for command in (["eval", "--checkpoint", p],
-                            ["stream", "--checkpoint", p, "--out", str(tmp_path / "o")]):
-                assert main(command) == 6
-                assert json.loads(capsys.readouterr().err)["error"] == "checkpoint"
+            assert load_checkpoint(p).state.seen_classes == union
 
     def test_unseen_reservoir_label_rejected(self, tmp_path, capsys):
         # a label inside the dataset's classes, of a task not yet streamed
@@ -899,9 +917,9 @@ class TestCheckpoint:
         rejected("not UTF-8 JSON", b"\xff\xfe")
         rejected("not UTF-8 JSON", b'{"config_text": ')
         rejected("not a JSON object", b"[]")
-        step = meta.pop("global_step")
-        rejected("global_step", json.dumps(meta).encode())
-        meta["global_step"] = step
+        step = meta.pop("optim_step_count")
+        rejected("optim_step_count", json.dumps(meta).encode())
+        meta["optim_step_count"] = step
         # a checkpoint written before `output_dir` was removed from the config
         stale = dict(meta, config_text=meta["config_text"] + "output_dir = runs/latest\n")
         rejected("stored config does not parse.*output_dir", json.dumps(stale).encode())
@@ -928,9 +946,8 @@ class TestCheckpoint:
         for row in ([0, 1], [0, 1, 2, 0.5, 1.0], "row", [0, 1, 2, "0.5", 1.0, True]):
             rejected("'records'", json.dumps(dict(meta, records=[row])).encode())
         for key, value in (
-            ("seen_classes", 3), ("seen_classes", ["a"]), ("frozen_digest", [1]),
-            ("global_step", "x"), ("global_step", 1.5), ("global_step", True),
-            ("current_task", None), ("optim_step_count", "0"), ("config_text", 0),
+            ("frozen_digest", [1]), ("current_task", None), ("optim_step_count", "0"),
+            ("optim_step_count", 1.5), ("optim_step_count", True), ("config_text", 0),
         ):
             rejected(f"'{key}'", json.dumps(dict(meta, **{key: value})).encode())
 

@@ -69,6 +69,8 @@ def workload_text(name: str, seed: int) -> str:
               and [getattr(t, "id", None) for t in node.targets] == ["WORKLOADS"]]
     if not tables:
         raise SystemExit("bench_pair: no WORKLOADS table in perfbench/run.py")
+    if name not in tables[0]:
+        raise SystemExit(f"bench_pair: unknown workload {name!r}; known: {', '.join(tables[0])}")
     return tables[0][name] + f"seed = {seed}\nclass_order_seed = {seed}\n"
 
 
