@@ -20,7 +20,8 @@ config text plus what the config cannot give: the rng state, the task
 counter, the step count (`optim_step_count`), the frozen digests and the
 metrics so far. The seen classes are not stored: `engine.seen_classes`
 derives them from the config and the task counter.
-Loading checks the blob table and the metadata's JSON types, copies
+Loading checks the blob table, the metadata's keys (those a save writes,
+no other) and their JSON types, copies
 each blob into the `engine.blank_state` of the stored config with as
 many reservoir rows as the `reservoir.labels` blob holds, refusing names,
 dtypes and shapes that differ from its `state_arrays`, and maps a
@@ -179,7 +180,7 @@ def save_checkpoint(
 
 
 def _read_meta(path: str, blob: np.ndarray) -> dict:
-    """The `meta.json` object, with every key `save_checkpoint` writes."""
+    """The `meta.json` object, with every key `save_checkpoint` writes and no other."""
     try:
         meta = json.loads(blob.tobytes().decode())
     except ValueError as err:  # bad UTF-8 or bad JSON
@@ -189,6 +190,9 @@ def _read_meta(path: str, blob: np.ndarray) -> dict:
     missing = [key for key in _META_KEYS if key not in meta]
     if missing:
         raise CheckpointError(f"{path}: meta.json lacks {missing}")
+    unknown = [key for key in meta if key not in _META_KEYS]
+    if unknown:
+        raise CheckpointError(f"{path}: meta.json holds unknown keys {unknown}")
     for key, typ in _META_KEYS.items():
         if type(meta[key]) is not typ:
             raise CheckpointError(f"{path}: meta.json {key!r} is not a JSON {typ.__name__}")

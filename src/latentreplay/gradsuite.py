@@ -1,12 +1,13 @@
 """Gradient verification suite: every layer plus both training losses.
 
 Each check builds a small random instance from its seed and compares
-analytic gradients against central finite differences. Elements whose
-perturbation crosses a relu kink are excluded by the checker itself (the
-derivative does not exist there); everything else must agree to 1e-3.
+analytic gradients against central finite differences with
+`finite_diff_report`. Elements whose perturbation crosses a relu kink
+are excluded by the checker itself (the derivative does not exist
+there); everything else must agree to `TOL`.
 
-Layer checks use the pinned step 1e-3. The two whole-loss compositions
-use 1e-4: one perturbed scalar there sweeps hundreds of relu
+Layer checks use the step `EPS`. The two whole-loss compositions use
+`COMPOSITION_EPS`: one perturbed scalar there sweeps hundreds of relu
 pre-activations, and the smaller step keeps kink crossings rare while
 the float64 numeric path stays far above its noise floor.
 """
@@ -14,6 +15,7 @@ the float64 numeric path stays far above its noise floor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -23,12 +25,13 @@ from .nn import (
     Tensor,
     avgpool2,
     conv2d,
-    finite_diff_report,
     global_avgpool,
     linear,
     mse,
+    record_relu_masks,
     relu,
     softmax_cross_entropy,
+    training,
 )
 
 EPS = 1e-3
@@ -49,9 +52,78 @@ class CheckResult:
         return self.max_rel_err <= TOL
 
 
-def _result(name: str, seed: int, fn, tensors, eps: float = EPS) -> CheckResult:
-    report = finite_diff_report(fn, tensors, eps)
-    return CheckResult(name, seed, report.max_rel_err, report.checked, report.skipped_singular)
+def finite_diff_report(
+    name: str, seed: int, fn: Callable[..., Tensor], inputs: Sequence[Tensor], eps: float
+) -> CheckResult:
+    """Compare analytic gradients of fn against central differences of step `eps`.
+
+    fn must map the given tensors to a scalar Tensor. The analytic
+    gradient is taken from the regular float32 backward pass, inside
+    `training(inputs)`, so the inputs are constants again afterwards.
+    The numeric side re-evaluates fn on float64 copies of the inputs,
+    because at these steps the difference of two float32 forward passes
+    is dominated by rounding noise rather than by the derivative. Ops
+    preserve float64, so both paths run identical code.
+
+    Relative error for one element is |a - n| / max(|a|, |n|, 1e-3), so
+    tiny gradients are compared absolutely at the 1e-3 floor. Elements
+    whose +-eps perturbation flips any relu sign mask are singular for
+    central differences (the two evaluations straddle a kink); they are
+    excluded and counted in `skipped_singular`.
+    """
+    for t in inputs:
+        t.zero_grad()
+    with training(inputs):
+        loss = fn(*inputs)
+        if loss.data.size != 1:
+            raise ValueError("finite_diff_report needs a scalar-valued function")
+        loss.backward()
+    analytic = [
+        np.zeros_like(t.data, dtype=np.float64) if t.grad is None else t.grad.astype(np.float64)
+        for t in inputs
+    ]
+
+    base64 = [t.data.astype(np.float64) for t in inputs]
+
+    def eval64(arrays, sink: list) -> float:
+        ts = [Tensor(a, dtype=np.float64) for a in arrays]
+        with record_relu_masks(sink):
+            return float(fn(*ts).data)
+
+    base_masks: list = []
+    eval64(base64, base_masks)
+
+    def crosses_kink(masks: list) -> bool:
+        if len(masks) != len(base_masks):
+            return True
+        return any(not np.array_equal(a, b) for a, b in zip(masks, base_masks))
+
+    worst = 0.0
+    checked = 0
+    skipped = 0
+    for idx, base in enumerate(base64):
+        flat = base.reshape(-1)
+        a_flat = analytic[idx].reshape(-1)
+        for j in range(flat.size):
+            orig = flat[j]
+            hi_masks: list = []
+            lo_masks: list = []
+            flat[j] = orig + eps
+            hi = eval64(base64, hi_masks)
+            flat[j] = orig - eps
+            lo = eval64(base64, lo_masks)
+            flat[j] = orig
+            if crosses_kink(hi_masks) or crosses_kink(lo_masks):
+                skipped += 1
+                continue
+            numeric = (hi - lo) / (2.0 * eps)
+            a = a_flat[j]
+            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-3)
+            worst = max(worst, rel)
+            checked += 1
+    if checked == 0:
+        raise ValueError("every element crossed a relu kink; nothing was checked")
+    return CheckResult(name, seed, worst, checked, skipped)
 
 
 def _suite_config() -> NetConfig:
@@ -94,7 +166,7 @@ def layer_checks(seed: int) -> list[CheckResult]:
             out = op(*ts)
             return mse(out, target) if classes is None else softmax_cross_entropy(out, labels)
 
-        results.append(_result(name, seed, loss, inputs))
+        results.append(finite_diff_report(name, seed, loss, inputs, EPS))
     return results
 
 
@@ -113,7 +185,7 @@ def classification_loss_check(seed: int) -> CheckResult:
         local = SplitModel(cfg, dict(zip(names, ts)))
         return softmax_cross_entropy(local.forward(Tensor(x)), labels)
 
-    return _result("classification_loss", seed, f, tensors, COMPOSITION_EPS)
+    return finite_diff_report("classification_loss", seed, f, tensors, COMPOSITION_EPS)
 
 
 def compression_loss_check(seed: int) -> CheckResult:
@@ -134,7 +206,7 @@ def compression_loss_check(seed: int) -> CheckResult:
         loss, _ = compression_loss(local, model, z, labels, use_ce=True)
         return loss
 
-    return _result("compression_loss", seed, f, tensors, COMPOSITION_EPS)
+    return finite_diff_report("compression_loss", seed, f, tensors, COMPOSITION_EPS)
 
 
 def run_suite(seeds) -> list[CheckResult]:

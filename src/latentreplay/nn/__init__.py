@@ -1,4 +1,3 @@
-from .gradcheck import GradCheckReport, finite_diff_report
 from .ops import (
     avgpool2,
     conv2d,
@@ -26,7 +25,5 @@ __all__ = [
     "sgd_step",
     "adam_step",
     "zero_grads",
-    "GradCheckReport",
-    "finite_diff_report",
     "record_relu_masks",
 ]

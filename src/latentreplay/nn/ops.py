@@ -73,8 +73,9 @@ _relu_mask_sink: list | None = None
 def record_relu_masks(sink: list):
     """Collect the sign mask of every relu call inside the block.
 
-    The finite-difference checker uses this to spot perturbations that
-    cross a relu kink, where central differences are invalid.
+    The finite-difference checker, `gradsuite.finite_diff_report`, uses
+    this to spot perturbations that cross a relu kink, where central
+    differences are invalid.
     """
     global _relu_mask_sink
     prev = _relu_mask_sink

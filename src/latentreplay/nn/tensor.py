@@ -11,9 +11,9 @@ the graph. Forward passes are pure: the same inputs always produce
 bit-identical outputs.
 
 Passing ``dtype=np.float64`` keeps the buffer in double precision and
-every op preserves it; only the finite-difference checker uses this, so
-its central differences are not swamped by float32 rounding. Production
-code never constructs float64 tensors.
+every op preserves it. Its one user is `gradsuite.finite_diff_report`,
+the finite-difference checker, so that its central differences are not
+swamped by float32 rounding. No run path constructs float64 tensors.
 
 ``training(params)`` is the one switch for the tape: it lets the named
 tensors take gradients inside its block and clears their flags on exit,

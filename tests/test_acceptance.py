@@ -134,8 +134,8 @@ def test_criterion_03_gradient_suite():
     assert results
     names = {r.name for r in results}
     assert {"classification_loss", "compression_loss"} <= names
-    assert max(r.max_rel_err for r in results) <= 1e-3
-    assert all(r.passed for r in results)
+    failed = [(r.name, r.seed, r.max_rel_err) for r in results if not r.passed]
+    assert not failed, f"(name, seed, max_rel_err) past the tolerance: {failed}"
     assert perf_counter() - t0 < 120.0
 
 

@@ -66,3 +66,26 @@ def test_command_prints_every_field_and_exits_0_on_equal_states(capsys):
     report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert set(report) == FIELDS and report["workload"] == "tiny" and report["seed"] == 1
     assert report["same_state"] is True and report["parent_ms_p50"] > 0
+
+
+def test_command_exits_1_when_the_sides_end_in_different_states(monkeypatch, capsys):
+    # the change side draws once more from its rng, before its first step; nothing else differs
+    load = bench_pair.load_package
+
+    def load_drifting(checkout, name):
+        package = load(checkout, name)
+        if name.startswith("change"):
+            step, drawn = package.engine.online_step, []
+
+            def online_step(state, x, y):
+                if not drawn:
+                    drawn.append(state.rng.random())
+                return step(state, x, y)
+
+            monkeypatch.setattr(package.engine, "online_step", online_step)
+        return package
+
+    monkeypatch.setattr(bench_pair, "load_package", load_drifting)
+    assert bench_pair.main(["--parent", str(ROOT), "--workload", "tiny"]) == 1
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert set(report) == FIELDS and report["same_state"] is False and report["steps"] == 160

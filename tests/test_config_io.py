@@ -856,6 +856,29 @@ class TestCheckpoint:
         save_checkpoint(state, p)
         assert load_checkpoint(p).state.global_step == streamed == state.optim.step_count
 
+    def test_unknown_meta_keys_rejected(self, tmp_path, capsys):
+        # a key save_checkpoint does not write is refused, named, not ignored: a version-2
+        # `global_step` or `seen_classes` left in, or anything else
+        _, _, _, state = tiny_run(tmp_path)
+        p = str(tmp_path / "k.ckpt")
+        save_checkpoint(state, p)
+        good = open(p, "rb").read()
+        start, _, _, payload, end = blob_table(good)[-1]  # meta.json is the last blob
+        meta = json.loads(good[payload:end])
+        extra = {"global_step": -7, "seen_classes": [99], "anything": 1}
+        for keys in ([[key] for key in extra] + [list(extra)]):
+            text = json.dumps(dict(meta, **{key: extra[key] for key in keys})).encode()
+            out = good[:start] + checkpoint._pack_blob("meta.json", np.frombuffer(text, np.uint8))
+            open(p, "wb").write(out + struct.pack("<I", zlib.crc32(out)))  # CRC-valid
+            message = f"meta.json holds unknown keys {keys}"
+            with pytest.raises(CheckpointError, match=re.escape(message)):
+                load_checkpoint(p)
+            for command in (["eval", "--checkpoint", p],
+                            ["stream", "--checkpoint", p, "--out", str(tmp_path / "o")]):
+                assert main(command) == 6
+                err = json.loads(capsys.readouterr().err)
+                assert err["error"] == "checkpoint" and message in err["message"]
+
     def test_seen_classes_not_the_task_union_rejected(self, tmp_path):
         # every class in range, but not the classes of tasks 1..current_task: refused in a live
         # state; a checkpoint stores none, so a load derives the union

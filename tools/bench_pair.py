@@ -52,6 +52,8 @@ def load_package(checkout: Path, name: str):
     """Import `checkout`/src/latentreplay as the package `name`, with the submodules a side
     uses loaded under it; a second copy never shares a module with the first."""
     src = checkout / "src" / "latentreplay"
+    for stale in [key for key in sys.modules if key.startswith(f"{name}.")]:
+        del sys.modules[stale]  # an earlier load under this name; its submodules are not reused
     spec = importlib.util.spec_from_file_location(
         name, src / "__init__.py", submodule_search_locations=[str(src)])
     package = importlib.util.module_from_spec(spec)
@@ -107,9 +109,6 @@ def run_pair(packages: dict, text: str) -> dict:
     step = 0
     for tid in range(1, len(streams["parent"])):
         tasks = {side: streams[side][tid] for side in SIDES}
-        for side in SIDES:  # as run_stream and perfbench do at a task's start
-            states[side].current_task = tasks[side].task_id
-            states[side].seen_classes |= set(tasks[side].classes)
         for i in range(len(tasks["parent"].labels)):
             for side in order(step):
                 x, y = tasks[side].images[i], int(tasks[side].labels[i])
