@@ -112,6 +112,14 @@ class TestLoss:
         with training(model.head_params()), pytest.raises(ContractError):
             compression_loss(comp, model, z, np.array([0]))
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_combined_loss_gradient_vs_finite_differences(self, seed):
+        from latentreplay.gradsuite import compression_loss_check
+
+        result = compression_loss_check(seed)
+        assert result.passed
+        assert result.checked > 0
+
 
 class TestTraining:
     def _features(self, model, n=96, seed=0):

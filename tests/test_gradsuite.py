@@ -1,9 +1,31 @@
 """The packaged gradient suite: layers and both loss compositions."""
 
 import numpy as np
+import pytest
 
-from latentreplay.gradsuite import EPS, finite_diff_report, run_suite
+from latentreplay.gradsuite import (
+    EPS,
+    classification_loss_check,
+    compression_loss_check,
+    finite_diff_report,
+    layer_checks,
+    run_suite,
+)
 from latentreplay.nn import Tensor, linear, record_relu_masks, relu, softmax_cross_entropy
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_layer_checks_pass(seed):
+    for result in layer_checks(seed):
+        assert result.passed, f"{result.name} seed {seed}: {result.max_rel_err}"
+        assert result.checked > 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_composition_checks_pass(seed):
+    for result in (classification_loss_check(seed), compression_loss_check(seed)):
+        assert result.passed, f"{result.name} seed {seed}: {result.max_rel_err}"
+        assert result.checked > 0
 
 
 def test_run_suite_covers_layers_and_compositions():

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from latentreplay.errors import ConfigError, DataError, ShapeError
+from latentreplay.gradsuite import EPS, finite_diff_report
 from latentreplay.nn import (
     Tensor,
     avgpool2,
     conv2d,
     global_avgpool,
     linear,
+    mse,
     relu,
     softmax_cross_entropy,
     training,
@@ -203,6 +205,71 @@ class TestTraining:
         with pytest.raises(DataError), training(ts):
             raise DataError("boom")
         assert not any(t.requires_grad for t in ts)
+
+
+class TestFiniteDifferences:
+    """Analytic gradients vs central differences of step EPS."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_linear(self, seed):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=(3, 4)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 4)).astype(np.float32), requires_grad=True)
+        b = Tensor(rng.normal(size=2).astype(np.float32), requires_grad=True)
+        labels = rng.integers(0, 2, size=3)
+
+        def f(x, w, b):
+            loss = softmax_cross_entropy(linear(x, w, b), labels)
+            return loss
+
+        assert finite_diff_report("linear", seed, f, [x, w, b], EPS).passed
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_conv2d(self, seed):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=(2, 2, 4, 4)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 2, 3, 3)).astype(np.float32), requires_grad=True)
+        b = Tensor(rng.normal(size=3).astype(np.float32), requires_grad=True)
+        labels = rng.integers(0, 3, size=2)
+
+        def f(x, w, b):
+            loss = softmax_cross_entropy(global_avgpool(conv2d(x, w, b, pad=1)), labels)
+            return loss
+
+        assert finite_diff_report("conv2d", seed, f, [x, w, b], EPS).passed
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_relu_away_from_kink(self, seed):
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=(4, 6)).astype(np.float32)
+        data[np.abs(data) < 0.1] = 0.2  # keep inputs off the kink
+        x = Tensor(data, requires_grad=True)
+        labels = rng.integers(0, 6, size=4)
+
+        def f(x):
+            loss = softmax_cross_entropy(relu(x), labels)
+            return loss
+
+        assert finite_diff_report("relu", seed, f, [x], EPS).passed
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pools(self, seed):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=(2, 3, 4, 4)).astype(np.float32), requires_grad=True)
+        labels = rng.integers(0, 3, size=2)
+
+        def f(x):
+            loss = softmax_cross_entropy(global_avgpool(avgpool2(x)), labels)
+            return loss
+
+        assert finite_diff_report("pools", seed, f, [x], EPS).passed
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mse(self, seed):
+        rng = np.random.default_rng(seed)
+        a = Tensor(rng.normal(size=(3, 4)).astype(np.float32), requires_grad=True)
+        b = Tensor(rng.normal(size=(3, 4)).astype(np.float32))
+        assert finite_diff_report("mse", seed, lambda a: mse(a, b), [a], EPS).passed
 
 
 class TestPurity:
