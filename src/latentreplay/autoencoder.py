@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataError
+from .errors import ContractError, DataError
 from .network import SplitModel, check_finite, kaiming_params
 from .nn import (
     OptimState,
@@ -57,11 +57,8 @@ def compressor_shapes(channels: int, latent_channels: int) -> dict[str, tuple]:
 
 
 def build_compressor(channels: int, latent_channels: int, seed: int) -> CompressorParams:
-    """Kaiming-initialized 1x1 conv pair; latent must divide channels down."""
-    if not (0 < latent_channels < channels):
-        raise ConfigError(
-            f"latent_channels {latent_channels} must be in 1..{channels - 1} (it is a compressor)"
-        )
+    """Kaiming-initialized 1x1 conv pair. `config.validate_config` decides that the latent width
+    is in 1..channels - 1 (`acae.latent_channels` below the replay block's `net.channels`)."""
     shapes = compressor_shapes(channels, latent_channels)
     return CompressorParams(kaiming_params(shapes, np.random.default_rng(seed)))
 

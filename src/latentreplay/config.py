@@ -204,10 +204,19 @@ def validate_config(cfg: RunConfig, lines_set: dict[str, int] | None = None) -> 
             f"online.crop_min_area ({where('online.crop_min_area')}) must not exceed "
             f"online.crop_max_area ({where('online.crop_max_area')})"
         )
-    try:
-        cfg.net_config().validate()
-    except ConfigError as err:
-        raise ConfigError(f"network settings: {err}") from None
+    blocks = f"net.num_blocks = {cfg.net_num_blocks} ({where('net.num_blocks')})"
+    if len(cfg.net_channels) != cfg.net_num_blocks:
+        raise ConfigError(f"net.channels = {_render(cfg.net_channels)} ({where('net.channels')}) "
+                          f"has {len(cfg.net_channels)} entries for {blocks}")
+    shape = f"net.in_shape = {_render(cfg.net_in_shape)} ({where('net.in_shape')})"
+    if len(cfg.net_in_shape) != 3:
+        raise ConfigError(f"{shape} must be C, H, W")
+    if any(d % 2**cfg.net_num_blocks for d in cfg.net_in_shape[1:]):
+        raise ConfigError(f"{shape} needs H and W divisible by 2^{cfg.net_num_blocks}, "
+                          f"one halving per block of {blocks}")
+    if cfg.net_replay_block > cfg.net_num_blocks:
+        raise ConfigError(f"net.replay_block = {cfg.net_replay_block} "
+                          f"({where('net.replay_block')}) must not exceed {blocks}")
     feat = cfg.net_channels[cfg.net_replay_block - 1]
     if cfg.acae_latent_channels >= feat:
         raise ConfigError(

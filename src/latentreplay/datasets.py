@@ -250,7 +250,6 @@ def load_dataset(cfg) -> Dataset:
             cfg.dataset_classes, cfg.dataset_test_per_class, shape,
             seed=cfg.seed, noise=cfg.dataset_noise, sample_stream=1,
         )
-        ds = Dataset(*train, *test, num_classes=cfg.dataset_classes)
     elif cfg.dataset_kind == "idx":
         root = cfg.dataset_path
         train = load_idx(
@@ -259,13 +258,10 @@ def load_dataset(cfg) -> Dataset:
         test = load_idx(
             os.path.join(root, "test-images.idx"), os.path.join(root, "test-labels.idx")
         )
-        ds = Dataset(*train, *test, num_classes=cfg.dataset_classes)
-    elif cfg.dataset_kind == "cifar-bin":
+    else:  # cifar-bin, the one kind left that `validate_config` accepts
         train = load_cifar_bin(os.path.join(cfg.dataset_path, "train.bin"))
         test = load_cifar_bin(os.path.join(cfg.dataset_path, "test.bin"))
-        ds = Dataset(*train, *test, num_classes=cfg.dataset_classes)
-    else:
-        raise DataError(f"unknown dataset kind {cfg.dataset_kind!r}")
+    ds = Dataset(*train, *test, num_classes=cfg.dataset_classes)
     ds.check(cfg.net_in_shape)
     for array in (ds.train_images, ds.train_labels, ds.test_images, ds.test_labels):
         array.flags.writeable = False  # read-only: a Task hands out its rows as views

@@ -107,12 +107,10 @@ def _class_order(seed: int, classes: int) -> tuple:
 
 def task_classes(cfg: RunConfig) -> list:
     """The classes of tasks 1..T from the config alone: the first `split.first_classes` of a
-    permutation seeded by `dataset.class_order_seed`, then `split.steps` equal chunks."""
+    permutation seeded by `class_order_seed`, then `split.steps` equal chunks."""
     order = _class_order(cfg.class_order_seed, cfg.dataset_classes)
     first = cfg.split_first_classes
-    step, left = divmod(len(order) - first, cfg.split_steps)
-    if left or step < 1:
-        raise ConfigError("split.steps does not divide the remaining classes")
+    step = (len(order) - first) // cfg.split_steps
     return [order[:first]] + [order[i : i + step] for i in range(first, len(order), step)]
 
 

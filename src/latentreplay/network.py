@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .nn import (
     OptimState,
     Tensor,
@@ -32,33 +32,15 @@ from .nn import (
 
 @dataclass(frozen=True)
 class NetConfig:
-    """Architecture description; spatial dims must survive B halvings."""
+    """Architecture description. `config.validate_config` decides its rules: one channel
+    count per block, an input of C, H, W whose H and W survive B halvings, and a replay block
+    in 1..B; a net built in code is taken as given."""
 
     num_blocks: int = 3
     channels: tuple = (16, 32, 64)
     in_shape: tuple = (3, 32, 32)  # C, H, W
     num_classes: int = 10
     replay_block: int = 2
-
-    def validate(self) -> None:
-        b = self.num_blocks
-        if b < 1:
-            raise ConfigError("num_blocks must be positive")
-        if len(self.channels) != b:
-            raise ConfigError(f"channels has {len(self.channels)} entries for {b} blocks")
-        if len(self.in_shape) != 3:
-            raise ConfigError(f"in_shape must be C, H, W, got {self.in_shape}")
-        if min(self.channels) < 1 or min(self.in_shape) < 1:
-            raise ConfigError(
-                f"channels {self.channels} and in_shape {self.in_shape} need every entry >= 1"
-            )
-        c, h, w = self.in_shape
-        if h % (2**b) != 0 or w % (2**b) != 0:
-            raise ConfigError(f"input {h}x{w} is not divisible by 2^{b}")
-        if not (1 <= self.replay_block <= b):
-            raise ConfigError(f"replay_block {self.replay_block} outside 1..{b}")
-        if self.num_classes < 1:
-            raise ConfigError("num_classes must be positive")
 
     @property
     def feature_channels(self) -> int:
@@ -159,7 +141,6 @@ def kaiming_params(shapes: dict[str, tuple], rng: np.random.Generator) -> dict[s
 
 def build_model(config: NetConfig, seed: int) -> SplitModel:
     """Deterministic Kaiming fan-in initialization from the given seed."""
-    config.validate()
     return SplitModel(config, kaiming_params(param_shapes(config), np.random.default_rng(seed)))
 
 

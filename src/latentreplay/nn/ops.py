@@ -60,7 +60,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from ..errors import ConfigError, DataError, ShapeError
+from ..errors import DataError, ShapeError
 from .tensor import Tensor
 
 _F32 = np.float32
@@ -130,11 +130,11 @@ def conv2d(x, weight: Tensor, bias: Tensor, *, pad: int = 0):
     if bias.shape != (o,):
         raise ShapeError(f"bias shape {bias.shape} does not match {o} output channels")
     if pad < 0:
-        raise ConfigError(f"invalid pad={pad}")
+        raise ShapeError(f"invalid pad={pad}")
     k = kh
     ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
     if ho < 1 or wo < 1:
-        raise ConfigError(f"conv2d output size {ho}x{wo} is not positive")
+        raise ShapeError(f"conv2d output size {ho}x{wo} is not positive")
 
     # one dgemm over the batch-last patch columns, built for it; the output goes back to NCHW.
     # The bias sum is a new array: added in place (same bytes), the allocation order left glibc
@@ -191,7 +191,7 @@ def avgpool2(x):
         raise ShapeError(f"avgpool2 expects NCHW input, got {x.shape}")
     n, c, h, w = x.shape
     if h % 2 != 0 or w % 2 != 0:
-        raise ConfigError(f"avgpool2 needs even spatial dims, got {h}x{w}")
+        raise ShapeError(f"avgpool2 needs even spatial dims, got {h}x{w}")
     v = x.data if isinstance(x, Tensor) else x  # float64 sums in numpy's mean order (module docstring)
     out = np.add(v[:, :, 0::2, 0::2], v[:, :, 0::2, 1::2], dtype=_F64)
     if w > 2:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError
+from .errors import DataError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,6 @@ class Codebooks:
     centroids: np.ndarray  # float32 (s, k, d')
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ConfigError("k must be at least 1")
-        if self.k > 256:
-            raise ConfigError("k above 256 does not fit the one-byte code format")
         if not np.all(np.isfinite(self.centroids)):
             raise DataError("non-finite centroid")
 
@@ -181,10 +177,7 @@ def train_pq(
     order the subspaces are processed in.
     """
     vectors = _positions(latents)
-    c = vectors.shape[1]
-    if c % s != 0:
-        raise ConfigError(f"channel count {c} is not divisible by s={s}")
-    subdim = c // s
+    subdim = vectors.shape[1] // s
     centroids = np.empty((s, k, subdim), dtype=np.float64)
     for i in range(s):
         sub = vectors[:, i * subdim : (i + 1) * subdim]

@@ -28,8 +28,6 @@ CODE_BYTES = 1  # bytes per stored element: the codes are uint8
 
 class Reservoir:
     def __init__(self, capacity: int, code_shape: tuple):
-        if capacity < 1:
-            raise ConfigError("reservoir capacity must be positive")
         self.capacity = capacity
         try:
             self.codes = np.zeros((capacity, *code_shape), dtype=np.uint8)

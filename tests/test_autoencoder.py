@@ -13,6 +13,7 @@ from latentreplay.autoencoder import (
     decompress,
     train_compressor,
 )
+from latentreplay.config import parse_config
 from latentreplay.errors import ConfigError, ContractError, DataError
 from latentreplay.network import NetConfig, build_model, train_offline
 from latentreplay.nn import Tensor, training
@@ -67,10 +68,12 @@ class TestShapes:
         assert np.array_equal(compress(comp, z).data, compress(comp, z).data)
 
     def test_non_compressing_width_rejected(self):
-        with pytest.raises(ConfigError):
-            build_compressor(16, 16, seed=0)
-        with pytest.raises(ConfigError):
-            build_compressor(16, 0, seed=0)
+        # the default replay block (net.replay_block = 2) has 16 channels
+        with pytest.raises(ConfigError, match=r"^acae\.latent_channels = 16 \(line 1\) must be "
+                                              r"below the replay-block channel count 16"):
+            parse_config("acae.latent_channels = 16\n")
+        with pytest.raises(ConfigError, match=r"^acae\.latent_channels = 0 \(line 1\) must be"):
+            parse_config("acae.latent_channels = 0\n")
 
 
 class TestLoss:

@@ -1123,6 +1123,27 @@ OUT_OF_DOMAIN = list(dict.fromkeys([
     *(f"{key} = {v}" for key, (least, _, _) in _DOMAINS.items() if isinstance(least, float)
       for v in ("nan", "inf", "-inf")),
 ]))
+# the kind rule, then a config that each rule between keys refuses, the network-shape ones last
+KEY_RULES = [
+    "dataset.kind = banana", "pq.s = 8\nacae.latent_channels = 10", "split.first_classes = 10",
+    "split.steps = 3", "online.crop_min_area = 0.9\nonline.crop_max_area = 0.5",
+    "acae.latent_channels = 16", "net.num_blocks = 2", "net.in_shape = 3, 16",
+    "net.in_shape = 3, 20, 20", "net.replay_block = 4",
+]
+# a key a message names, with its value or not, and where it was set
+_NAMED = re.compile(r"([\w.]+)(?: = [^()]*)? \((line \d+|default)\)")
+
+
+@pytest.mark.parametrize("text", OUT_OF_DOMAIN + KEY_RULES)
+def test_each_refusal_names_its_keys_and_where_each_was_set(text):
+    set_on = {line.partition("=")[0].strip(): f"line {n}"
+              for n, line in enumerate(text.splitlines(), start=1)}
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    named = dict(_NAMED.findall(str(exc.value)))
+    assert named.keys() <= KEYS.keys() and named.keys() & set_on.keys(), str(exc.value)
+    assert named == {key: set_on.get(key, "default") for key in named}
+
 
 # 4 samples a class of 1x8x8 images, channels 2,4,4 and one epoch: the replay map is 2x2, and
 # task 1 has 32 position vectors

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from latentreplay.autoencoder import build_compressor, compression_loss
+from latentreplay.config import parse_config
 from latentreplay.errors import ConfigError, DataError
 from latentreplay.network import NetConfig, SplitModel, build_model, train_offline
 from latentreplay.nn import Tensor, ops, softmax_cross_entropy, training
@@ -23,9 +24,17 @@ def make_blobs(rng, n_per_class, centers, dim_shape, spread=0.3):
     return np.concatenate(xs), np.concatenate(ys)
 
 
+def refused(text: str) -> str:
+    """The message of the ConfigError that `parse_config` raises for `text`."""
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    return str(exc.value)
+
+
 class TestNetConfig:
     def test_defaults_valid(self):
-        NetConfig().validate()
+        text = "net.num_blocks = 3\nnet.channels = 16, 32, 64\nnet.in_shape = 3, 32, 32\n"
+        assert parse_config(text + "net.replay_block = 2\n").net_config() == NetConfig()
 
     def test_backbone_shape_arithmetic(self):
         cfg = NetConfig(num_blocks=3, channels=(16, 32, 64), in_shape=(3, 32, 32), replay_block=2)
@@ -33,24 +42,26 @@ class TestNetConfig:
         assert cfg.feature_hw == (8, 8)
 
     def test_indivisible_input_rejected(self):
-        with pytest.raises(ConfigError):
-            NetConfig(num_blocks=3, channels=(4, 4, 4), in_shape=(3, 20, 20)).validate()
+        msg = refused("net.in_shape = 3, 20, 20")
+        assert msg.startswith("net.in_shape = 3, 20, 20 (line 1) needs H and W divisible by 2^3")
+        assert "net.num_blocks = 3 (default)" in msg
 
     def test_replay_block_out_of_range(self):
-        with pytest.raises(ConfigError):
-            NetConfig(replay_block=4).validate()
-        with pytest.raises(ConfigError):
-            NetConfig(replay_block=0).validate()
+        assert refused("net.replay_block = 4\n") == (
+            "net.replay_block = 4 (line 1) must not exceed net.num_blocks = 3 (default)")
+        assert refused("net.replay_block = 0\n").startswith("net.replay_block = 0 (line 1) ")
 
     def test_channel_count_mismatch(self):
-        with pytest.raises(ConfigError):
-            NetConfig(num_blocks=2, channels=(16, 32, 64), in_shape=(3, 32, 32)).validate()
+        msg = refused("net.num_blocks = 2\nnet.channels = 16, 32, 64\nnet.in_shape = 3, 32, 32")
+        assert msg == ("net.channels = 16, 32, 64 (line 2) has 3 entries for "
+                       "net.num_blocks = 2 (line 1)")
 
     @pytest.mark.parametrize("shape", [dict(channels=(0, 32, 64)), dict(in_shape=(3, 0, 0)),
                                        dict(in_shape=(0, 32, 32))])
     def test_entry_below_one_rejected(self, shape):
-        with pytest.raises(ConfigError, match="every entry >= 1"):
-            NetConfig(**shape).validate()
+        ((name, value),) = shape.items()
+        line = f"net.{name} = {', '.join(map(str, value))}"
+        assert refused(line + "\n") == f"{line} (line 1) must be in [1, inf) in every entry"
 
 
 class TestBuildModel:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from latentreplay import quantizer
+from latentreplay.config import parse_config
 from latentreplay.errors import ConfigError, DataError, ShapeError
 from latentreplay.quantizer import (
     Codebooks,
@@ -86,18 +87,17 @@ class TestTrainPq:
         assert np.array_equal(a.centroids, b.centroids)
 
     def test_indivisible_channels_rejected(self):
-        with pytest.raises(ConfigError):
-            train_pq(np.zeros((4, 6, 2, 2), dtype=np.float32), s=4, k=2)
+        with pytest.raises(ConfigError, match=r"^acae\.latent_channels = 6 \(line 1\) is not "
+                                              r"divisible by pq\.s = 4 \(line 2\)"):
+            parse_config("acae.latent_channels = 6\npq.s = 4\n")
 
     def test_too_few_vectors_rejected(self):
         with pytest.raises(DataError):
             train_pq(np.zeros((1, 4, 1, 1), dtype=np.float32), s=2, k=2)
 
     def test_k_above_byte_range_rejected(self):
-        rng = np.random.default_rng(0)
-        latents = rng.normal(size=(300, 2, 2, 2)).astype(np.float32)
-        with pytest.raises(ConfigError):
-            train_pq(latents, s=1, k=257, iters=1)
+        with pytest.raises(ConfigError, match=r"^pq\.k = 257 \(line 1\) must be in \[1, 256\]"):
+            parse_config("pq.k = 257\n")
 
 
 def per_subspace_encode(latents: np.ndarray, books: Codebooks) -> np.ndarray:
@@ -179,8 +179,6 @@ class TestEncodeDecode:
     def test_sizes_come_from_the_table_shape(self):
         books = self._books()
         assert (books.s, books.k, books.subdim, books.latent_channels) == (2, 3, 2, 4)
-        with pytest.raises(ConfigError):
-            Codebooks(np.zeros((2, 0, 2), dtype=np.float32))
         with pytest.raises(DataError):
             Codebooks(np.full((2, 3, 2), np.nan, dtype=np.float32))
 

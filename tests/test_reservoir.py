@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentreplay.config import RunConfig
+from latentreplay.config import RunConfig, parse_config
 from latentreplay.engine import blank_state, state_arrays
 from latentreplay.errors import ConfigError, ContractError, DataError
 from latentreplay.reservoir import (
@@ -86,8 +86,8 @@ class TestInsert:
             assert len(res) == 6
 
     def test_zero_capacity_rejected(self):
-        with pytest.raises(ConfigError):
-            new_res(capacity=0)
+        with pytest.raises(ConfigError, match=r"^reservoir\.capacity = 0 \(line 1\) must be"):
+            parse_config("reservoir.capacity = 0\n")
 
     @pytest.mark.parametrize("capacity", [10**12, 10**19])  # numpy: MemoryError, ValueError
     def test_capacity_past_memory_is_a_config_error_naming_its_bytes(self, capacity):

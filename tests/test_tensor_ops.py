@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from latentreplay.errors import ConfigError, DataError, ShapeError
+from latentreplay.errors import DataError, ShapeError
 from latentreplay.gradsuite import EPS, finite_diff_report
 from latentreplay.nn import (
     Tensor,
@@ -88,7 +88,7 @@ class TestConv2d:
     def test_empty_output_raises(self):
         x = Tensor(np.zeros((1, 1, 2, 2), dtype=np.float32))
         w = Tensor(np.zeros((1, 1, 3, 3), dtype=np.float32))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ShapeError):
             conv2d(x, w, Tensor(np.zeros(1, dtype=np.float32)))
 
 
@@ -115,7 +115,7 @@ class TestAvgPool:
         assert avgpool2(x).data.reshape(()) == np.float32(2.5)
 
     def test_odd_dims_raise(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ShapeError):
             avgpool2(Tensor(np.zeros((1, 1, 3, 4), dtype=np.float32)))
 
 
